@@ -162,6 +162,29 @@ class MDS:
             product *= len(s)
         return product
 
+    def enlargement(self, values_by_level, max_growth):
+        """``(growth, volume)`` of this MDS if it absorbed one record.
+
+        ``values_by_level[dim][level]`` is the record's value at ``level``
+        in ``dim``.  ``growth`` counts the dimensions whose value set would
+        gain the record's value and ``volume`` is the grown
+        :meth:`volume`.  Returns None as soon as ``growth`` would exceed
+        ``max_growth`` (the caller has a better candidate already).
+        """
+        growth = 0
+        volume = 1
+        for values, level, record_values in zip(
+            self._sets, self._levels, values_by_level
+        ):
+            if record_values[level] in values:
+                volume *= len(values)
+            elif growth < max_growth:
+                growth += 1
+                volume *= len(values) + 1
+            else:
+                return None
+        return growth, volume
+
     def is_empty(self):
         """True when any dimension has no values (describes nothing)."""
         return any(not s for s in self._sets)
@@ -217,9 +240,12 @@ class MDS:
         """Extend the MDS to cover ``other`` (levels must be <= ours)."""
         self._touch()
         for dim, level in enumerate(self._levels):
-            self._sets[dim].update(
-                other.adapted_set(dim, level, hierarchies[dim])
-            )
+            if other._levels[dim] == level:
+                self._sets[dim].update(other._sets[dim])
+            else:
+                self._sets[dim].update(
+                    other.adapted_set(dim, level, hierarchies[dim])
+                )
 
     def update_values(self, dim, values):
         """Add ``values`` to dimension ``dim`` (they must live at its level).
@@ -472,7 +498,6 @@ def operation_cost(m, n):
     queries paying "very expensive computations"), but only where both
     operands are actually large.
     """
-    units = m.n_dimensions
-    for dim in range(m.n_dimensions):
-        units += min(m.cardinality(dim), n.cardinality(dim))
-    return units
+    return len(m._sets) + sum(
+        map(min, map(len, m._sets), map(len, n._sets))
+    )

@@ -27,6 +27,7 @@ future-work suggestion of a sub-quadratic split and is exposed through
 
 from __future__ import annotations
 
+from ..errors import MdsError
 from . import mds as mds_mod
 from .mds import MDS
 
@@ -162,42 +163,93 @@ def compute_group_mds(mdss, levels, hierarchies):
 def choose_seeds(mdss, hierarchies):
     """Pick the two seed entries: the pair with the largest covering MDS.
 
-    Returns ``(i, j, cpu_units)``.  The size of a pair's cover is the sum
-    over dimensions of the union cardinalities, computed without
-    materializing the cover.
+    Returns ``(i, j, cpu_units)``; ties go to the first pair in ``(i, j)``
+    scan order.  ``mdss`` must hold at least two entries at common levels
+    (:class:`~repro.errors.MdsError` otherwise), so a pair's cover size is
+    ``|a ∪ b| = |a| + |b| − |a ∩ b|`` summed over dimensions, computed as
+    one set operation on per-entry ``(dim, value)`` sets.
+
+    The scan stops at the first pair that reaches the upper bound
+    ``Σ_dim min(two largest cardinalities, |∪ values|)``: no later pair
+    can beat it strictly, so it is the pair the full scan keeps.  The
+    charged work is still that of the full all-pairs comparison — one
+    :func:`~repro.core.mds.operation_cost` per pair — summed in closed
+    form: ``Σ_{i<j} min(c_i, c_j) = Σ_k c_(k)·(n−1−k)`` over each
+    dimension's cardinalities sorted ascending.
     """
+    n = len(mdss)
+    n_dims = len(_common_levels(mdss))
+    rows = [[m.value_set(dim) for dim in range(n_dims)] for m in mdss]
+    sizes = [sum(map(len, row)) for row in rows]
+    tagged = [
+        frozenset((dim, value) for dim in range(n_dims) for value in row[dim])
+        for row in rows
+    ]
+    cpu_units = n * (n - 1) // 2 * n_dims
+    bound = 0
+    for dim in range(n_dims):
+        column = [row[dim] for row in rows]
+        cards = sorted(map(len, column))
+        cpu_units += sum(c * (n - 1 - k) for k, c in enumerate(cards))
+        bound += min(cards[-1] + cards[-2], len(set().union(*column)))
     best = None
     best_size = -1
-    cpu_units = 0
-    n = len(mdss)
-    for i in range(n):
-        for j in range(i + 1, n):
-            size = 0
-            for dim in range(mdss[i].n_dimensions):
-                size += mds_mod.union_cardinality(
-                    mdss[i], mdss[j], dim, hierarchies
-                )
-            cpu_units += mds_mod.operation_cost(mdss[i], mdss[j])
-            if size > best_size:
-                best_size = size
-                best = (i, j)
+    for i in range(n - 1):
+        tagged_i = tagged[i]
+        size_i = sizes[i]
+        row = [
+            size_i + size_j - len(tagged_i & tagged_j)
+            for size_j, tagged_j in zip(sizes[i + 1:], tagged[i + 1:])
+        ]
+        row_best = max(row)
+        if row_best > best_size:
+            best_size = row_best
+            best = (i, i + 1 + row.index(row_best))
+            if row_best == bound:
+                break
     return best[0], best[1], cpu_units
+
+
+def _common_levels(mdss):
+    """The levels shared by all of ``mdss`` (at least two entries)."""
+    if len(mdss) < 2:
+        raise MdsError(
+            "a split needs at least two entries, got %d" % len(mdss)
+        )
+    levels = mdss[0].levels
+    for m in mdss:
+        if m.levels != levels:
+            raise MdsError(
+                "split entries must share common levels: %r vs %r"
+                % (m.levels, levels)
+            )
+    return levels
 
 
 def hierarchy_split(mdss, split_dim, hierarchies, min_group=2):
     """Fig. 6: quadratic split of ``mdss`` along ``split_dim``.
 
-    ``mdss`` must already be adapted to common levels.  Returns
+    ``mdss`` must hold at least two entries already adapted to common
+    levels (:class:`~repro.errors.MdsError` otherwise).  Returns
     ``((group_a, group_b), cpu_units)`` where the groups are lists of
     indices into ``mdss``.  Like Guttman's quadratic split (which Fig. 6
     is explicitly based on), remaining entries are assigned wholesale to
     a group that needs all of them to reach ``min_group``.
+
+    Each round picks the first remaining entry whose enlargements of the
+    two groups differ most; an entry's difference cannot exceed its own
+    cardinality, so the scan stops at the first one whose difference
+    equals the largest remaining cardinality.  The round is charged the
+    full scan, two units per remaining split-dimension value.
     """
     seed_a, seed_b, cpu_units = choose_seeds(mdss, hierarchies)
     group_a, group_b = [seed_a], [seed_b]
     mds_a = mdss[seed_a].copy()
     mds_b = mdss[seed_b].copy()
+    candidates = [m.value_set(split_dim) for m in mdss]
+    cards = [len(values) for values in candidates]
     remaining = [i for i in range(len(mdss)) if i not in (seed_a, seed_b)]
+    remaining_cards = sum(cards[i] for i in remaining)
 
     while remaining:
         if len(group_a) + len(remaining) <= min_group:
@@ -206,18 +258,22 @@ def hierarchy_split(mdss, split_dim, hierarchies, min_group=2):
         if len(group_b) + len(remaining) <= min_group:
             group_b.extend(remaining)
             break
+        cpu_units += 2 * remaining_cards
+        set_a = mds_a.value_set(split_dim)
+        set_b = mds_b.value_set(split_dim)
+        top = max(map(cards.__getitem__, remaining))
         chosen_pos = None
         chosen_diff = -1
         for pos, idx in enumerate(remaining):
-            candidate = mdss[idx]
-            enlargement_a = _enlargement(mds_a, candidate, split_dim)
-            enlargement_b = _enlargement(mds_b, candidate, split_dim)
-            cpu_units += 2 * candidate.cardinality(split_dim)
-            diff = abs(enlargement_a - enlargement_b)
+            candidate = candidates[idx]
+            diff = abs(len(candidate - set_a) - len(candidate - set_b))
             if diff > chosen_diff:
                 chosen_diff = diff
                 chosen_pos = pos
+                if diff == top:
+                    break
         idx = remaining.pop(chosen_pos)
+        remaining_cards -= cards[idx]
         target_a = _prefer_group_a(
             mds_a, mds_b, mdss[idx], group_a, group_b, split_dim, hierarchies
         )
@@ -273,13 +329,6 @@ def linear_split(mdss, split_dim, hierarchies, min_group=2):
             group_b.append(idx)
             mds_b.add_mds(mdss[idx], hierarchies)
     return (group_a, group_b), cpu_units
-
-
-def _enlargement(group_mds, candidate, split_dim):
-    """Growth of the group's split-dimension value set if it absorbed
-    ``candidate`` (both already at common levels)."""
-    group_set = group_mds.value_set(split_dim)
-    return len(candidate.value_set(split_dim) - group_set)
 
 
 def _prefer_group_a(mds_a, mds_b, candidate, group_a, group_b, split_dim,

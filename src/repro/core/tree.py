@@ -424,33 +424,24 @@ class DCTree:
             return child, position
 
     def _choose_subtree_impl(self, node, record):
-        best = None
-        best_key = None
-        best_position = 0
-        value_at = {}
+        # The record's value at every level of each dimension, indexed by
+        # level: its stored path read leaf-first, with ALL on top.
+        by_level = [
+            path[::-1] + (hierarchy.all_id,)
+            for path, hierarchy in zip(record.paths, self.hierarchies)
+        ]
         n_dimensions = self.schema.n_dimensions
-        hierarchies = self.hierarchies
+        best = None
+        best_position = 0
+        # (growth, volume, entry count) of the best child so far; the
+        # start key loses to any child.
+        best_key = (n_dimensions + 1, 0, 0)
         for position, child in enumerate(node.children):
-            growth = 0
-            volume = 1
-            child_mds = child.mds
-            for dim in range(n_dimensions):
-                level = child_mds.level(dim)
-                value = value_at.get((dim, level))
-                if value is None:
-                    hierarchy = hierarchies[dim]
-                    if level >= hierarchy.top_level:
-                        value = hierarchy.all_id
-                    else:
-                        value = record.value_at_level(dim, level)
-                    value_at[(dim, level)] = value
-                cardinality = child_mds.cardinality(dim)
-                if value not in child_mds.value_set(dim):
-                    growth += 1
-                    cardinality += 1
-                volume *= cardinality
-            key = (growth, volume, child.entry_count)
-            if best_key is None or key < best_key:
+            key = child.mds.enlargement(by_level, best_key[0])
+            if key is None:
+                continue
+            key += (child.entry_count,)
+            if key < best_key:
                 best_key = key
                 best = child
                 best_position = position

@@ -6,6 +6,7 @@ from repro.config import DCTreeConfig
 from repro.core import mds as mds_mod
 from repro.core import split as split_mod
 from repro.core.mds import MDS
+from repro.errors import MdsError
 from tests.conftest import build_toy_schema, toy_record
 
 
@@ -98,6 +99,24 @@ class TestHierarchySplit:
             mdss[:2], 0, hierarchies
         )
         assert len(group_a) == 1 and len(group_b) == 1
+
+
+class TestSplitPreconditions:
+    @pytest.mark.parametrize("n_entries", [0, 1])
+    def test_fewer_than_two_entries(self, city_mdss, n_entries):
+        _schema, hierarchies, _records, mdss = city_mdss
+        with pytest.raises(MdsError, match="at least two entries"):
+            split_mod.choose_seeds(mdss[:n_entries], hierarchies)
+        with pytest.raises(MdsError, match="at least two entries"):
+            split_mod.hierarchy_split(mdss[:n_entries], 0, hierarchies)
+
+    def test_entries_not_at_common_levels(self, city_mdss):
+        _schema, hierarchies, _records, mdss = city_mdss
+        mixed = [mdss[0], mdss[1].adapted_to((1, 0), hierarchies), mdss[2]]
+        with pytest.raises(MdsError, match="common levels"):
+            split_mod.choose_seeds(mixed, hierarchies)
+        with pytest.raises(MdsError, match="common levels"):
+            split_mod.hierarchy_split(mixed, 0, hierarchies)
 
 
 class TestLinearSplit:
