@@ -488,6 +488,37 @@ def covers_record(mds, record, hierarchies):
     return True
 
 
+def record_filter(mds, hierarchies):
+    """:func:`covers_record` resolved once for a whole list of records.
+
+    Turns ``mds`` into ``(dim, path index, value set)`` tests — the path
+    entry of level ``l`` sits at index ``-1 - l`` of a record's path — and
+    returns ``keep(records)``: the covered records in their given order
+    (the aggregators' floating-point sums fold in that order).  ``keep``
+    filters one dimension at a time and stops once nothing is left.  A
+    dimension at the top level either covers every record (its set holds
+    ALL, the test is dropped) or none.  With no tests left ``keep``
+    returns ``records`` itself, so callers must not mutate the result.
+    """
+    tests = []
+    for dim, (values, level) in enumerate(zip(mds._sets, mds._levels)):
+        hierarchy = hierarchies[dim]
+        if level >= hierarchy.top_level:
+            if hierarchy.all_id not in values:
+                return lambda records: []
+        else:
+            tests.append((dim, -1 - level, values))
+
+    def keep(records):
+        for dim, index, values in tests:
+            if not records:
+                break
+            records = [r for r in records if r.paths[dim][index] in values]
+        return records
+
+    return keep
+
+
 def operation_cost(m, n):
     """CPU work units of one binary MDS operation (for the cost model).
 

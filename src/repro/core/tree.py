@@ -836,30 +836,30 @@ class DCTree:
         if op in ("min", "max") and self.config.use_materialized_aggregates:
             return self._range_extremum(range_mds, op, measure_index)
         aggregator = StreamingAggregator(op, measure_index)
-        self._query_node(self._root, range_mds, aggregator)
+        keep = mds_mod.record_filter(range_mds, self.hierarchies)
+        self._query_node(self._root, range_mds, keep, aggregator)
         return aggregator.result()
 
     def _range_extremum(self, range_mds, op, measure_index):
         """Branch-and-bound range-MAX/MIN (reference [6] style)."""
         sign = 1.0 if op == "max" else -1.0
-        best = self._extremum_node(
-            self._root, range_mds, sign, measure_index, None
+        keep = mds_mod.record_filter(range_mds, self.hierarchies)
+        return self._extremum_node(
+            self._root, range_mds, keep, sign, measure_index, None
         )
-        return best
 
-    def _extremum_node(self, node, range_mds, sign, measure_index, best,
-                       depth=0):
+    def _extremum_node(self, node, range_mds, keep, sign, measure_index,
+                       best, depth=0):
         self.tracker.access_node(node.page_id, node.n_blocks)
         profile = self._profile
         if profile is not None:
             profile.visit(depth, node.n_blocks)
         if node.is_leaf:
             self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in node.records:
-                if mds_mod.covers_record(range_mds, record, self.hierarchies):
-                    value = record.measures[measure_index]
-                    if best is None or sign * value > sign * best:
-                        best = value
+            for record in keep(node.records):
+                value = record.measures[measure_index]
+                if best is None or sign * value > sign * best:
+                    best = value
             if profile is not None:
                 profile.scanned(depth, len(node.records))
                 profile.charge_cpu(depth)
@@ -889,7 +889,8 @@ class DCTree:
                     profile.aggregate_hit(depth)
             else:
                 best = self._extremum_node(
-                    child, range_mds, sign, measure_index, best, depth + 1
+                    child, range_mds, keep, sign, measure_index, best,
+                    depth + 1,
                 )
         return best
 
@@ -908,7 +909,8 @@ class DCTree:
         measure_index = self._measure_index(measure)
         self._check_query_mds(range_mds)
         aggregator = StreamingAggregator("sum", measure_index)
-        self._query_node(self._root, range_mds, aggregator)
+        keep = mds_mod.record_filter(range_mds, self.hierarchies)
+        self._query_node(self._root, range_mds, keep, aggregator)
         return aggregator.summary.copy()
 
     def estimate_count(self, range_mds, max_depth=1):
@@ -921,19 +923,14 @@ class DCTree:
         for I/O).  ``max_depth=0`` inspects only the root's entries.
         """
         self._check_query_mds(range_mds)
-        return self._estimate_node(self._root, range_mds, max_depth)
+        keep = mds_mod.record_filter(range_mds, self.hierarchies)
+        return self._estimate_node(self._root, range_mds, keep, max_depth)
 
-    def _estimate_node(self, node, range_mds, depth_budget):
+    def _estimate_node(self, node, range_mds, keep, depth_budget):
         self.tracker.access_node(node.page_id, node.n_blocks)
         if node.is_leaf:
             self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            return float(
-                sum(
-                    1 for record in node.records
-                    if mds_mod.covers_record(range_mds, record,
-                                             self.hierarchies)
-                )
-            )
+            return float(len(keep(node.records)))
         estimate = 0.0
         for child in node.children:
             outcome = self._classify_entry(range_mds, child.mds)
@@ -943,7 +940,7 @@ class DCTree:
                 estimate += child.aggregate.count
             elif depth_budget > 0:
                 estimate += self._estimate_node(
-                    child, range_mds, depth_budget - 1
+                    child, range_mds, keep, depth_budget - 1
                 )
             else:
                 fraction = self._overlap_fraction(range_mds, child.mds)
@@ -994,19 +991,19 @@ class DCTree:
         """The records inside ``range_mds`` (always descends to leaves)."""
         self._check_query_mds(range_mds)
         result = []
-        self._collect_records(self._root, range_mds, result)
+        keep = mds_mod.record_filter(range_mds, self.hierarchies)
+        self._collect_records(self._root, range_mds, keep, result)
         return result
 
-    def _query_node(self, node, range_mds, aggregator, depth=0):
+    def _query_node(self, node, range_mds, keep, aggregator, depth=0):
         self.tracker.access_node(node.page_id, node.n_blocks)
         profile = self._profile
         if profile is not None:
             profile.visit(depth, node.n_blocks)
         if node.is_leaf:
             self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in node.records:
-                if mds_mod.covers_record(range_mds, record, self.hierarchies):
-                    aggregator.add_record(record)
+            for record in keep(node.records):
+                aggregator.add_record(record)
             if profile is not None:
                 profile.scanned(depth, len(node.records))
                 profile.charge_cpu(depth)
@@ -1026,22 +1023,20 @@ class DCTree:
                 if profile is not None:
                     profile.aggregate_hit(depth)
             else:
-                self._query_node(child, range_mds, aggregator, depth + 1)
+                self._query_node(child, range_mds, keep, aggregator, depth + 1)
 
-    def _collect_records(self, node, range_mds, result):
+    def _collect_records(self, node, range_mds, keep, result):
         self.tracker.access_node(node.page_id, node.n_blocks)
         if node.is_leaf:
             self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in node.records:
-                if mds_mod.covers_record(range_mds, record, self.hierarchies):
-                    result.append(record)
+            result.extend(keep(node.records))
             return
         for child in node.children:
             outcome = self._classify_entry(
                 range_mds, child.mds, check_containment=False
             )
             if outcome != mds_mod.DISJOINT:
-                self._collect_records(child, range_mds, result)
+                self._collect_records(child, range_mds, keep, result)
 
     def _measure_index(self, measure):
         if isinstance(measure, str):
@@ -1058,6 +1053,13 @@ class DCTree:
             )
         if range_mds.is_empty():
             raise QueryError("query MDS has an empty dimension")
+        for dim, hierarchy in enumerate(self.hierarchies):
+            level = range_mds.level(dim)
+            if not 0 <= level <= hierarchy.top_level:
+                raise QueryError(
+                    "query level %r out of range for dimension %d"
+                    % (level, dim)
+                )
 
     # ------------------------------------------------------------------
     # group-by (roll-up along one concept hierarchy)
@@ -1171,14 +1173,15 @@ class DCTree:
                            range_mds):
         """The actual one-pass roll-up behind :meth:`group_by_aggregators`."""
         groups = {}
+        keep = mds_mod.record_filter(range_mds, self.hierarchies)
         self._group_node(
             self._root, dim_index, level, op, measure_index, range_mds,
-            groups,
+            keep, groups,
         )
         return groups
 
     def _group_node(self, node, dim_index, level, op, measure_index,
-                    range_mds, groups, depth=0):
+                    range_mds, keep, groups, depth=0):
         self.tracker.access_node(node.page_id, node.n_blocks)
         profile = self._profile
         if profile is not None:
@@ -1186,11 +1189,10 @@ class DCTree:
         hierarchy = self.hierarchies[dim_index]
         if node.is_leaf:
             self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in node.records:
-                if mds_mod.covers_record(range_mds, record, self.hierarchies):
-                    value = record.value_at_level(dim_index, level)
-                    self._group_for(value, op, measure_index, groups) \
-                        .add_record(record)
+            for record in keep(node.records):
+                value = record.value_at_level(dim_index, level)
+                self._group_for(value, op, measure_index, groups) \
+                    .add_record(record)
             if profile is not None:
                 profile.scanned(depth, len(node.records))
                 profile.charge_cpu(depth)
@@ -1219,7 +1221,7 @@ class DCTree:
             else:
                 self._group_node(
                     child, dim_index, level, op, measure_index, range_mds,
-                    groups, depth + 1,
+                    keep, groups, depth + 1,
                 )
 
     @staticmethod

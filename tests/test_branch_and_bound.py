@@ -2,12 +2,13 @@
 
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import DCTree, DCTreeConfig, TPCDGenerator, make_tpcd_schema
 from repro.workload.queries import QueryGenerator, query_from_labels
 from tests.conftest import build_toy_schema, toy_record
+from tests.hypothesis_settings import TREE_SETTINGS
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +100,7 @@ row_strategy = st.tuples(
 )
 
 
-@settings(deadline=None, max_examples=40,
-          suppress_health_check=[HealthCheck.too_slow])
+@TREE_SETTINGS
 @given(
     rows=st.lists(row_strategy, min_size=1, max_size=60),
     seed=st.integers(min_value=0, max_value=5),

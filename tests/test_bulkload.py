@@ -3,13 +3,14 @@
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import DCTree, DCTreeConfig, TPCDGenerator, make_tpcd_schema
 from repro.core.bulkload import bulk_load
 from repro.workload.queries import QueryGenerator, query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
+from tests.hypothesis_settings import TREE_SETTINGS
 
 
 class TestBasics:
@@ -141,8 +142,7 @@ row_strategy = st.tuples(
 )
 
 
-@settings(deadline=None, max_examples=30,
-          suppress_health_check=[HealthCheck.too_slow])
+@TREE_SETTINGS
 @given(rows=st.lists(row_strategy, min_size=1, max_size=80))
 def test_property_bulk_load_is_query_equivalent(rows):
     schema = build_toy_schema()

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import DCTree, DCTreeConfig, TPCDGenerator
@@ -12,6 +12,7 @@ from repro.core.stats import collect_stats
 from repro.errors import QueryError, RecordNotFoundError, TreeError
 from repro.workload.queries import QueryGenerator, query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
+from tests.hypothesis_settings import PROFILE_SETTINGS
 
 
 def build_toy_tree(config=None):
@@ -232,6 +233,25 @@ class TestRangeQuery:
         with pytest.raises(QueryError):
             tree.range_query(MDS([set(), {1}], [0, 0]))
 
+    @pytest.mark.parametrize("entry", [
+        lambda tree, mds: tree.range_query(mds, op="count"),
+        lambda tree, mds: tree.group_by(0, 1, range_mds=mds),
+        lambda tree, mds: tree.range_records(mds),
+        lambda tree, mds: tree.estimate_count(mds),
+    ], ids=["range_query", "group_by", "range_records", "estimate_count"])
+    @pytest.mark.parametrize("dim", [0, 1])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_out_of_range_query_level_rejected(self, entry, dim, side):
+        # Below 0 would index a record's path from the wrong end; above
+        # the top level has no meaning (the top level is ALL).
+        schema, tree, _records = build_toy_tree()
+        hierarchies = [d.hierarchy for d in schema.dimensions]
+        sets = [{h.all_id} for h in hierarchies]
+        levels = [h.top_level for h in hierarchies]
+        levels[dim] = -1 if side == "below" else levels[dim] + 1
+        with pytest.raises(QueryError, match="query level"):
+            entry(tree, MDS(sets, levels))
+
     def test_range_records(self):
         schema, tree, _records = build_toy_tree()
         query = query_from_labels(schema, {"Geo": ("Country", ["DE"])})
@@ -376,7 +396,7 @@ row_strategy = st.tuples(
 )
 
 
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@PROFILE_SETTINGS
 @given(
     rows=st.lists(row_strategy, min_size=1, max_size=60),
     seed=st.integers(min_value=0, max_value=5),
@@ -404,7 +424,7 @@ def test_tree_queries_agree_with_naive_filter(rows, seed):
         assert tree.range_count(query.mds) == expected_count
 
 
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@PROFILE_SETTINGS
 @given(
     rows=st.lists(row_strategy, min_size=4, max_size=40),
     delete_every=st.integers(min_value=2, max_value=4),

@@ -3,13 +3,14 @@
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import DCTree, DCTreeConfig, TPCDGenerator, Warehouse, make_tpcd_schema
 from repro.errors import QueryError, SchemaError
 from repro.workload.queries import query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
+from tests.hypothesis_settings import PROFILE_SETTINGS
 
 
 def build_tree_and_records():
@@ -139,7 +140,7 @@ row_strategy = st.tuples(
 )
 
 
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@PROFILE_SETTINGS
 @given(rows=st.lists(row_strategy, min_size=1, max_size=50))
 def test_groups_partition_the_total(rows):
     schema = build_toy_schema()

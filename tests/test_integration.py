@@ -9,7 +9,7 @@ available (the scan is trivially correct; the trees must agree with it).
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import (
@@ -24,6 +24,7 @@ from repro import (
 from repro.bench.harness import execute_query
 from repro.workload.queries import QueryGenerator
 from tests.conftest import build_toy_schema, toy_record
+from tests.hypothesis_settings import TREE_SETTINGS
 
 
 def build_all_backends(schema, records, dc_config=None, x_config=None):
@@ -139,11 +140,7 @@ row_strategy = st.tuples(
 )
 
 
-@settings(
-    deadline=None,
-    max_examples=25,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@TREE_SETTINGS
 @given(
     rows=st.lists(row_strategy, min_size=1, max_size=80),
     seed=st.integers(min_value=0, max_value=9),

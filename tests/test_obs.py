@@ -19,7 +19,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config import DCTreeConfig
@@ -38,6 +38,7 @@ from repro.tpcd.generator import TPCDGenerator
 from repro.warehouse import Warehouse
 from repro.workload.queries import QueryGenerator, query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
+from tests.hypothesis_settings import TREE_SETTINGS
 
 
 class FakeClock:
@@ -377,7 +378,7 @@ class TestExplain:
 
 
 class TestInvariance:
-    @settings(max_examples=20, deadline=None)
+    @TREE_SETTINGS
     @given(seed=st.integers(0, 1000), n_records=st.integers(20, 120))
     def test_counters_results_bit_identical(self, seed, n_records):
         trees = {}

@@ -14,7 +14,6 @@ catches cross-operation interactions no scenario test thinks of.
 
 import math
 
-from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -27,6 +26,7 @@ from hypothesis.stateful import (
 from repro import DCTree, DCTreeConfig
 from repro.workload.queries import QueryGenerator
 from tests.conftest import build_toy_schema, toy_record
+from tests.hypothesis_settings import STATE_MACHINE_SETTINGS
 
 COUNTRIES = ("DE", "FR", "US")
 CITIES = ("A", "B", "C", "D")
@@ -168,6 +168,4 @@ class DCTreeMachine(RuleBasedStateMachine):
 
 
 TestDCTreeStateful = DCTreeMachine.TestCase
-TestDCTreeStateful.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
-)
+TestDCTreeStateful.settings = STATE_MACHINE_SETTINGS

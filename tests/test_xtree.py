@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import TPCDGenerator, XTree, XTreeConfig
@@ -12,6 +12,7 @@ from repro.workload.queries import QueryGenerator, query_from_labels
 from repro.xtree import split as xsplit
 from repro.xtree.mbr import MBR
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
+from tests.hypothesis_settings import PROFILE_SETTINGS
 
 
 def build_toy_xtree(config=None):
@@ -231,7 +232,7 @@ row_strategy = st.tuples(
 )
 
 
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@PROFILE_SETTINGS
 @given(
     rows=st.lists(row_strategy, min_size=1, max_size=50),
     seed=st.integers(min_value=0, max_value=5),

@@ -1,10 +1,11 @@
 """Property tests for the X-tree split algorithms."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.xtree import split as xsplit
 from repro.xtree.mbr import MBR
+from tests.hypothesis_settings import GEOMETRY_SETTINGS
 
 points = st.lists(
     st.tuples(
@@ -18,7 +19,7 @@ points = st.lists(
 
 
 @given(points)
-@settings(deadline=None, max_examples=60)
+@GEOMETRY_SETTINGS
 def test_topological_split_partitions_and_balances(pts):
     mbrs = [MBR.of_point(p) for p in pts]
     min_group = max(2, len(mbrs) * 35 // 100)
@@ -31,7 +32,7 @@ def test_topological_split_partitions_and_balances(pts):
 
 
 @given(points)
-@settings(deadline=None, max_examples=60)
+@GEOMETRY_SETTINGS
 def test_topological_split_minimizes_among_candidates(pts):
     """The chosen distribution's overlap is minimal on the chosen axis."""
     mbrs = [MBR.of_point(p) for p in pts]
@@ -62,7 +63,7 @@ def test_topological_split_minimizes_among_candidates(pts):
         max_size=20,
     )
 )
-@settings(deadline=None, max_examples=60)
+@GEOMETRY_SETTINGS
 def test_overlap_minimal_split_yields_disjoint_sides(intervals):
     class FakeNode:
         def __init__(self, lo, width):
@@ -81,7 +82,7 @@ def test_overlap_minimal_split_yields_disjoint_sides(intervals):
 
 
 @given(points, st.integers(min_value=0, max_value=2))
-@settings(deadline=None, max_examples=40)
+@GEOMETRY_SETTINGS
 def test_overlap_ratio_bounds(pts, axis):
     mbrs = [MBR.of_point(p) for p in pts]
     half = len(mbrs) // 2
