@@ -1,19 +1,17 @@
 """Performance-regression benchmark: ``python -m repro.bench regression``.
 
 Runs one fixed-seed insert / range-query / group-by / repeated-query
-workload over the TPC-D cube twice — once with the acceleration layer on
-(hot-path caches plus the versioned query-result cache, the default) and
-once with it off (legacy parent-walking ancestors, uncached adaptation,
-separate overlaps+contains, every query recomputed) — and records
+workload over the TPC-D cube with the default configuration and records
 per-phase wall times, ops/sec and the deterministic tracker counters
 (node accesses, page I/Os, CPU units) in ``BENCH_core.json``.
 
 The *repeat* phase prices the result cache: queries already asked once
 are re-asked with Zipfian popularity (a hot head of favourite reports, a
-long tail — the canonical repeated OLAP workload).  With the cache on,
-re-asks are answered from memory while the recorded tracker charges are
-replayed, so the deterministic counters still match the uncached mode
-exactly and only wall-clock improves.
+long tail — the canonical repeated OLAP workload).  Re-asks are answered
+from memory while the recorded tracker charges are replayed, so the
+deterministic counters match a recomputation exactly and only
+wall-clock improves; ``--min-repeat-speedup`` gates re-ask ops/sec
+against the first-ask (query + group-by) ops/sec of the same pass.
 
 An *insert-heavy* phase prices batched mutation: the same record stream
 goes into two fresh trees serially and through chunked ``insert_batch``
@@ -21,12 +19,11 @@ calls, recording the page-write reduction (``--min-batch-speedup`` gates
 it) and proving, per run, that batching leaves the read counters and the
 structure digest bit-identical to serial insertion.
 
-Regression checking compares the *deterministic* counters of the cached
-mode against the committed baseline with a configurable tolerance, so CI
-catches algorithmic regressions without depending on machine speed;
-wall-clock comparison is opt-in (``--strict-wall``).  The two modes must
-produce bit-identical query/group-by results (checked via a digest) —
-the caches are required to be semantically invisible.
+Regression checking compares the *deterministic* counters against the
+committed baseline with a configurable tolerance, so CI catches
+algorithmic regressions without depending on machine speed; wall-clock
+comparison is opt-in (``--strict-wall``).  The query/group-by answers
+must match the baseline's result digest.
 
 Profiles:
 
@@ -48,7 +45,6 @@ import sys
 import tempfile
 import time
 
-from .. import hotpath
 from ..config import DCTreeConfig
 from ..core.debug import structure_digest
 from ..core.tree import DCTree
@@ -132,8 +128,8 @@ def _repeat_workload(queries, battery, n_repeats, seed):
 
     The pool mixes every range query with every group-by; rank r is
     re-asked with weight 1/r**ZIPF_EXPONENT (a hot head of favourite
-    reports, a long tail of occasional ones).  Fixed seed → both modes
-    replay the identical stream.
+    reports, a long tail of occasional ones).  Fixed seed → every pass
+    replays the identical stream.
     """
     pool = [("range", query.mds) for query in queries]
     pool.extend(
@@ -147,14 +143,14 @@ def _repeat_workload(queries, battery, n_repeats, seed):
     return rng.choices(pool, weights=weights, k=n_repeats)
 
 
-def run_workload(use_caches, n_records, n_queries, n_repeats=0, seed=0,
+def run_workload(n_records, n_queries, n_repeats=0, seed=0,
                  observability=False):
-    """One full benchmark pass; returns (mode-report dict, results digest,
+    """One full benchmark pass; returns (phase-report dict, results digest,
     metrics snapshot).
 
-    The schema/generator are rebuilt per pass with the same seed, so both
-    modes index the identical record stream and answer the identical
-    queries — any result difference is a cache-correctness bug.
+    The schema/generator are rebuilt per pass with the same seed, so two
+    passes index the identical record stream and answer the identical
+    queries.
 
     ``observability`` runs the pass with the telemetry layer attached
     (spans + metrics registry); the returned snapshot is the registry
@@ -166,10 +162,7 @@ def run_workload(use_caches, n_records, n_queries, n_repeats=0, seed=0,
     schema = make_tpcd_schema()
     generator = TPCDGenerator(schema, seed=seed, scale_records=n_records)
     records = generator.generate(n_records)
-    tree = DCTree(schema, config=DCTreeConfig(
-        use_hot_path_caches=use_caches, use_result_cache=use_caches,
-        observability=observability,
-    ))
+    tree = DCTree(schema, config=DCTreeConfig(observability=observability))
 
     report = {}
     digest = hashlib.sha256()
@@ -241,49 +234,17 @@ def _phase_counters(report):
 
 
 def run_benchmark(profile="full", seed=0, emit_metrics=False):
-    """Run both modes of one profile; returns the BENCH entry dict.
+    """Run one profile; returns the BENCH entry dict.
 
-    ``emit_metrics`` adds a third, observability-enabled pass of the
-    cached mode and embeds its metrics-registry snapshot under
-    ``entry["observability"]``, together with the invariance verdicts:
-    the observed pass must produce the same result digest and identical
-    deterministic counters as the plain cached pass (telemetry must be
-    invisible to the simulated cost model).
+    ``emit_metrics`` adds a second, observability-enabled pass and embeds
+    its metrics-registry snapshot under ``entry["observability"]``,
+    together with the invariance verdicts: the observed pass must produce
+    the same result digest and identical deterministic counters as the
+    plain pass (telemetry must be invisible to the simulated cost model).
     """
     params = PROFILES[profile]
-    cached, cached_digest, _ = run_workload(
-        True, params["records"], params["queries"], params["repeats"], seed
-    )
-    with hotpath.disabled():
-        uncached, uncached_digest, _ = run_workload(
-            False, params["records"], params["queries"], params["repeats"],
-            seed,
-        )
-    if cached_digest != uncached_digest:
-        raise AssertionError(
-            "hot-path caches changed query results: %s vs %s"
-            % (cached_digest, uncached_digest)
-        )
-    observability = None
-    if emit_metrics:
-        observed, observed_digest, metrics = run_workload(
-            True, params["records"], params["queries"], params["repeats"],
-            seed, observability=True,
-        )
-        observability = {
-            "digest_identical": observed_digest == cached_digest,
-            "counters_identical": (
-                _phase_counters(observed) == _phase_counters(cached)
-            ),
-            "metrics": metrics,
-        }
-    query_heavy_cached = (
-        cached["query"]["wall_seconds"] + cached["groupby"]["wall_seconds"]
-    )
-    query_heavy_uncached = (
-        uncached["query"]["wall_seconds"]
-        + uncached["groupby"]["wall_seconds"]
-    )
+    workload = (params["records"], params["queries"], params["repeats"], seed)
+    report, digest, _ = run_workload(*workload)
     entry = {
         "profile": profile,
         "seed": seed,
@@ -292,35 +253,34 @@ def run_benchmark(profile="full", seed=0, emit_metrics=False):
         "repeats": params["repeats"],
         "selectivities": list(SELECTIVITIES),
         "zipf_exponent": ZIPF_EXPONENT,
-        "digest": cached_digest,
+        "digest": digest,
         "batch_insert": measure_batch_amortization(
             params["records"], seed=seed
         ),
-        "modes": {"cached": cached, "uncached": uncached},
-        "speedup": {
-            "query_wall": _ratio(
-                uncached["query"]["wall_seconds"],
-                cached["query"]["wall_seconds"],
-            ),
-            "groupby_wall": _ratio(
-                uncached["groupby"]["wall_seconds"],
-                cached["groupby"]["wall_seconds"],
-            ),
-            "repeat_wall": _ratio(
-                uncached["repeat"]["wall_seconds"],
-                cached["repeat"]["wall_seconds"],
-            ),
-            "query_heavy_wall": _ratio(
-                query_heavy_uncached, query_heavy_cached
-            ),
-            "total_wall": _ratio(
-                uncached["total_wall_seconds"], cached["total_wall_seconds"]
-            ),
-        },
+        "modes": {"cached": report},
     }
-    if observability is not None:
-        entry["observability"] = observability
+    if emit_metrics:
+        observed, observed_digest, metrics = run_workload(
+            *workload, observability=True
+        )
+        entry["observability"] = {
+            "digest_identical": observed_digest == digest,
+            "counters_identical": (
+                _phase_counters(observed) == _phase_counters(report)
+            ),
+            "metrics": metrics,
+        }
     return entry
+
+
+def repeat_speedup(report):
+    """Re-ask ops/sec over first-ask (query + group-by) ops/sec."""
+    first = report["query"], report["groupby"]
+    first_rate = _ratio(
+        sum(phase["ops"] for phase in first),
+        sum(phase["wall_seconds"] for phase in first),
+    )
+    return _ratio(report["repeat"]["ops_per_second"], first_rate)
 
 
 def _ratio(numerator, denominator):
@@ -508,24 +468,20 @@ def _format_summary(entry):
         "%d re-asks, seed %d)"
         % (entry["profile"], entry["records"], entry["queries"],
            entry["repeats"], entry["seed"]),
-        "phase    mode      wall(s)    ops/s   node-acc   page-io   cpu-units",
+        "phase      wall(s)    ops/s   node-acc   page-io   cpu-units",
     ]
+    report = entry["modes"]["cached"]
     for phase in ("insert", "query", "groupby", "repeat"):
-        for mode in ("cached", "uncached"):
-            stats = entry["modes"][mode][phase]
-            lines.append(
-                "%-8s %-8s %8.3f %8.1f %10d %9d %11d"
-                % (phase, mode, stats["wall_seconds"],
-                   stats["ops_per_second"], stats["node_accesses"],
-                   stats["page_ios"], stats["cpu_units"])
-            )
-    speedup = entry["speedup"]
+        stats = report[phase]
+        lines.append(
+            "%-8s %8.3f %8.1f %10d %9d %11d"
+            % (phase, stats["wall_seconds"], stats["ops_per_second"],
+               stats["node_accesses"], stats["page_ios"],
+               stats["cpu_units"])
+        )
     lines.append(
-        "speedup (uncached/cached wall): query %.2fx, group-by %.2fx, "
-        "repeat %.2fx, query-heavy %.2fx, total %.2fx"
-        % (speedup["query_wall"], speedup["groupby_wall"],
-           speedup["repeat_wall"], speedup["query_heavy_wall"],
-           speedup["total_wall"])
+        "re-asks vs first asks (result cache): %.2fx ops/s"
+        % repeat_speedup(report)
     )
     batch = entry.get("batch_insert")
     if batch:
@@ -552,7 +508,7 @@ def load_bench_file(path):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench regression",
-        description="Hot-path benchmark with baseline regression checking.",
+        description="Core benchmark with baseline regression checking.",
     )
     parser.add_argument("--smoke", action="store_true",
                         help="small fast profile (<60 s, CI gate)")
@@ -561,12 +517,10 @@ def main(argv=None):
                         help="allowed fractional regression (default 0.20)")
     parser.add_argument("--strict-wall", action="store_true",
                         help="also fail on wall-clock ops/sec regressions")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail when the cached/uncached query-heavy "
-                             "wall speedup drops below this factor")
     parser.add_argument("--min-repeat-speedup", type=float, default=None,
-                        help="fail when the repeated-query (result-cache) "
-                             "wall speedup drops below this factor")
+                        help="fail when re-ask ops/sec (result-cache hits) "
+                             "drop below this factor times the first-ask "
+                             "query + group-by ops/sec")
     parser.add_argument("--min-batch-speedup", type=float, default=None,
                         help="fail when the insert-heavy phase's batched "
                              "page-write reduction drops below this factor "
@@ -581,8 +535,8 @@ def main(argv=None):
                         help="fsync batching for the WAL-overhead "
                              "measurement (default 64)")
     parser.add_argument("--emit-metrics", action="store_true",
-                        help="run an extra observability-enabled cached "
-                             "pass, embed its metrics snapshot in the "
+                        help="run an extra observability-enabled pass, "
+                             "embed its metrics snapshot in the "
                              "report and fail when tracing perturbs the "
                              "deterministic counters or results")
     parser.add_argument("--output", default="BENCH_core.json",
@@ -616,14 +570,8 @@ def main(argv=None):
         else:
             print("no regression vs. committed baseline (tolerance %d%%)"
                   % round(args.tolerance * 100))
-    if args.min_speedup is not None:
-        achieved = entry["speedup"]["query_heavy_wall"]
-        if achieved < args.min_speedup:
-            failed = True
-            print("REGRESSION: query-heavy speedup %.2fx below required "
-                  "%.2fx" % (achieved, args.min_speedup))
     if args.min_repeat_speedup is not None:
-        achieved = entry["speedup"]["repeat_wall"]
+        achieved = repeat_speedup(entry["modes"]["cached"])
         if achieved < args.min_repeat_speedup:
             failed = True
             print("REGRESSION: repeated-query speedup %.2fx below required "

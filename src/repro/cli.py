@@ -31,9 +31,9 @@ import os
 import sys
 
 from .core.bulkload import bulk_load
-from .core.debug import describe_result_cache
 from .core.stats import collect_stats
 from .errors import ReproError, StorageError
+from .obs.metrics import describe_result_cache
 from .persist.durable import DurableWarehouse
 from .persist.io import load_warehouse, save_warehouse
 from .persist.recovery import recover_warehouse

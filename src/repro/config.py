@@ -40,22 +40,13 @@ class DCTreeConfig:
         When False the range-query algorithm never uses the aggregates
         stored in directory entries and always descends to the data nodes
         (ablation `abl-measures`).
-    use_hot_path_caches:
-        When True (default) the query traversals classify each directory
-        entry with the fused single-pass ``mds.classify`` test, which leans
-        on the memoized MDS adaptations and the O(1) hierarchy ancestor
-        tables.  When False they fall back to the separate
-        ``overlaps`` + ``contains`` call pair — the pre-acceleration code
-        path the regression benchmark prices the caches against.  Results
-        are identical either way (enforced by the equivalence test suite).
     use_result_cache:
         When True (default) full ``range_query`` / ``group_by`` answers
         are memoized in a per-tree LRU keyed on (query digest, tree
         version); every insert/delete/bulk-load bumps the version, so a
         stale answer can never be served.  Cache hits replay the recorded
         tracker charges, keeping deterministic counters identical with the
-        cache on or off (see docs/cost_model.md).  Also gated by the
-        global ``repro.hotpath`` ablation switch.
+        cache on or off (see docs/cost_model.md).
     result_cache_capacity:
         Maximum number of memoized answers held per tree (LRU-bounded).
     wal_fsync_interval:
@@ -94,7 +85,6 @@ class DCTreeConfig:
         split_algorithm="quadratic",
         use_materialized_aggregates=True,
         capacity_mode="entries",
-        use_hot_path_caches=True,
         use_result_cache=True,
         result_cache_capacity=128,
         wal_fsync_interval=1,
@@ -131,7 +121,6 @@ class DCTreeConfig:
         self.split_algorithm = split_algorithm
         self.use_materialized_aggregates = use_materialized_aggregates
         self.capacity_mode = capacity_mode
-        self.use_hot_path_caches = bool(use_hot_path_caches)
         self.use_result_cache = bool(use_result_cache)
         self.result_cache_capacity = result_cache_capacity
         self.wal_fsync_interval = wal_fsync_interval

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import hashlib
 
-# Moved to the telemetry package; re-exported for backward compatibility.
-from ..obs.metrics import describe_result_cache  # noqa: F401
-
 
 def structure_digest(index):
     """SHA-256 hex digest of an index's full structure and contents.

@@ -19,27 +19,12 @@ from __future__ import annotations
 
 import hashlib
 
-from .. import hotpath
 from ..errors import MdsError
 
 #: Outcomes of :func:`classify` (ordered: more overlap = larger value).
 DISJOINT = 0
 PARTIAL = 1
 CONTAINED = 2
-
-
-def caches_enabled():
-    """True when the acceleration layer (adaptation memo etc.) is active."""
-    return hotpath.enabled()
-
-
-def set_caches_enabled(enabled):
-    """Enable/disable the acceleration layer; returns the previous state."""
-    return hotpath.set_enabled(enabled)
-
-
-#: Context manager running its body with the acceleration layer off.
-caches_disabled = hotpath.disabled
 
 
 class MDS:
@@ -292,11 +277,10 @@ class MDS:
         operation (it would require enumerating descendants and is handled
         separately by :func:`contains` where exactness demands it).
 
-        Results are memoized per ``(version, dim, target_level)`` while
-        :func:`caches_enabled` is on; a cached result is a frozenset shared
-        between callers, so it must not be mutated.  Every mutator bumps the
-        version and drops the memo, keeping the cache semantically
-        invisible.
+        Results are memoized per ``(version, dim, target_level)``; a
+        cached result is a frozenset shared between callers, so it must
+        not be mutated.  Every mutator bumps the version and drops the
+        memo, keeping the cache semantically invisible.
         """
         own_level = self._levels[dim]
         if target_level == own_level:
@@ -306,11 +290,6 @@ class MDS:
                 "cannot adapt dimension %d downwards (level %d -> %d)"
                 % (dim, own_level, target_level)
             )
-        if not hotpath.enabled():
-            return {
-                hierarchy.ancestor(value, target_level)
-                for value in self._sets[dim]
-            }
         key = (self._version, dim, target_level)
         cached = self._adapt_cache.get(key)
         if cached is None:

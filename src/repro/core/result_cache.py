@@ -23,8 +23,7 @@ changes — which is what ``python -m repro.bench regression`` prices with
 its repeated-query (Zipfian re-ask) phase.
 
 Entries are LRU-bounded (``DCTreeConfig.result_cache_capacity``); the
-whole layer is gated by ``DCTreeConfig.use_result_cache`` and the global
-``repro.hotpath`` ablation switch.
+whole layer is gated by ``DCTreeConfig.use_result_cache``.
 """
 
 from __future__ import annotations

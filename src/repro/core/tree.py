@@ -17,11 +17,16 @@ Public operations:
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 
-from .. import hotpath
 from ..config import DCTreeConfig
-from ..cube.aggregation import AggregateVector, StreamingAggregator
+from ..cube.aggregation import (
+    AggregateVector,
+    StreamingAggregator,
+    check_aggregate,
+)
 from ..errors import QueryError, RecordNotFoundError, TreeError
 from ..obs import ExplainResult, Observability, ProfileSession, QueryProfile
 from ..storage import page as page_mod
@@ -31,6 +36,108 @@ from . import split as split_mod
 from .mds import MDS
 from .node import DCDataNode, DCDirNode
 from .result_cache import ResultCache
+
+
+def _observed(span, start=None, done=None):
+    """Wrap a :class:`DCTree` method in its telemetry.
+
+    With observability off the method runs bare.  With it on, the call
+    runs inside a span named ``span``: ``start(a)`` returns the span's
+    opening attributes and ``done(obs, span, a, result)`` sets its
+    closing attributes and feeds metrics, where ``a`` maps each
+    parameter name (``self`` included, defaults filled in) to the call's
+    argument.  Spans and metrics read the tracker but never charge it,
+    so every deterministic counter is identical with observability on
+    or off.
+    """
+
+    def decorate(method):
+        parameters = inspect.signature(method).parameters
+        names = tuple(parameters)
+        defaults = {
+            name: parameter.default
+            for name, parameter in parameters.items()
+            if parameter.default is not parameter.empty
+        }
+
+        @functools.wraps(method)
+        def observed(self, *args, **kwargs):
+            obs = self._obs
+            if obs is None:
+                return method(self, *args, **kwargs)
+            a = dict(defaults)
+            a.update(zip(names, (self,) + args))
+            a.update(kwargs)
+            with obs.span(span, **(start(a) if start else {})) as current:
+                result = method(self, *args, **kwargs)
+                if done is not None:
+                    done(obs, current, a, result)
+            return result
+
+        return observed
+
+    return decorate
+
+
+def _mutated(counter, help_text):
+    """``done`` hook of a single-record mutator."""
+
+    def done(obs, span, a, result):
+        tree = a["self"]
+        span.set(tree_version=tree.tree_version, records=len(tree))
+        obs.counter(counter, help_text).inc()
+
+    return done
+
+
+def _batch_done(obs, span, a, pages_written):
+    n_records = len(a["records"])
+    span.set(tree_version=a["self"].tree_version, pages_written=pages_written)
+    obs.counter("dctree_batch_inserts_total", "Batches inserted.").inc()
+    obs.counter(
+        "dctree_batch_records_total", "Records inserted through batches."
+    ).inc(n_records)
+    obs.registry.histogram(
+        "dctree_batch_pages_per_record",
+        "Amortized pages written per batched record.",
+    ).observe(pages_written / n_records)
+
+
+def _split_start(a):
+    node = a["node"]
+    return {"node": node.page_id, "kind": "leaf" if node.is_leaf else "dir",
+            "entries": node.entry_count, "mds": node.mds.digest()[:12]}
+
+
+def _split_done(obs, span, a, pair):
+    kind = span.attributes["kind"]
+    if pair is None:
+        span.set(outcome="supernode", n_blocks=a["node"].n_blocks)
+        obs.counter(
+            "dctree_supernode_growths_total",
+            "Overfull nodes that grew a block instead of splitting.",
+            kind=kind,
+        ).inc()
+    else:
+        span.set(outcome="split", sizes=[n.entry_count for n in pair])
+        obs.counter(
+            "dctree_splits_total", "Successful node splits.", kind=kind,
+        ).inc()
+
+
+def _answered(obs, span, a, result):
+    """``done`` hook of the two query entry points (EXPLAIN counted)."""
+    span.set(tree_version=a["self"].tree_version)
+    if a["explain"]:
+        obs.counter(
+            "dctree_explains_total", "Profiled (EXPLAIN) queries by kind.",
+            kind=span.name,
+        ).inc()
+
+
+def _copy_groups(groups):
+    """Independent aggregator copies (callers merge groups onwards)."""
+    return {value: aggregator.copy() for value, aggregator in groups.items()}
 
 
 class _BatchState:
@@ -103,9 +210,7 @@ class DCTree:
             ResultCache(self.config.result_cache_capacity)
             if self.config.use_result_cache else None
         )
-        # Telemetry is strictly observational: spans and metrics read the
-        # tracker, never charge it, so every deterministic counter is
-        # bit-identical with observability on or off.
+        # Telemetry is strictly observational (see _observed).
         self._obs = Observability() if self.config.observability else None
         self._profile = None
 
@@ -178,12 +283,6 @@ class DCTree:
         if self._mutation_sink is not None:
             self._mutation_sink.record_rebase(n_records)
 
-    def _active_result_cache(self):
-        """The cache, when both the config and the global switch allow it."""
-        if self._result_cache is not None and hotpath.enabled():
-            return self._result_cache
-        return None
-
     def height(self):
         """Number of levels, counting the root as 1."""
         levels = 1
@@ -236,6 +335,8 @@ class DCTree:
     # insertion (Fig. 4)
     # ------------------------------------------------------------------
 
+    @_observed("insert", done=_mutated("dctree_inserts_total",
+                                       "Records inserted."))
     def insert(self, record):
         """Insert one data record, keeping the index fully up to date.
 
@@ -245,26 +346,20 @@ class DCTree:
         recoverable and a crash mid-insert loses only the unacknowledged
         one.
         """
-        if self._obs is None:
-            return self._insert_impl(record)
-        with self._obs.span("insert") as span:
-            self._insert_impl(record)
-            span.set(tree_version=self._tree_version,
-                     records=self._n_records)
-        self._obs.counter("dctree_inserts_total",
-                          "Records inserted.").inc()
-
-    def _insert_impl(self, record):
         self.note_mutation()
+        self._place(record)
+        self._n_records += 1
+        if self._mutation_sink is not None:
+            self._mutation_sink.record_insert(record)
+
+    def _place(self, record):
+        """Route one record down from the root, growing the root on split."""
         # Dynamic hierarchy maintenance (§3.1): assigning/looking up the
         # level-tagged ID of each of the record's attribute values.
         self.tracker.cpu(2 * self.schema.n_flat_attributes)
         split_result = self._insert_into(self._root, record)
         if split_result is not None:
             self._grow_root(split_result)
-        self._n_records += 1
-        if self._mutation_sink is not None:
-            self._mutation_sink.record_insert(record)
 
     def insert_batch(self, records):
         """Insert many records, charging writes once per touched node.
@@ -299,27 +394,13 @@ class DCTree:
             return 0
         if self._batch is not None:
             raise TreeError("insert_batch cannot be nested")
-        if self._obs is None:
-            self._insert_batch_impl(records)
-            return len(records)
-        with self._obs.span("insert_batch", records=len(records)) as span:
-            pages_written = self._insert_batch_impl(records)
-            span.set(tree_version=self._tree_version,
-                     pages_written=pages_written)
-        self._obs.counter(
-            "dctree_batch_inserts_total", "Batches inserted."
-        ).inc()
-        self._obs.counter(
-            "dctree_batch_records_total",
-            "Records inserted through batches.",
-        ).inc(len(records))
-        self._obs.registry.histogram(
-            "dctree_batch_pages_per_record",
-            "Amortized pages written per batched record.",
-        ).observe(pages_written / len(records))
+        self._apply_batch(records)
         return len(records)
 
-    def _insert_batch_impl(self, records):
+    @_observed("insert_batch", start=lambda a: {"records": len(a["records"])},
+               done=_batch_done)
+    def _apply_batch(self, records):
+        """Insert a non-empty batch; returns the pages its flush wrote."""
         # One version bump acknowledges the whole batch: the result
         # cache (keyed on tree_version) flushes exactly once, and
         # readers observe the batch atomically.
@@ -327,10 +408,7 @@ class DCTree:
         batch = self._batch = _BatchState()
         try:
             for record in records:
-                self.tracker.cpu(2 * self.schema.n_flat_attributes)
-                split_result = self._insert_into(self._root, record)
-                if split_result is not None:
-                    self._grow_root(split_result)
+                self._place(record)
                 self._n_records += 1
             pages_written = self._flush_batch(batch)
         finally:
@@ -390,7 +468,7 @@ class DCTree:
             self._batch.extend(node.page_id)
         if node.is_leaf:
             node.records.append(record)
-            if self._overfull(node):
+            if self._blocks_needed(node) > node.n_blocks:
                 return self._split_or_grow(node)
             return None
         child, position = self._choose_subtree(node, record)
@@ -400,10 +478,18 @@ class DCTree:
             # The node is already pinned by this descent (accessed and
             # charged above); the splice only dirties it again.
             self._charge_node_write(node.page_id)
-            if self._overfull(node):
+            if self._blocks_needed(node) > node.n_blocks:
                 return self._split_or_grow(node)
         return None
 
+    @_observed(
+        "choose_subtree",
+        start=lambda a: {"node": a["node"].page_id,
+                         "fanout": len(a["node"].children)},
+        done=lambda obs, span, a, result: span.set(
+            child=result[0].page_id, position=result[1]
+        ),
+    )
     def _choose_subtree(self, node, record):
         """Pick the son the record descends into; returns (child, position).
 
@@ -413,17 +499,6 @@ class DCTree:
         (dimension, level) pair is resolved once per insert, not once per
         child — siblings overwhelmingly share relevant levels.
         """
-        if self._obs is None:
-            return self._choose_subtree_impl(node, record)
-        with self._obs.span(
-            "choose_subtree", node=node.page_id,
-            fanout=len(node.children),
-        ) as span:
-            child, position = self._choose_subtree_impl(node, record)
-            span.set(child=child.page_id, position=position)
-            return child, position
-
-    def _choose_subtree_impl(self, node, record):
         # The record's value at every level of each dimension, indexed by
         # level: its stored path read leaf-first, with ALL on top.
         by_level = [
@@ -468,24 +543,13 @@ class DCTree:
     # splitting (Fig. 5) and supernode management
     # ------------------------------------------------------------------
 
-    def _capacity(self, node):
-        base = (
-            self.config.leaf_capacity if node.is_leaf
-            else self.config.dir_capacity
-        )
-        return base * node.n_blocks
-
-    def _overfull(self, node):
-        """Has the node outgrown its blocks (per the capacity mode)?"""
-        if self.config.capacity_mode == "entries":
-            return node.entry_count > self._capacity(node)
-        page_size = self.tracker.config.page_size
-        return node.byte_size(
-            self.schema.n_flat_attributes, self.schema.n_measures
-        ) > page_size * node.n_blocks
-
     def _blocks_needed(self, node):
-        """Blocks a freshly materialized node occupies."""
+        """Blocks the node's contents fill (per the capacity mode).
+
+        The one capacity rule: a node is overfull when this exceeds its
+        ``n_blocks``, a fresh split half gets exactly this many, and a
+        supernode that lost entries shrinks to it.
+        """
         if self.config.capacity_mode == "entries":
             base = (
                 self.config.leaf_capacity if node.is_leaf
@@ -499,37 +563,13 @@ class DCTree:
             self.tracker.config.page_size,
         )
 
+    @_observed("hierarchy_split", start=_split_start, done=_split_done)
     def _split_or_grow(self, node):
         """Split the overfull node or grow it into/as a supernode.
 
         Returns a (left, right) node pair on success, None when the node
         became (or stays) a supernode.
         """
-        if self._obs is None:
-            return self._split_or_grow_impl(node)
-        kind = "leaf" if node.is_leaf else "dir"
-        with self._obs.span(
-            "hierarchy_split", node=node.page_id, kind=kind,
-            entries=node.entry_count, mds=node.mds.digest()[:12],
-        ) as span:
-            pair = self._split_or_grow_impl(node)
-            if pair is None:
-                span.set(outcome="supernode", n_blocks=node.n_blocks)
-                self._obs.counter(
-                    "dctree_supernode_growths_total",
-                    "Overfull nodes that grew a block instead of splitting.",
-                    kind=kind,
-                ).inc()
-            else:
-                span.set(outcome="split",
-                         sizes=[n.entry_count for n in pair])
-                self._obs.counter(
-                    "dctree_splits_total", "Successful node splits.",
-                    kind=kind,
-                ).inc()
-            return pair
-
-    def _split_or_grow_impl(self, node):
         if node.is_leaf:
             adapt = self._make_record_adapter(node.records)
             n_entries = len(node.records)
@@ -572,22 +612,23 @@ class DCTree:
         """
 
         def adapt(levels):
-            adapted = []
-            for child in children:
-                sets = []
-                for dim, level in enumerate(levels):
-                    if child.mds.level(dim) <= level:
-                        sets.append(
-                            child.mds.adapted_set(
-                                dim, level, self.hierarchies[dim]
-                            )
-                        )
-                    else:
-                        sets.append(self._collect_values(child, dim, level))
-                adapted.append(MDS(sets, levels))
-            return adapted
+            return [
+                MDS([self._values_at(child, dim, level)
+                     for dim, level in enumerate(levels)], levels)
+                for child in children
+            ]
 
         return adapt
+
+    def _values_at(self, node, dim, level):
+        """The values at ``level`` in ``dim`` occurring under ``node``.
+
+        Lifted from the node's MDS when its level is at most ``level``,
+        otherwise collected from its subtree (see :meth:`_collect_values`).
+        """
+        if node.mds.level(dim) <= level:
+            return node.mds.adapted_set(dim, level, self.hierarchies[dim])
+        return self._collect_values(node, dim, level)
 
     def _collect_values(self, node, dim, level):
         """Actual values at ``level`` in ``dim`` occurring under ``node``."""
@@ -675,16 +716,9 @@ class DCTree:
     def _extend_with_child(self, group_mds, child):
         """Fold a child's value sets into a group MDS being built."""
         for dim in range(group_mds.n_dimensions):
-            level = group_mds.level(dim)
-            if child.mds.level(dim) <= level:
-                group_mds.update_values(
-                    dim,
-                    child.mds.adapted_set(dim, level, self.hierarchies[dim]),
-                )
-            else:
-                group_mds.update_values(
-                    dim, self._collect_values(child, dim, level)
-                )
+            group_mds.update_values(
+                dim, self._values_at(child, dim, group_mds.level(dim))
+            )
 
     def _aggregate_of_nodes(self, nodes):
         aggregate = AggregateVector(self.schema.n_measures)
@@ -704,29 +738,107 @@ class DCTree:
     # range queries (Fig. 7)
     # ------------------------------------------------------------------
 
-    def _classify_entry(self, range_mds, entry_mds, check_containment=True):
-        """DISJOINT/PARTIAL/CONTAINED classification of one directory entry.
+    def _visit(self, node, keep, depth):
+        """Fig. 7, step 1: read ``node`` and, for a data node, scan it.
 
-        With ``use_hot_path_caches`` on, this is the fused single-pass
-        :func:`~repro.core.mds.classify` (each dimension adapted exactly
-        once, memoized); otherwise the legacy ``overlaps`` + ``contains``
-        call pair.  Either way one :func:`~repro.core.mds.operation_cost`
-        charge is made — the cost model prices the *logical* comparison,
-        so simulated times stay comparable across the ablation.
+        Returns the data node's records that ``keep`` (the query's
+        :func:`~repro.core.mds.record_filter`) admits, in leaf order, or
+        None for a directory node.  The scan charges one CPU unit per
+        record and dimension, however early the filter stops.
         """
-        self.tracker.cpu(mds_mod.operation_cost(range_mds, entry_mds))
-        if self.config.use_hot_path_caches:
-            return mds_mod.classify(
-                range_mds, entry_mds, self.hierarchies, check_containment
-            )
-        if not mds_mod.overlaps(range_mds, entry_mds, self.hierarchies):
-            return mds_mod.DISJOINT
-        if check_containment and mds_mod.contains(
-            range_mds, entry_mds, self.hierarchies
-        ):
-            return mds_mod.CONTAINED
-        return mds_mod.PARTIAL
+        self.tracker.access_node(node.page_id, node.n_blocks)
+        profile = self._profile
+        if profile is not None:
+            profile.visit(depth, node.n_blocks)
+        if not node.is_leaf:
+            return None
+        records = node.records
+        self.tracker.cpu(len(records) * self.schema.n_dimensions)
+        matched = keep(records)
+        if profile is not None:
+            profile.scanned(depth, len(records))
+            profile.charge_cpu(depth)
+        return matched
 
+    def _classify(self, range_mds, entry, depth, check_containment=True):
+        """Fig. 7, step 2: DISJOINT/PARTIAL/CONTAINED for one entry.
+
+        The traversals call it entry by entry as they go.  It charges one
+        :func:`~repro.core.mds.operation_cost` (the cost model prices the
+        logical comparison) and feeds EXPLAIN.  Without
+        ``check_containment`` it never answers CONTAINED.
+        """
+        self.tracker.cpu(mds_mod.operation_cost(range_mds, entry.mds))
+        outcome = mds_mod.classify(
+            range_mds, entry.mds, self.hierarchies, check_containment
+        )
+        profile = self._profile
+        if profile is not None:
+            profile.classified(depth, outcome)
+            profile.charge_cpu(depth)
+        return outcome
+
+    def _answer(self, kind, op, measure_index, key, compute, explain,
+                copy=None):
+        """Answer a query through the result cache, profiled on request.
+
+        A cache hit replays the charges recorded with the answer; a miss
+        runs ``compute`` under an access trace and stores the answer with
+        them.  ``copy`` clones an answer the caller may mutate (group
+        aggregators) on its way into and out of the cache.
+
+        With ``explain`` the answer comes back as an
+        :class:`~repro.obs.ExplainResult` whose per-level profile
+        reconciles exactly with the call's tracker delta.  Charging stays
+        bit-identical to the plain call: a hit is recomputed instead of
+        replayed — the stored trace was recorded at this very tree
+        version, so recomputing makes exactly the charges the replay
+        would have (the cache's counter-invisibility invariant), while
+        giving the profiler a real traversal to attribute.
+        """
+        cache = self._result_cache
+        version = self._tree_version
+        profile = None
+        if explain:
+            profile = QueryProfile(kind, op, measure_index, version)
+            if cache is None:
+                profile.cache_outcome = "disabled"
+            elif cache.peek(key, version) is not None:
+                profile.cache_outcome = "hit"
+                cache = None
+            else:
+                profile.cache_outcome = "miss"
+            started = time.perf_counter()
+            profile.before = self.tracker.snapshot()
+            session = self._profile = ProfileSession(profile, self.tracker)
+        elif cache is not None:
+            entry = cache.fetch(key, version, self.tracker)
+            if entry is not None:
+                return entry.value if copy is None else copy(entry.value)
+        try:
+            if cache is None:
+                value = compute()
+            else:
+                with self.tracker.trace_accesses() as trace:
+                    cpu_before = self.tracker.cpu_units
+                    value = compute()
+                    cpu_units = self.tracker.cpu_units - cpu_before
+                cache.store(
+                    key, version, value if copy is None else copy(value),
+                    trace, cpu_units,
+                )
+        finally:
+            if profile is not None:
+                self._profile = None
+                session.finish()
+                profile.after = self.tracker.snapshot()
+                profile.wall_seconds = time.perf_counter() - started
+        return value if profile is None else ExplainResult(value, profile)
+
+    @_observed("range_query",
+               start=lambda a: {"op": a["op"],
+                                "mds": a["range_mds"].digest()[:12]},
+               done=_answered)
     def range_query(self, range_mds, op="sum", measure=0, explain=False):
         """Aggregate ``op`` of one measure over the cells in ``range_mds``.
 
@@ -742,17 +854,9 @@ class DCTree:
         :class:`~repro.obs.ExplainResult` carrying a per-level
         :class:`~repro.obs.QueryProfile` whose page/CPU totals reconcile
         exactly with the tracker delta of the call.  Charges are
-        bit-identical to the plain call (see :meth:`_explained`).
+        bit-identical to the plain call (see :meth:`_answer`).
         """
-        if self._obs is None:
-            return self._range_query_entry(range_mds, op, measure, explain)
-        with self._obs.span("range_query", op=op) as span:
-            result = self._range_query_entry(range_mds, op, measure, explain)
-            span.set(mds=range_mds.digest()[:12],
-                     tree_version=self._tree_version)
-            return result
-
-    def _range_query_entry(self, range_mds, op, measure, explain):
+        check_aggregate(op)
         measure_index = self._measure_index(measure)
         self._check_query_mds(range_mds)
         # use_materialized_aggregates changes the traversal (and therefore
@@ -760,120 +864,55 @@ class DCTree:
         # the ablation knob mid-life must recompute, not replay.
         key = ("range", range_mds.cache_key(), op, measure_index,
                self.config.use_materialized_aggregates)
-        if explain:
-            return self._explained(
-                "range_query", op, measure_index, key,
-                lambda: self._range_query_computed(
-                    range_mds, op, measure_index
-                ),
-            )
-        cache = self._active_result_cache()
-        if cache is None:
-            return self._range_query_computed(range_mds, op, measure_index)
-        entry = cache.fetch(key, self._tree_version, self.tracker)
-        if entry is not None:
-            return entry.value
-        with self.tracker.trace_accesses() as trace:
-            cpu_before = self.tracker.cpu_units
-            value = self._range_query_computed(range_mds, op, measure_index)
-            cpu_units = self.tracker.cpu_units - cpu_before
-        cache.store(key, self._tree_version, value, trace, cpu_units)
-        return value
-
-    def _explained(self, kind, op, measure_index, cache_key, compute,
-                   store_value=None):
-        """Run ``compute`` under a :class:`ProfileSession`; return both.
-
-        Charging is bit-identical to the unprofiled call: on a cache miss
-        the computation runs under the same access trace and stores the
-        same entry; on a *hit* the traversal is recomputed instead of
-        replayed — the stored trace was recorded at this very tree
-        version, so recomputing makes exactly the charges the replay
-        would have (the cache's counter-invisibility invariant), while
-        giving the profiler a real traversal to attribute.
-        """
-        profile = QueryProfile(
-            kind, op, measure_index, self._tree_version
+        return self._answer(
+            "range_query", op, measure_index, key,
+            lambda: self._range_query_computed(range_mds, op, measure_index),
+            explain,
         )
-        cache = self._active_result_cache()
-        cached = None
-        if cache is None:
-            profile.cache_outcome = "disabled"
-        else:
-            cached = cache.peek(cache_key, self._tree_version)
-            profile.cache_outcome = "hit" if cached is not None else "miss"
-        started = time.perf_counter()
-        profile.before = self.tracker.snapshot()
-        session = ProfileSession(profile, self.tracker)
-        self._profile = session
-        try:
-            if cache is not None and cached is None:
-                with self.tracker.trace_accesses() as trace:
-                    cpu_before = self.tracker.cpu_units
-                    value = compute()
-                    cpu_units = self.tracker.cpu_units - cpu_before
-                cache.store(
-                    cache_key, self._tree_version,
-                    value if store_value is None else store_value(value),
-                    trace, cpu_units,
-                )
-            else:
-                value = compute()
-        finally:
-            self._profile = None
-            session.finish()
-            profile.after = self.tracker.snapshot()
-            profile.wall_seconds = time.perf_counter() - started
-        if self._obs is not None:
-            self._obs.counter(
-                "dctree_explains_total",
-                "Profiled (EXPLAIN) queries by kind.", kind=kind,
-            ).inc()
-        return ExplainResult(value, profile)
 
     def _range_query_computed(self, range_mds, op, measure_index):
         """The actual Fig. 7 traversal behind :meth:`range_query`."""
-        if op in ("min", "max") and self.config.use_materialized_aggregates:
-            return self._range_extremum(range_mds, op, measure_index)
-        aggregator = StreamingAggregator(op, measure_index)
         keep = mds_mod.record_filter(range_mds, self.hierarchies)
+        if op in ("min", "max") and self.config.use_materialized_aggregates:
+            sign = 1.0 if op == "max" else -1.0
+            return self._extremum_node(
+                self._root, range_mds, keep, sign, measure_index, None
+            )
+        aggregator = StreamingAggregator(op, measure_index)
         self._query_node(self._root, range_mds, keep, aggregator)
         return aggregator.result()
 
-    def _range_extremum(self, range_mds, op, measure_index):
-        """Branch-and-bound range-MAX/MIN (reference [6] style)."""
-        sign = 1.0 if op == "max" else -1.0
-        keep = mds_mod.record_filter(range_mds, self.hierarchies)
-        return self._extremum_node(
-            self._root, range_mds, keep, sign, measure_index, None
-        )
+    def _query_node(self, node, range_mds, keep, aggregator, depth=0):
+        records = self._visit(node, keep, depth)
+        if records is not None:
+            for record in records:
+                aggregator.add_record(record)
+            return
+        check = self.config.use_materialized_aggregates
+        for child in node.children:
+            outcome = self._classify(range_mds, child, depth, check)
+            if outcome == mds_mod.CONTAINED:
+                aggregator.add_vector(child.aggregate)
+                if self._profile is not None:
+                    self._profile.aggregate_hit(depth)
+            elif outcome == mds_mod.PARTIAL:
+                self._query_node(child, range_mds, keep, aggregator, depth + 1)
 
     def _extremum_node(self, node, range_mds, keep, sign, measure_index,
                        best, depth=0):
-        self.tracker.access_node(node.page_id, node.n_blocks)
-        profile = self._profile
-        if profile is not None:
-            profile.visit(depth, node.n_blocks)
-        if node.is_leaf:
-            self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in keep(node.records):
+        """Branch-and-bound range-MAX/MIN (reference [6] style)."""
+        records = self._visit(node, keep, depth)
+        if records is not None:
+            for record in records:
                 value = record.measures[measure_index]
                 if best is None or sign * value > sign * best:
                     best = value
-            if profile is not None:
-                profile.scanned(depth, len(node.records))
-                profile.charge_cpu(depth)
             return best
         candidates = []
         for child in node.children:
-            outcome = self._classify_entry(range_mds, child.mds)
-            if profile is not None:
-                profile.classified(depth, outcome)
-                profile.charge_cpu(depth)
-            if outcome == mds_mod.DISJOINT:
-                continue
+            outcome = self._classify(range_mds, child, depth)
             summary = child.aggregate.summaries[measure_index]
-            if summary.count == 0:
+            if outcome == mds_mod.DISJOINT or summary.count == 0:
                 continue
             bound = summary.max if sign > 0 else summary.min
             contained = outcome == mds_mod.CONTAINED
@@ -885,8 +924,8 @@ class DCTree:
                 break  # no remaining subtree can improve the best
             if contained:
                 best = bound
-                if profile is not None:
-                    profile.aggregate_hit(depth)
+                if self._profile is not None:
+                    self._profile.aggregate_hit(depth)
             else:
                 best = self._extremum_node(
                     child, range_mds, keep, sign, measure_index, best,
@@ -926,21 +965,20 @@ class DCTree:
         keep = mds_mod.record_filter(range_mds, self.hierarchies)
         return self._estimate_node(self._root, range_mds, keep, max_depth)
 
-    def _estimate_node(self, node, range_mds, keep, depth_budget):
-        self.tracker.access_node(node.page_id, node.n_blocks)
-        if node.is_leaf:
-            self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            return float(len(keep(node.records)))
+    def _estimate_node(self, node, range_mds, keep, max_depth, depth=0):
+        records = self._visit(node, keep, depth)
+        if records is not None:
+            return float(len(records))
         estimate = 0.0
         for child in node.children:
-            outcome = self._classify_entry(range_mds, child.mds)
-            if outcome == mds_mod.DISJOINT:
-                continue
+            outcome = self._classify(range_mds, child, depth)
             if outcome == mds_mod.CONTAINED:
                 estimate += child.aggregate.count
-            elif depth_budget > 0:
+            elif outcome == mds_mod.DISJOINT:
+                continue
+            elif depth < max_depth:
                 estimate += self._estimate_node(
-                    child, range_mds, keep, depth_budget - 1
+                    child, range_mds, keep, max_depth, depth + 1
                 )
             else:
                 fraction = self._overlap_fraction(range_mds, child.mds)
@@ -995,48 +1033,16 @@ class DCTree:
         self._collect_records(self._root, range_mds, keep, result)
         return result
 
-    def _query_node(self, node, range_mds, keep, aggregator, depth=0):
-        self.tracker.access_node(node.page_id, node.n_blocks)
-        profile = self._profile
-        if profile is not None:
-            profile.visit(depth, node.n_blocks)
-        if node.is_leaf:
-            self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in keep(node.records):
-                aggregator.add_record(record)
-            if profile is not None:
-                profile.scanned(depth, len(node.records))
-                profile.charge_cpu(depth)
-            return
-        use_aggregates = self.config.use_materialized_aggregates
-        for child in node.children:
-            outcome = self._classify_entry(
-                range_mds, child.mds, check_containment=use_aggregates
-            )
-            if profile is not None:
-                profile.classified(depth, outcome)
-                profile.charge_cpu(depth)
-            if outcome == mds_mod.DISJOINT:
-                continue
-            if outcome == mds_mod.CONTAINED:
-                aggregator.add_vector(child.aggregate)
-                if profile is not None:
-                    profile.aggregate_hit(depth)
-            else:
-                self._query_node(child, range_mds, keep, aggregator, depth + 1)
-
-    def _collect_records(self, node, range_mds, keep, result):
-        self.tracker.access_node(node.page_id, node.n_blocks)
-        if node.is_leaf:
-            self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            result.extend(keep(node.records))
+    def _collect_records(self, node, range_mds, keep, result, depth=0):
+        records = self._visit(node, keep, depth)
+        if records is not None:
+            result.extend(records)
             return
         for child in node.children:
-            outcome = self._classify_entry(
-                range_mds, child.mds, check_containment=False
-            )
+            outcome = self._classify(range_mds, child, depth, False)
             if outcome != mds_mod.DISJOINT:
-                self._collect_records(child, range_mds, keep, result)
+                self._collect_records(child, range_mds, keep, result,
+                                      depth + 1)
 
     def _measure_index(self, measure):
         if isinstance(measure, str):
@@ -1082,38 +1088,26 @@ class DCTree:
             dim_index, level, op, measure, range_mds, explain=explain
         )
         if explain:
-            finished = {
-                value: aggregator.result()
-                for value, aggregator in groups.value.items()
-            }
-            return ExplainResult(finished, groups.profile)
-        return {
+            groups, profile = groups
+        finished = {
             value: aggregator.result() for value, aggregator in groups.items()
         }
+        return ExplainResult(finished, profile) if explain else finished
 
+    @_observed("group_by",
+               start=lambda a: {"dim": a["dim_index"], "level": a["level"],
+                                "op": a["op"]},
+               done=_answered)
     def group_by_aggregators(self, dim_index, level, op="sum", measure=0,
                              range_mds=None, explain=False):
         """Like :meth:`group_by` but returns the live aggregators.
 
         Callers that need to merge groups further (e.g. by label — TPC-D
         market segments repeat under every nation) combine the underlying
-        summaries instead of the finished scalars.
+        summaries instead of the finished scalars.  Every argument is
+        checked before anything is charged or looked up.
         """
-        if self._obs is None:
-            return self._group_by_entry(
-                dim_index, level, op, measure, range_mds, explain
-            )
-        with self._obs.span(
-            "group_by", dim=dim_index, level=level, op=op,
-        ) as span:
-            result = self._group_by_entry(
-                dim_index, level, op, measure, range_mds, explain
-            )
-            span.set(tree_version=self._tree_version)
-            return result
-
-    def _group_by_entry(self, dim_index, level, op, measure, range_mds,
-                        explain):
+        check_aggregate(op)
         measure_index = self._measure_index(measure)
         if not 0 <= dim_index < self.schema.n_dimensions:
             raise QueryError("dimension index %r out of range" % (dim_index,))
@@ -1132,42 +1126,15 @@ class DCTree:
             range_mds.cache_key(),
             self.config.use_materialized_aggregates,
         )
-        if explain:
-            return self._explained(
-                "group_by", op, measure_index, key,
-                lambda: self._group_by_computed(
-                    dim_index, level, op, measure_index, range_mds
-                ),
-                store_value=lambda groups: {
-                    value: aggregator.copy()
-                    for value, aggregator in groups.items()
-                },
-            )
-        cache = self._active_result_cache()
-        if cache is None:
-            return self._group_by_computed(
+        # Hits hand out copies: callers merge groups onwards (e.g. by
+        # label) and must not mutate the memoized aggregators.
+        return self._answer(
+            "group_by", op, measure_index, key,
+            lambda: self._group_by_computed(
                 dim_index, level, op, measure_index, range_mds
-            )
-        entry = cache.fetch(key, self._tree_version, self.tracker)
-        if entry is not None:
-            # Hand out copies: callers merge groups onwards (e.g. by
-            # label) and must not mutate the memoized aggregators.
-            return {
-                value: aggregator.copy()
-                for value, aggregator in entry.value.items()
-            }
-        with self.tracker.trace_accesses() as trace:
-            cpu_before = self.tracker.cpu_units
-            groups = self._group_by_computed(
-                dim_index, level, op, measure_index, range_mds
-            )
-            cpu_units = self.tracker.cpu_units - cpu_before
-        cache.store(
-            key, self._tree_version,
-            {value: aggregator.copy() for value, aggregator in groups.items()},
-            trace, cpu_units,
+            ),
+            explain, copy=_copy_groups,
         )
-        return groups
 
     def _group_by_computed(self, dim_index, level, op, measure_index,
                            range_mds):
@@ -1182,21 +1149,14 @@ class DCTree:
 
     def _group_node(self, node, dim_index, level, op, measure_index,
                     range_mds, keep, groups, depth=0):
-        self.tracker.access_node(node.page_id, node.n_blocks)
-        profile = self._profile
-        if profile is not None:
-            profile.visit(depth, node.n_blocks)
-        hierarchy = self.hierarchies[dim_index]
-        if node.is_leaf:
-            self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in keep(node.records):
+        records = self._visit(node, keep, depth)
+        if records is not None:
+            for record in records:
                 value = record.value_at_level(dim_index, level)
                 self._group_for(value, op, measure_index, groups) \
                     .add_record(record)
-            if profile is not None:
-                profile.scanned(depth, len(node.records))
-                profile.charge_cpu(depth)
             return
+        hierarchy = self.hierarchies[dim_index]
         use_aggregates = self.config.use_materialized_aggregates
         for child in node.children:
             single_group = None
@@ -1204,21 +1164,16 @@ class DCTree:
                 lifted = child.mds.adapted_set(dim_index, level, hierarchy)
                 if len(lifted) == 1:
                     single_group = next(iter(lifted))
-            outcome = self._classify_entry(
-                range_mds, child.mds,
-                check_containment=use_aggregates and single_group is not None,
+            outcome = self._classify(
+                range_mds, child, depth,
+                use_aggregates and single_group is not None,
             )
-            if profile is not None:
-                profile.classified(depth, outcome)
-                profile.charge_cpu(depth)
-            if outcome == mds_mod.DISJOINT:
-                continue
             if outcome == mds_mod.CONTAINED:
                 self._group_for(single_group, op, measure_index, groups) \
                     .add_vector(child.aggregate)
-                if profile is not None:
-                    profile.aggregate_hit(depth)
-            else:
+                if self._profile is not None:
+                    self._profile.aggregate_hit(depth)
+            elif outcome == mds_mod.PARTIAL:
                 self._group_node(
                     child, dim_index, level, op, measure_index, range_mds,
                     keep, groups, depth + 1,
@@ -1236,6 +1191,8 @@ class DCTree:
     # deletion (the 'fully dynamic' complement of insert)
     # ------------------------------------------------------------------
 
+    @_observed("delete", done=_mutated("dctree_deletes_total",
+                                       "Records deleted."))
     def delete(self, record):
         """Remove one record (by value); raise if it is not indexed.
 
@@ -1246,16 +1203,6 @@ class DCTree:
         the R-tree), shrunk supernodes give blocks back, and a root
         directory left with a single child is collapsed.
         """
-        if self._obs is None:
-            return self._delete_impl(record)
-        with self._obs.span("delete") as span:
-            self._delete_impl(record)
-            span.set(tree_version=self._tree_version,
-                     records=self._n_records)
-        self._obs.counter("dctree_deletes_total",
-                          "Records deleted.").inc()
-
-    def _delete_impl(self, record):
         self.note_mutation()
         orphans = []
         if not self._delete_from(self._root, record, orphans):
@@ -1263,7 +1210,7 @@ class DCTree:
         self._n_records -= 1
         self._collapse_root()
         for orphan in orphans:
-            self._reinsert(orphan)
+            self._place(orphan)
         if self._mutation_sink is not None:
             self._mutation_sink.record_delete(record)
 
@@ -1272,13 +1219,6 @@ class DCTree:
         if not root.is_leaf and len(root.children) == 1:
             self._root = root.children[0]
             self._free_node(root.page_id, root.n_blocks)
-
-    def _reinsert(self, record):
-        """Insert without touching the record count (condense support)."""
-        self.tracker.cpu(2 * self.schema.n_flat_attributes)
-        split_result = self._insert_into(self._root, record)
-        if split_result is not None:
-            self._grow_root(split_result)
 
     def _delete_from(self, node, record, orphans):
         self.tracker.access_node(node.page_id, node.n_blocks)
@@ -1308,10 +1248,7 @@ class DCTree:
             self._free_node(child.page_id, child.n_blocks)
             return
         if child.is_supernode:
-            while child.n_blocks > 1 and not self._needs_blocks(
-                child, child.n_blocks - 1
-            ):
-                child.n_blocks -= 1
+            child.n_blocks = min(child.n_blocks, self._blocks_needed(child))
             return
         min_fanout = (
             self.config.min_leaf_fanout() if child.is_leaf
@@ -1320,19 +1257,6 @@ class DCTree:
         if child.entry_count < min_fanout and len(parent.children) > 1:
             parent.children.remove(child)
             self._collect_orphans(child, orphans)
-
-    def _needs_blocks(self, node, n_blocks):
-        """Would the node overflow if shrunk to ``n_blocks`` blocks?"""
-        if self.config.capacity_mode == "entries":
-            base = (
-                self.config.leaf_capacity if node.is_leaf
-                else self.config.dir_capacity
-            )
-            return node.entry_count > base * n_blocks
-        page_size = self.tracker.config.page_size
-        return node.byte_size(
-            self.schema.n_flat_attributes, self.schema.n_measures
-        ) > page_size * n_blocks
 
     def _collect_orphans(self, node, orphans):
         """Gather every record under ``node`` and free its pages."""
@@ -1396,7 +1320,7 @@ class DCTree:
                     "child level %d exceeds parent level %d in dim %d"
                     % (level, parent_levels[dim], dim)
                 )
-        if self._overfull(node):
+        if self._blocks_needed(node) > node.n_blocks:
             raise TreeError(
                 "node overfull: %d entries in %d block(s)"
                 % (node.entry_count, node.n_blocks)
@@ -1427,17 +1351,9 @@ class DCTree:
                 total += self._check_node(child, mds.levels)
                 expected.add_vector(child.aggregate)
                 for dim in range(mds.n_dimensions):
-                    level = mds.level(dim)
-                    if child.mds.level(dim) <= level:
-                        observed_sets[dim].update(
-                            child.mds.adapted_set(
-                                dim, level, self.hierarchies[dim]
-                            )
-                        )
-                    else:
-                        observed_sets[dim].update(
-                            self._collect_values(child, dim, level)
-                        )
+                    observed_sets[dim].update(
+                        self._values_at(child, dim, mds.level(dim))
+                    )
         if node.is_leaf and not node.records:
             # An empty tree keeps the initial (ALL, ..., ALL) MDS; there is
             # nothing for minimality to bite on.

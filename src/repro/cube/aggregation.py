@@ -23,6 +23,15 @@ from ..errors import QueryError
 SUPPORTED_AGGREGATES = ("sum", "count", "avg", "min", "max")
 
 
+def check_aggregate(op):
+    """Raise :class:`QueryError` unless ``op`` is a supported aggregate."""
+    if op not in SUPPORTED_AGGREGATES:
+        raise QueryError(
+            "unsupported aggregate %r (supported: %s)"
+            % (op, ", ".join(SUPPORTED_AGGREGATES))
+        )
+
+
 class MeasureSummary:
     """Algebraic summary of one measure over a set of records."""
 
@@ -79,11 +88,7 @@ class MeasureSummary:
         Empty summaries yield the operator's neutral result: 0 for SUM and
         COUNT, ``None`` for AVG, MIN and MAX.
         """
-        if op not in SUPPORTED_AGGREGATES:
-            raise QueryError(
-                "unsupported aggregate %r (supported: %s)"
-                % (op, ", ".join(SUPPORTED_AGGREGATES))
-            )
+        check_aggregate(op)
         if op == "sum":
             return self.sum
         if op == "count":
@@ -188,11 +193,7 @@ class StreamingAggregator:
     __slots__ = ("_summary", "_op", "_measure_index")
 
     def __init__(self, op, measure_index=0):
-        if op not in SUPPORTED_AGGREGATES:
-            raise QueryError(
-                "unsupported aggregate %r (supported: %s)"
-                % (op, ", ".join(SUPPORTED_AGGREGATES))
-            )
+        check_aggregate(op)
         self._summary = MeasureSummary()
         self._op = op
         self._measure_index = measure_index

@@ -19,7 +19,6 @@ repeat under every nation, Fig. 9 of the paper).
 
 from __future__ import annotations
 
-from .. import hotpath
 from ..errors import HierarchyError
 from . import ids as ids_mod
 
@@ -226,13 +225,6 @@ class ConceptHierarchy:
             raise HierarchyError(
                 "level %r out of range for dimension %r" % (level, self.name)
             )
-        if not hotpath.enabled():
-            # Legacy parent walk, kept so the ablation benchmark can price
-            # the flattened tables.
-            node = attr_id
-            for _ in range(offset):
-                node = self._parent[node]
-            return node
         return ancestors[offset]
 
     def ancestors_of(self, attr_id):

@@ -204,7 +204,6 @@ def _dc_config_to_dict(config):
         "split_algorithm": config.split_algorithm,
         "use_materialized_aggregates": config.use_materialized_aggregates,
         "capacity_mode": config.capacity_mode,
-        "use_hot_path_caches": config.use_hot_path_caches,
         "use_result_cache": config.use_result_cache,
         "result_cache_capacity": config.result_cache_capacity,
         "wal_fsync_interval": config.wal_fsync_interval,
@@ -223,7 +222,9 @@ def _dc_tree_from_dict(data, schema, config=None):
         # Restore the saved configuration - capacities in particular must
         # match the stored structure (a node legal at dir_capacity 64 is
         # overfull at the default 16).
-        config = DCTreeConfig(**data["config"])
+        settings = dict(data["config"])
+        settings.pop("use_hot_path_caches", None)  # retired ablation flag
+        config = DCTreeConfig(**settings)
     tree = DCTree(schema, config=config)
     root = _dc_node_from_dict(data["root"], tree)
     # Root swap = mutation: adopt_root keeps the result cache's version

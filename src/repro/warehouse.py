@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from .config import DCTreeConfig, XTreeConfig
 from .core.tree import DCTree
+from .cube.aggregation import MeasureSummary, check_aggregate
 from .errors import QueryError, SchemaError
 from .scan.table import FlatTable
 from .tpcd.schema import make_tpcd_schema
@@ -200,8 +201,6 @@ class Warehouse:
         DC-tree computes it in one traversal from its materialized
         vectors; the other backends fold the matching records.
         """
-        from .cube.aggregation import MeasureSummary
-
         range_query = query_from_labels(self.schema, where or {})
         if self.backend == "dc-tree":
             return self.index.range_summary(range_query.mds, measure=measure)
@@ -236,8 +235,10 @@ class Warehouse:
         repeat under every nation; an analyst grouping by segment wants
         five rows, not 125).  ``where`` filters exactly like
         :meth:`query`.  Works on every backend; the DC-tree answers it
-        in one traversal using its materialized aggregates.
+        in one traversal using its materialized aggregates.  ``op`` is
+        checked before anything is charged.
         """
+        check_aggregate(op)
         dim_index = self.schema.dimension_index(dim_name)
         dimension = self.schema.dimensions[dim_index]
         try:
@@ -249,8 +250,6 @@ class Warehouse:
             ) from None
         range_query = query_from_labels(self.schema, where or {})
         hierarchy = dimension.hierarchy
-        from .cube.aggregation import MeasureSummary, StreamingAggregator
-
         merged = {}
         if self.backend == "dc-tree":
             profile = None
@@ -286,8 +285,6 @@ class Warehouse:
                 label = hierarchy.label(value)
                 summary = merged.setdefault(label, MeasureSummary())
                 summary.add_value(record.measures[measure_index])
-        probe = StreamingAggregator(op)  # validates op
-        del probe
         return {
             label: summary.aggregate(op) for label, summary in merged.items()
         }

@@ -26,6 +26,7 @@ import random
 import pytest
 
 from tests.conftest import build_toy_schema, toy_record
+from tests.differential import READ_COUNTERS, assert_same_run
 
 from repro import Warehouse
 from repro.config import DCTreeConfig
@@ -72,48 +73,50 @@ def _query_battery(schema):
     )
 
 
-def _build_pair(backend, schema):
+def _differential(backend, batch_size):
+    """Fill one warehouse serially and one in batches, then query both.
+
+    Asserts equal answers, structure digests and read counters; returns
+    the (serial, batched) warehouses.
+    """
+    schema = build_toy_schema()
+    records = [toy_record(schema, *row) for row in _workload_rows()]
     config = (
         DCTreeConfig(dir_capacity=CAPACITY, leaf_capacity=CAPACITY)
         if backend == "dc-tree" else None
     )
-    serial = Warehouse(schema, backend, config)
-    batched = Warehouse(schema, backend, config)
-    return serial, batched
 
+    def run(batched):
+        warehouse = Warehouse(schema, backend, config)
+        if batched:
+            for begin in range(0, len(records), batch_size):
+                warehouse.insert_records(records[begin:begin + batch_size])
+        else:
+            for record in records:
+                warehouse.insert_record(record)
+        answers = [len(warehouse)]
+        answers += [
+            warehouse.query(op, where=where)
+            for op, where in _query_battery(schema)
+        ]
+        answers += [
+            warehouse.group_by(dim, level)
+            for dim, level in (("Geo", "Country"), ("Geo", "City"),
+                               ("Color", "Color"))
+        ]
+        return warehouse, answers
 
-def _fill(serial, batched, schema, batch_size):
-    records = [toy_record(schema, *row) for row in _workload_rows()]
-    for record in records:
-        serial.insert_record(record)
-    for begin in range(0, len(records), batch_size):
-        batched.insert_records(records[begin:begin + batch_size])
-    return records
+    return assert_same_run(run, False, True, counters=READ_COUNTERS)
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBatchSerialEquivalence:
     def test_identical_answers(self, backend, batch_size):
-        schema = build_toy_schema()
-        serial, batched = _build_pair(backend, schema)
-        _fill(serial, batched, schema, batch_size)
-        assert len(serial) == len(batched)
-        for op, where in _query_battery(schema):
-            assert serial.query(op, where=where) == \
-                batched.query(op, where=where), (op, where)
-        for level in ("Country", "City"):
-            assert serial.group_by("Geo", level) == \
-                batched.group_by("Geo", level)
-        assert serial.group_by("Color", "Color") == \
-            batched.group_by("Color", "Color")
+        _differential(backend, batch_size)
 
     def test_identical_structure(self, backend, batch_size):
-        schema = build_toy_schema()
-        serial, batched = _build_pair(backend, schema)
-        _fill(serial, batched, schema, batch_size)
-        assert structure_digest(serial.index) == \
-            structure_digest(batched.index)
+        serial, batched = _differential(backend, batch_size)
         if backend == "scan":
             return
         stats_serial = collect_stats(serial.index)
@@ -132,14 +135,9 @@ class TestBatchSerialEquivalence:
         while writes/CPU shrink — down to equality for backends without a
         batch path (x-tree) or batches that never touch a node twice.
         """
-        schema = build_toy_schema()
-        serial, batched = _build_pair(backend, schema)
-        _fill(serial, batched, schema, batch_size)
+        serial, batched = _differential(backend, batch_size)
         stats_serial = serial.tracker.snapshot()
         stats_batched = batched.tracker.snapshot()
-        assert stats_serial.node_accesses == stats_batched.node_accesses
-        assert stats_serial.buffer_hits == stats_batched.buffer_hits
-        assert stats_serial.buffer_misses == stats_batched.buffer_misses
         assert stats_batched.page_writes <= stats_serial.page_writes
         assert stats_batched.cpu_units <= stats_serial.cpu_units
         if backend == "x-tree":
@@ -152,9 +150,7 @@ class TestBatchSerialEquivalence:
         the backends with a batch path (shared path nodes coalesce)."""
         if backend == "x-tree" or batch_size == 1:
             pytest.skip("no amortization expected")
-        schema = build_toy_schema()
-        serial, batched = _build_pair(backend, schema)
-        _fill(serial, batched, schema, batch_size)
+        serial, batched = _differential(backend, batch_size)
         assert batched.tracker.snapshot().page_writes < \
             serial.tracker.snapshot().page_writes
 
@@ -165,19 +161,23 @@ class TestTpcdDifferential:
     @pytest.mark.parametrize("batch_size", (64, 640))
     def test_batch_matches_serial(self, tpcd_schema, tpcd_records_500,
                                   batch_size):
-        serial = DCTree(tpcd_schema)
-        batched = DCTree(tpcd_schema)
-        for record in tpcd_records_500:
-            serial.insert(record)
-        for begin in range(0, len(tpcd_records_500), batch_size):
-            batched.insert_batch(tpcd_records_500[begin:begin + batch_size])
-        serial.check_invariants()
-        batched.check_invariants()
-        assert structure_digest(serial) == structure_digest(batched)
-        stats_serial = serial.tracker.snapshot()
-        stats_batched = batched.tracker.snapshot()
-        assert stats_serial.node_accesses == stats_batched.node_accesses
-        assert stats_batched.page_writes < stats_serial.page_writes
+        records = tpcd_records_500
+
+        def run(batched):
+            tree = DCTree(tpcd_schema)
+            if batched:
+                for begin in range(0, len(records), batch_size):
+                    tree.insert_batch(records[begin:begin + batch_size])
+            else:
+                for record in records:
+                    tree.insert(record)
+            return tree, tree.check_invariants()
+
+        serial, batched = assert_same_run(
+            run, False, True, counters=READ_COUNTERS
+        )
+        assert batched.tracker.snapshot().page_writes < \
+            serial.tracker.snapshot().page_writes
 
 
 class TestBatchSemantics:

@@ -11,6 +11,7 @@ from repro.bench.ablations import (
 from repro.bench.fig11 import fig11a_rows, fig11b_rows
 from repro.bench.fig12 import PANELS, fig12_rows, selectivity_profile
 from repro.bench.fig13 import fig13_rows
+from repro.bench import regression
 from repro.bench.reporting import format_speedup, format_table, speedup
 
 
@@ -271,3 +272,121 @@ class TestVerdict:
             [c.row() for c in claims],
         )
         assert "PASS" in table
+
+
+class TestRegressionHarness:
+    def test_run_workload_is_deterministic(self):
+        first, digest_first, _ = regression.run_workload(
+            n_records=150, n_queries=6, seed=3
+        )
+        second, digest_second, _ = regression.run_workload(
+            n_records=150, n_queries=6, seed=3
+        )
+        assert digest_first == digest_second
+        assert regression._phase_counters(first) \
+            == regression._phase_counters(second)
+
+    def test_observability_pass_is_invariant(self, monkeypatch):
+        monkeypatch.setitem(
+            regression.PROFILES, "tiny",
+            {"records": 200, "queries": 5, "repeats": 10},
+        )
+        entry = regression.run_benchmark(profile="tiny", seed=1,
+                                         emit_metrics=True)
+        assert set(entry["modes"]) == {"cached"}
+        assert "speedup" not in entry
+        observability = entry["observability"]
+        assert observability["digest_identical"] is True
+        assert observability["counters_identical"] is True
+        metrics = observability["metrics"]
+        assert "repro_spans_total" in metrics
+        assert "dctree_records" in metrics
+        spans = sum(
+            sample["value"]
+            for sample in metrics["repro_spans_total"]["samples"]
+        )
+        assert spans > 200  # at least one span per insert
+
+    def test_run_workload_observability_snapshot(self):
+        report, digest, metrics = regression.run_workload(
+            n_records=120, n_queries=4, seed=2, observability=True
+        )
+        plain_report, plain_digest, plain_metrics = regression.run_workload(
+            n_records=120, n_queries=4, seed=2
+        )
+        assert plain_metrics is None
+        assert digest == plain_digest
+        assert regression._phase_counters(report) \
+            == regression._phase_counters(plain_report)
+        assert metrics["dctree_records"]["samples"][0]["value"] == 120
+
+    def test_repeat_speedup_compares_reasks_with_first_asks(self):
+        report = {
+            "query": _fake_phase(1, ops=30, wall_seconds=2.0),
+            "groupby": _fake_phase(1, ops=10, wall_seconds=2.0),
+            "repeat": _fake_phase(1, ops_per_second=50.0),
+        }
+        # first asks: 40 ops in 4 s = 10 ops/s
+        assert regression.repeat_speedup(report) == 5.0
+
+    def test_compare_to_baseline_flags_regressions(self):
+        entry = {
+            "records": 100, "queries": 5, "seed": 0, "digest": "abc",
+            "modes": {"cached": {
+                "insert": _fake_phase(100), "query": _fake_phase(50),
+                "groupby": _fake_phase(20),
+            }},
+        }
+        assert regression.compare_to_baseline(
+            entry, entry, tolerance=0.2
+        ) == []
+        worse = {
+            "records": 100, "queries": 5, "seed": 0, "digest": "abc",
+            "modes": {"cached": {
+                "insert": _fake_phase(100), "query": _fake_phase(80),
+                "groupby": _fake_phase(20),
+            }},
+        }
+        compare = regression.compare_to_baseline(worse, entry, tolerance=0.2)
+        assert any("query" in problem for problem in compare)
+        mismatched = dict(entry, records=999)
+        compare = regression.compare_to_baseline(
+            mismatched, entry, tolerance=0.2
+        )
+        assert any("workload mismatch" in problem for problem in compare)
+
+    def test_strict_wall_checks_ops_per_second(self):
+        baseline = {
+            "records": 1, "queries": 1, "seed": 0, "digest": "d",
+            "modes": {"cached": {
+                "insert": _fake_phase(10, ops_per_second=1000.0),
+                "query": _fake_phase(10, ops_per_second=1000.0),
+                "groupby": _fake_phase(10, ops_per_second=1000.0),
+            }},
+        }
+        slow_run = {
+            "records": 1, "queries": 1, "seed": 0, "digest": "d",
+            "modes": {"cached": {
+                "insert": _fake_phase(10, ops_per_second=1000.0),
+                "query": _fake_phase(10, ops_per_second=100.0),
+                "groupby": _fake_phase(10, ops_per_second=1000.0),
+            }},
+        }
+        assert regression.compare_to_baseline(
+            slow_run, baseline, tolerance=0.2
+        ) == []
+        problems = regression.compare_to_baseline(
+            slow_run, baseline, tolerance=0.2, strict_wall=True
+        )
+        assert any("ops/sec" in problem for problem in problems)
+
+
+def _fake_phase(units, ops_per_second=100.0, ops=1, wall_seconds=1.0):
+    return {
+        "node_accesses": units,
+        "page_ios": units,
+        "cpu_units": units,
+        "ops_per_second": ops_per_second,
+        "wall_seconds": wall_seconds,
+        "ops": ops,
+    }

@@ -10,6 +10,7 @@ from repro import DCTree, DCTreeConfig, TPCDGenerator, Warehouse, make_tpcd_sche
 from repro.errors import QueryError, SchemaError
 from repro.workload.queries import query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
+from tests.differential import counter_tuple
 from tests.hypothesis_settings import PROFILE_SETTINGS
 
 
@@ -159,3 +160,27 @@ def test_groups_partition_the_total(rows):
         )
         counts = tree.group_by(dim, level, op="count")
         assert sum(counts.values()) == len(records)
+
+
+@pytest.mark.parametrize("n_rows", [0, len(TOY_ROWS)], ids=["empty", "toy"])
+@pytest.mark.parametrize("backend", ["dc-tree", "x-tree", "scan"])
+def test_unsupported_op_rejected_before_any_charge(backend, n_rows):
+    """A bad aggregate raises QueryError before anything is read or
+    looked up, on an empty index too, where no aggregator is ever
+    created to reject it."""
+    schema = build_toy_schema()
+    warehouse = Warehouse(schema, backend)
+    for row in TOY_ROWS[:n_rows]:
+        warehouse.insert_record(toy_record(schema, *row))
+    before = counter_tuple(warehouse)
+    with pytest.raises(QueryError):
+        warehouse.group_by("Geo", "Country", op="median")
+    if backend == "dc-tree":
+        with pytest.raises(QueryError):
+            warehouse.index.group_by(0, 1, op="median")
+        with pytest.raises(QueryError):
+            warehouse.index.range_query(
+                query_from_labels(schema, {}).mds, op="median"
+            )
+        assert warehouse.index.result_cache.stats().lookups == 0
+    assert counter_tuple(warehouse) == before

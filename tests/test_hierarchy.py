@@ -265,3 +265,72 @@ class TestRestoreNodes:
         fresh = ConceptHierarchy("H", ("Leaf", "Top"))
         with pytest.raises(HierarchyError):
             fresh.restore_nodes([[ids.make_id(1, 5), None, "ALL"]])
+
+
+def parent_walk(hierarchy, attr_id, level):
+    """Ancestor at ``level`` by following parent links (test oracle)."""
+    node = attr_id
+    for _ in range(level - ids.level_of(attr_id)):
+        node = hierarchy.parent(node)
+    return node
+
+
+geo_paths = st.lists(
+    st.tuples(
+        st.sampled_from(["EU", "NA", "ASIA"]),
+        st.sampled_from(["DE", "FR", "US", "CA", "JP"]),
+        st.integers(min_value=0, max_value=9).map("city{}".format),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def geo_hierarchy(paths):
+    hierarchy = ConceptHierarchy("Geo", ("City", "Nation", "Region"))
+    for path in paths:
+        hierarchy.insert_path(path)
+    return hierarchy
+
+
+def all_ancestor_pairs(hierarchy):
+    """Every (value, target level) pair ``ancestor`` accepts."""
+    for level in range(hierarchy.top_level + 1):
+        for value in hierarchy.values_at_level(level):
+            for target in range(level, hierarchy.top_level + 1):
+                yield value, target
+
+
+class TestAncestorTables:
+    """The O(1) flattened ancestor tables against the parent links."""
+
+    @given(paths=geo_paths)
+    def test_ancestor_matches_parent_walk(self, paths):
+        hierarchy = geo_hierarchy(paths)
+        for value, target in all_ancestor_pairs(hierarchy):
+            assert hierarchy.ancestor(value, target) == parent_walk(
+                hierarchy, value, target
+            )
+
+    def test_ancestors_of_spans_to_all(self):
+        hierarchy = geo_hierarchy([("EU", "DE", "city1")])
+        leaf = hierarchy.lookup_path(("EU", "DE", "city1"))[-1]
+        ancestors = hierarchy.ancestors_of(leaf)
+        assert ancestors[0] == leaf
+        assert ancestors[-1] == hierarchy.all_id
+        assert len(ancestors) == hierarchy.top_level + 1
+
+    def test_table_grows_with_dynamic_insertion(self):
+        hierarchy = geo_hierarchy([("EU", "DE", "city1")])
+        path = hierarchy.insert_path(("NA", "CA", "city99"))
+        assert hierarchy.ancestor(path[-1], hierarchy.top_level) \
+            == hierarchy.all_id
+        assert hierarchy.ancestor(path[-1], 2) == path[0]
+
+    def test_restore_rebuilds_tables(self):
+        source = geo_hierarchy([("EU", "DE", "city1"), ("NA", "US", "city2")])
+        clone = ConceptHierarchy(source.name, source.level_names)
+        clone.restore_nodes(source.dump_nodes())
+        for value, target in all_ancestor_pairs(source):
+            assert clone.ancestor(value, target) \
+                == source.ancestor(value, target)

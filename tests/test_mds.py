@@ -1,12 +1,17 @@
 """Unit and property tests for the MDS algebra (Definitions 3 and 4)."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.config import DCTreeConfig
 from repro.core import mds as mds_mod
 from repro.core.mds import MDS
+from repro.core.tree import DCTree
 from repro.errors import MdsError
+from repro.workload.queries import QueryGenerator
 from tests.conftest import build_toy_schema, toy_record
 
 COUNTRIES = ("DE", "FR", "US", "JP")
@@ -519,3 +524,146 @@ class TestAddMds:
         coarse = MDS.for_record(records[0], (1, 0), hierarchies)
         with pytest.raises(MdsError):
             fine.add_mds(coarse, hierarchies)
+
+
+# ----------------------------------------------------------------------
+# adaptation memo and the fused classifier
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def mds_over_toy_cube(draw):
+    """One random MDS over the fully populated toy cube."""
+    schema, _records = _shared_populated()
+    sets = []
+    levels = []
+    for dimension in schema.dimensions:
+        hierarchy = dimension.hierarchy
+        level = draw(st.integers(min_value=0, max_value=hierarchy.top_level))
+        if level >= hierarchy.top_level:
+            values = {hierarchy.all_id}
+        else:
+            candidates = sorted(hierarchy.values_at_level(level))
+            values = draw(st.sets(st.sampled_from(candidates), min_size=1))
+        levels.append(level)
+        sets.append(values)
+    return MDS(sets, levels)
+
+
+class TestAdaptationMemo:
+    @given(mds=mds_over_toy_cube())
+    def test_adapted_set_lifts_every_value(self, mds):
+        schema, _records = _shared_populated()
+        for dim, hierarchy in enumerate(hset(schema)):
+            for target in range(mds.level(dim), hierarchy.top_level + 1):
+                expected = {
+                    hierarchy.ancestor(value, target)
+                    for value in mds.value_set(dim)
+                }
+                assert set(mds.adapted_set(dim, target, hierarchy)) \
+                    == expected
+
+    def test_memo_hit_returns_same_object(self, populated):
+        schema, records = populated
+        hierarchies = hset(schema)
+        mds = MDS.for_record(records[0], (0, 0), hierarchies)
+        first = mds.adapted_set(0, 2, hierarchies[0])
+        assert mds.adapted_set(0, 2, hierarchies[0]) is first
+
+    def test_mutators_bump_version_and_invalidate(self, populated):
+        schema, records = populated
+        hierarchies = hset(schema)
+        other = records[-1]  # JP Tokyo: another country than records[0]
+        mds = MDS.for_record(records[0], (0, 0), hierarchies)
+        before = mds.adapted_set(0, 1, hierarchies[0])
+        version = mds.version
+        mds.add_record(other, hierarchies)
+        assert mds.version > version
+        after = mds.adapted_set(0, 1, hierarchies[0])
+        assert after != before
+        assert other.value_at_level(0, 1) in after
+
+        version = mds.version
+        mds.add_mds(MDS.for_record(records[0], (0, 0), hierarchies),
+                    hierarchies)
+        assert mds.version > version
+
+        version = mds.version
+        mds.update_values(1, {other.leaf_value(1)})
+        assert mds.version > version
+        assert other.leaf_value(1) in mds.value_set(1)
+
+        version = mds.version
+        mds.refine_dimension(0, {records[0].leaf_value(0)}, 0)
+        assert mds.version > version
+
+        version = mds.version
+        mds.clear_dimension(0)
+        assert mds.version > version
+        assert mds.cardinality(0) == 0
+
+
+class TestClassify:
+    """The fused classifier against the overlaps + contains pair."""
+
+    @given(range_mds=mds_over_toy_cube(), entry_mds=mds_over_toy_cube())
+    def test_classify_matches_overlaps_plus_contains(self, range_mds,
+                                                     entry_mds):
+        hierarchies = hset(_shared_populated()[0])
+        if not mds_mod.overlaps(range_mds, entry_mds, hierarchies):
+            expected = mds_mod.DISJOINT
+        elif mds_mod.contains(range_mds, entry_mds, hierarchies):
+            expected = mds_mod.CONTAINED
+        else:
+            expected = mds_mod.PARTIAL
+        assert mds_mod.classify(range_mds, entry_mds, hierarchies) \
+            == expected
+
+    @given(range_mds=mds_over_toy_cube(), entry_mds=mds_over_toy_cube())
+    def test_classify_without_containment(self, range_mds, entry_mds):
+        hierarchies = hset(_shared_populated()[0])
+        outcome = mds_mod.classify(
+            range_mds, entry_mds, hierarchies, check_containment=False
+        )
+        assert outcome in (mds_mod.DISJOINT, mds_mod.PARTIAL)
+        assert (outcome != mds_mod.DISJOINT) \
+            == mds_mod.overlaps(range_mds, entry_mds, hierarchies)
+
+
+def test_memos_stay_valid_under_dynamic_growth():
+    """Deletes, then inserts that grow the hierarchies, keep every memo
+    (adaptations, ancestor tables) fresh: the tree passes its audit and
+    answers like a naive filter over the live records."""
+    schema = build_toy_schema()
+    hierarchies = hset(schema)
+    tree = DCTree(schema, config=DCTreeConfig(dir_capacity=4,
+                                              leaf_capacity=8))
+    rng = random.Random(11)
+
+    def draw_records(n, n_cities):
+        records = []
+        for _ in range(n):
+            country = rng.choice(COUNTRIES)
+            city = "%s-city%d" % (country, rng.randrange(n_cities))
+            records.append(toy_record(schema, country, city,
+                                      rng.choice(COLORS),
+                                      float(rng.randrange(1, 1000))))
+        return records
+
+    live = draw_records(220, 10)
+    for record in live:
+        tree.insert(record)
+    for record in live[::3]:
+        tree.delete(record)
+    live = [record for index, record in enumerate(live) if index % 3]
+    growth = draw_records(60, 125)  # mostly brand-new cities
+    for record in growth:
+        tree.insert(record)
+    live += growth
+    assert tree.check_invariants() == len(live)
+    query = QueryGenerator(schema, 0.5, seed=8).query()
+    expected = sum(
+        record.measures[0] for record in live
+        if mds_mod.covers_record(query.mds, record, hierarchies)
+    )
+    assert tree.range_query(query.mds) == pytest.approx(expected)

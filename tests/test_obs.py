@@ -30,6 +30,7 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     Tracer,
+    describe_result_cache,
     observe_dctree,
     warehouse_registry,
 )
@@ -38,6 +39,7 @@ from repro.tpcd.generator import TPCDGenerator
 from repro.warehouse import Warehouse
 from repro.workload.queries import QueryGenerator, query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
+from tests.differential import assert_same_run, counter_tuple
 from tests.hypothesis_settings import TREE_SETTINGS
 
 
@@ -64,12 +66,6 @@ def build_tree(observability=True, rows=TOY_ROWS, **config_kwargs):
     for row in rows:
         tree.insert(toy_record(schema, *row))
     return schema, tree
-
-
-def counter_tuple(tree):
-    snap = tree.tracker.snapshot()
-    return (snap.node_accesses, snap.buffer_hits, snap.buffer_misses,
-            snap.page_writes, snap.cpu_units)
 
 
 # ----------------------------------------------------------------------
@@ -381,10 +377,11 @@ class TestInvariance:
     @TREE_SETTINGS
     @given(seed=st.integers(0, 1000), n_records=st.integers(20, 120))
     def test_counters_results_bit_identical(self, seed, n_records):
-        trees = {}
-        for key, flag in (("on", True), ("off", False)):
+        def run(observability):
             schema = build_toy_schema()
-            tree = DCTree(schema, config=DCTreeConfig(observability=flag))
+            tree = DCTree(schema, config=DCTreeConfig(
+                observability=observability
+            ))
             rng = random.Random(seed)
             countries = ("DE", "FR", "US")
             colors = ("red", "blue", "green")
@@ -412,8 +409,9 @@ class TestInvariance:
             answers.append(tree.range_query(query_from_labels(
                 schema, {}
             ).mds))
-            trees[key] = (counter_tuple(tree), tree.tree_version, answers)
-        assert trees["on"] == trees["off"]
+            return tree, (tree.tree_version, answers)
+
+        assert_same_run(run, True, False)
 
     def test_explain_leaves_counters_identical(self):
         # the same query with and without explain=True charges the same
@@ -530,13 +528,9 @@ class TestBridgesAndDurability:
         finally:
             recovered.close()
 
-    def test_describe_result_cache_back_compat(self):
-        from repro.core.debug import describe_result_cache as legacy
-        from repro.obs.metrics import describe_result_cache as canonical
-
-        assert legacy is canonical
-        schema, tree = build_tree()
-        assert "result-cache" in legacy(tree)
+    def test_describe_result_cache(self):
+        _schema, tree = build_tree()
+        assert "result-cache" in describe_result_cache(tree)
 
 
 class TestConfig:

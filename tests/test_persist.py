@@ -216,6 +216,17 @@ class TestConfigPersistence:
         restored = warehouse_from_dict(data)
         assert len(restored) == len(warehouse)
 
+    def test_retired_hot_path_flag_still_loads(self):
+        """Checkpoints written before the flag was retired carry it."""
+        warehouse = build_warehouse("dc-tree")
+        data = warehouse_to_dict(warehouse)
+        assert "use_hot_path_caches" not in data["index"]["config"]
+        data["index"]["config"]["use_hot_path_caches"] = True
+        restored = warehouse_from_dict(json.loads(json.dumps(data)))
+        assert len(restored) == len(warehouse)
+        assert restored.index.check_invariants() == len(warehouse)
+        assert restored.query("sum") == warehouse.query("sum")
+
 
 class TestDurableSave:
     def test_checksums_section_written(self, tmp_path):

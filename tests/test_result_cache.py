@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import hotpath
 from repro.config import DCTreeConfig
 from repro.core.bulkload import bulk_load
 from repro.core.mds import MDS
@@ -25,6 +24,7 @@ from repro.errors import SchemaError
 from repro.maintenance.batch import BatchWarehouse
 from repro.workload.queries import query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
+from tests.differential import assert_same_run, counter_tuple
 
 COUNTRIES = ("DE", "FR", "US")
 COLORS = ("red", "blue", "green")
@@ -48,17 +48,6 @@ def build_tree(use_cache, capacity=128):
     for record in records:
         tree.insert(record)
     return schema, tree, records
-
-
-def counter_tuple(tree):
-    snap = tree.tracker.snapshot()
-    return (
-        snap.node_accesses,
-        snap.buffer_hits,
-        snap.buffer_misses,
-        snap.page_writes,
-        snap.cpu_units,
-    )
 
 
 def country_mds(schema, countries):
@@ -101,15 +90,6 @@ class TestResultCacheUnit:
         assert tree.range_query(query.mds, op="avg") is None
         stats = collect_cache_stats(tree)
         assert (stats.hits, stats.misses) == (1, 1)
-
-    def test_hotpath_switch_bypasses_cache(self):
-        schema, tree, _records = build_tree(use_cache=True)
-        mds = country_mds(schema, ["FR"])
-        with hotpath.disabled():
-            assert tree.range_query(mds) == 10.0
-            assert tree.range_query(mds) == 10.0
-        stats = collect_cache_stats(tree)
-        assert stats.lookups == 0
 
 
 class TestLRUEviction:
@@ -297,15 +277,14 @@ def run_sequence(tree, schema, operations):
 class TestEquivalence:
     @given(operations=ops_strategy)
     def test_cache_on_off_bit_identical(self, operations):
-        """Same answers AND same tracker counters, cache on vs off."""
-        schema_on, tree_on, _ = build_tree(use_cache=True)
-        schema_off, tree_off, _ = build_tree(use_cache=False)
-        tree_on.tracker.reset(clear_buffer=True)
-        tree_off.tracker.reset(clear_buffer=True)
-        answers_on = run_sequence(tree_on, schema_on, operations)
-        answers_off = run_sequence(tree_off, schema_off, operations)
-        assert answers_on == answers_off
-        assert counter_tuple(tree_on) == counter_tuple(tree_off)
+        """Same answers, tree and tracker counters, cache on vs off."""
+
+        def run(use_cache):
+            schema, tree, _ = build_tree(use_cache=use_cache)
+            tree.tracker.reset(clear_buffer=True)
+            return tree, run_sequence(tree, schema, operations)
+
+        assert_same_run(run, True, False)
 
     @given(operations=ops_strategy)
     def test_repeated_queries_hit_without_mutation(self, operations):
