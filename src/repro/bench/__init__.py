@@ -13,13 +13,17 @@ from .harness import (
     run_combined_sweep,
 )
 from .regression import (
+    check_gates,
     compare_to_baseline,
+    make_dataset,
     run_benchmark,
     run_workload,
 )
 
 __all__ = [
+    "check_gates",
     "compare_to_baseline",
+    "make_dataset",
     "run_benchmark",
     "run_workload",
     "Checkpoint",

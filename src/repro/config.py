@@ -62,10 +62,11 @@ class DCTreeConfig:
         counters.  Telemetry is observational only — deterministic
         counters, query answers and ``tree_version`` are bit-identical
         with it on or off (enforced by the invariance tests and the
-        ``--emit-metrics`` bench gate).  ``None`` (the default) defers
-        to the ``REPRO_OBSERVABILITY`` environment variable (truthy
-        values: ``1``/``true``/``yes``/``on``), which CI uses to force
-        the whole suite through the instrumented paths.
+        observed pass of every ``repro.bench regression`` run).
+        ``None`` (the default) defers to the ``REPRO_OBSERVABILITY``
+        environment variable (truthy values: ``1``/``true``/``yes``/
+        ``on``), which CI uses to force the whole suite through the
+        instrumented paths.
     capacity_mode:
         ``"entries"`` (default) bounds nodes by entry count —
         predictable and what the comparison experiments use.

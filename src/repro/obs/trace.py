@@ -8,7 +8,8 @@ clock and the attributes handed to them, never the
 :class:`~repro.storage.tracker.StorageTracker`, so enabling tracing
 cannot perturb the simulated cost model — the deterministic counters
 stay bit-identical with tracing on or off (enforced by the observability
-invariance tests and the ``--emit-metrics`` bench gate).
+invariance tests and the observed pass of every ``repro.bench
+regression`` run).
 
 Finished root spans are retained in a bounded ring (``max_roots``,
 drop-oldest) so long workloads cannot grow memory without bound; every

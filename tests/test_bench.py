@@ -110,6 +110,13 @@ class TestAblations:
         assert [row[0] for row in rows] == ["quadratic", "linear"]
         for row in rows:
             assert row[1] > 0
+        quadratic, linear = rows
+        # The linear split builds cheaper in simulated (deterministic)
+        # cost; build wall time is too close at this size to compare ...
+        assert linear[2] < quadratic[2]
+        # ... while query quality stays within 2.5x of the quadratic split
+        # ("reasonably good splits").
+        assert linear[4] < 2.5 * quadratic[4]
 
     def test_measures_ablation_rows(self):
         rows = ablation_measures(n_records=200, n_queries=3)
@@ -123,6 +130,8 @@ class TestAblations:
             n_records=200, n_queries=3, capacities=((8, 16), (16, 32))
         )
         assert len(rows) == 2
+        # Bigger nodes -> no more than 1.5x the nodes per query.
+        assert rows[-1][4] <= rows[0][4] * 1.5
 
 
 class TestReporting:
@@ -276,109 +285,143 @@ class TestVerdict:
 
 class TestRegressionHarness:
     def test_run_workload_is_deterministic(self):
-        first, digest_first, _ = regression.run_workload(
-            n_records=150, n_queries=6, seed=3
-        )
-        second, digest_second, _ = regression.run_workload(
-            n_records=150, n_queries=6, seed=3
-        )
-        assert digest_first == digest_second
-        assert regression._phase_counters(first) \
-            == regression._phase_counters(second)
+        schema, records = regression.make_dataset(150, seed=3)
+        first = regression.run_workload(schema, records, 6, seed=3)
+        second = regression.run_workload(schema, records, 6, seed=3)
+        assert first.digest == second.digest
+        assert first.structure == second.structure
+        assert regression._phase_counters(first.phases) \
+            == regression._phase_counters(second.phases)
+        assert regression._counter_key(first.inserted) \
+            == regression._counter_key(second.inserted)
 
     def test_observability_pass_is_invariant(self, monkeypatch):
         monkeypatch.setitem(
             regression.PROFILES, "tiny",
             {"records": 200, "queries": 5, "repeats": 10},
         )
-        entry = regression.run_benchmark(profile="tiny", seed=1,
-                                         emit_metrics=True)
-        assert set(entry["modes"]) == {"cached"}
-        assert "speedup" not in entry
+        entry, metrics = regression.run_benchmark(profile="tiny", seed=1)
+        assert set(entry["phases"]) == set(regression.PHASES)
+        assert "modes" not in entry
         observability = entry["observability"]
         assert observability["digest_identical"] is True
         assert observability["counters_identical"] is True
-        metrics = observability["metrics"]
+        assert "metrics" not in observability  # only --report carries it
+        assert observability["spans"] > 200  # at least one per insert
         assert "repro_spans_total" in metrics
         assert "dctree_records" in metrics
-        spans = sum(
-            sample["value"]
-            for sample in metrics["repro_spans_total"]["samples"]
-        )
-        assert spans > 200  # at least one span per insert
+        batch = entry["batch_insert"]
+        assert batch["reads_identical"] and batch["cpu_not_worse"]
+        assert batch["structure_identical"]
+        assert entry["durability"]["counters_identical"] is True
 
     def test_run_workload_observability_snapshot(self):
-        report, digest, metrics = regression.run_workload(
-            n_records=120, n_queries=4, seed=2, observability=True
+        schema, records = regression.make_dataset(120, seed=2)
+        observed = regression.run_workload(
+            schema, records, 4, seed=2, observability=True
         )
-        plain_report, plain_digest, plain_metrics = regression.run_workload(
-            n_records=120, n_queries=4, seed=2
-        )
-        assert plain_metrics is None
-        assert digest == plain_digest
-        assert regression._phase_counters(report) \
-            == regression._phase_counters(plain_report)
-        assert metrics["dctree_records"]["samples"][0]["value"] == 120
+        plain = regression.run_workload(schema, records, 4, seed=2)
+        assert plain.metrics is None
+        assert observed.digest == plain.digest
+        assert regression._phase_counters(observed.phases) \
+            == regression._phase_counters(plain.phases)
+        assert observed.metrics["dctree_records"]["samples"][0]["value"] \
+            == 120
 
     def test_repeat_speedup_compares_reasks_with_first_asks(self):
-        report = {
+        phases = {
             "query": _fake_phase(1, ops=30, wall_seconds=2.0),
             "groupby": _fake_phase(1, ops=10, wall_seconds=2.0),
             "repeat": _fake_phase(1, ops_per_second=50.0),
         }
         # first asks: 40 ops in 4 s = 10 ops/s
-        assert regression.repeat_speedup(report) == 5.0
+        assert regression.repeat_speedup(phases) == 5.0
 
     def test_compare_to_baseline_flags_regressions(self):
-        entry = {
-            "records": 100, "queries": 5, "seed": 0, "digest": "abc",
-            "modes": {"cached": {
-                "insert": _fake_phase(100), "query": _fake_phase(50),
-                "groupby": _fake_phase(20),
-            }},
-        }
-        assert regression.compare_to_baseline(
-            entry, entry, tolerance=0.2
-        ) == []
-        worse = {
-            "records": 100, "queries": 5, "seed": 0, "digest": "abc",
-            "modes": {"cached": {
-                "insert": _fake_phase(100), "query": _fake_phase(80),
-                "groupby": _fake_phase(20),
-            }},
-        }
-        compare = regression.compare_to_baseline(worse, entry, tolerance=0.2)
-        assert any("query" in problem for problem in compare)
-        mismatched = dict(entry, records=999)
-        compare = regression.compare_to_baseline(
-            mismatched, entry, tolerance=0.2
-        )
-        assert any("workload mismatch" in problem for problem in compare)
+        entry = _fake_entry()
+        assert regression.compare_to_baseline(entry, _fake_entry()) == []
+        for delta in (+1, -1):  # exact: a drop fails as well as a rise
+            changed = _fake_entry()
+            changed["phases"]["query"]["page_ios"] += delta
+            problems = regression.compare_to_baseline(changed, entry)
+            assert problems == ["query page_ios changed: 50 -> %d"
+                                % (50 + delta)]
+        changed = _fake_entry()
+        changed["batch_insert"]["batched_page_writes"] -= 1
+        assert regression.compare_to_baseline(changed, entry) == [
+            "batched page writes changed: 40 -> 39"
+        ]
+        changed = _fake_entry(digest="other")
+        problems = regression.compare_to_baseline(changed, entry)
+        assert any("result digest" in problem for problem in problems)
+        mismatched = _fake_entry(records=999)
+        problems = regression.compare_to_baseline(mismatched, entry)
+        assert any("workload mismatch" in problem for problem in problems)
 
-    def test_strict_wall_checks_ops_per_second(self):
-        baseline = {
-            "records": 1, "queries": 1, "seed": 0, "digest": "d",
-            "modes": {"cached": {
-                "insert": _fake_phase(10, ops_per_second=1000.0),
-                "query": _fake_phase(10, ops_per_second=1000.0),
-                "groupby": _fake_phase(10, ops_per_second=1000.0),
-            }},
-        }
-        slow_run = {
-            "records": 1, "queries": 1, "seed": 0, "digest": "d",
-            "modes": {"cached": {
-                "insert": _fake_phase(10, ops_per_second=1000.0),
-                "query": _fake_phase(10, ops_per_second=100.0),
-                "groupby": _fake_phase(10, ops_per_second=1000.0),
-            }},
-        }
-        assert regression.compare_to_baseline(
-            slow_run, baseline, tolerance=0.2
-        ) == []
-        problems = regression.compare_to_baseline(
-            slow_run, baseline, tolerance=0.2, strict_wall=True
+    def test_compare_to_baseline_flags_missing_baseline_blocks(self):
+        entry = _fake_entry()
+        no_repeat = _fake_entry()
+        del no_repeat["phases"]["repeat"]
+        problems = regression.compare_to_baseline(entry, no_repeat)
+        assert problems and all("repeat" in problem for problem in problems)
+        no_batch = _fake_entry()
+        del no_batch["batch_insert"]
+        problems = regression.compare_to_baseline(entry, no_batch)
+        assert "baseline lacks the batched page writes" in problems
+
+    @pytest.mark.parametrize("block,key", [
+        ("batch_insert", "cpu_not_worse"),
+        ("batch_insert", "reads_identical"),
+        ("batch_insert", "structure_identical"),
+        ("durability", "counters_identical"),
+        ("observability", "digest_identical"),
+        ("observability", "counters_identical"),
+    ])
+    def test_check_gates_flags_each_verdict(self, block, key):
+        assert regression.check_gates(_fake_entry()) == []
+        entry = _fake_entry()
+        entry[block][key] = False
+        assert len(regression.check_gates(entry)) == 1
+
+    def test_check_gates_applies_the_fixed_ratios(self):
+        entry = _fake_entry()
+        entry["phases"]["repeat"]["ops_per_second"] = 1.0
+        entry["batch_insert"]["page_write_reduction"] = 1.5
+        entry["durability"]["overhead_ratio"] = 2.5
+        problems = regression.check_gates(entry)
+        assert len(problems) == 3
+        assert any("re-ask speedup" in problem for problem in problems)
+        assert any("page-write reduction" in problem for problem in problems)
+        assert any("WAL wall overhead" in problem for problem in problems)
+
+    def test_main_compares_and_writes_only_on_rebaseline(
+            self, monkeypatch, tmp_path, capsys):
+        measured = {"entry": _fake_entry(profile="smoke")}
+        monkeypatch.setattr(
+            regression, "run_benchmark",
+            lambda profile: (measured["entry"], {"repro_spans_total": {}}),
         )
-        assert any("ops/sec" in problem for problem in problems)
+        path = str(tmp_path / "bench.json")
+        args = ["--smoke", "--output", path]
+        assert regression.main(args) == 1  # no baseline yet
+        assert regression.load_bench_file(path) is None
+        assert regression.main(args + ["--rebaseline"]) == 0
+        assert regression.main(args) == 0
+        baseline = regression.load_bench_file(path)
+        for delta in (+1, -1):
+            measured["entry"] = _fake_entry(profile="smoke")
+            measured["entry"]["phases"]["insert"]["cpu_units"] += delta
+            assert regression.main(args) == 1
+            assert regression.load_bench_file(path) == baseline
+        # A run failing its own gates never rebaselines.
+        measured["entry"]["observability"]["counters_identical"] = False
+        assert regression.main(args + ["--rebaseline"]) == 1
+        assert regression.load_bench_file(path) == baseline
+        report = str(tmp_path / "report.json")
+        regression.main(args + ["--report", report])
+        assert "metrics" in regression.load_bench_file(report)[
+            "observability"]
+        capsys.readouterr()
 
 
 def _fake_phase(units, ops_per_second=100.0, ops=1, wall_seconds=1.0):
@@ -390,3 +433,33 @@ def _fake_phase(units, ops_per_second=100.0, ops=1, wall_seconds=1.0):
         "wall_seconds": wall_seconds,
         "ops": ops,
     }
+
+
+def _fake_entry(**overrides):
+    """A BENCH entry that passes every gate of the regression harness."""
+    entry = {
+        "profile": "tiny", "records": 100, "queries": 5, "repeats": 4,
+        "seed": 0, "digest": "abc",
+        "phases": {
+            "insert": _fake_phase(100), "query": _fake_phase(50),
+            "groupby": _fake_phase(20),
+            "repeat": _fake_phase(10, ops_per_second=1000.0),
+        },
+        "batch_insert": {
+            "batch_size": 64, "serial_page_writes": 100,
+            "batched_page_writes": 40, "page_write_reduction": 2.5,
+            "simulated_speedup": 2.0, "reads_identical": True,
+            "cpu_not_worse": True, "structure_identical": True,
+        },
+        "durability": {
+            "fsync_interval": 64, "plain_wall_seconds": 1.0,
+            "wal_wall_seconds": 1.2, "overhead_ratio": 1.2,
+            "wal_bytes": 10, "counters_identical": True,
+        },
+        "observability": {
+            "digest_identical": True, "counters_identical": True,
+            "spans": 100,
+        },
+    }
+    entry.update(overrides)
+    return entry
