@@ -15,7 +15,7 @@ bench      shortcut for ``python -m repro.bench ...``
 ``query``/``groupby``/``sql`` also take ``--explain`` to append the same
 profile the ``explain`` command prints.
 
-Read commands accept either a plain warehouse ``.json`` file or a
+Read commands accept either a plain warehouse file or a
 durable session *directory* (``checkpoint.json`` + ``wal.log``); the
 latter is recovered — checkpoint, WAL replay, validation — before the
 command runs.
@@ -79,7 +79,7 @@ def _build_parser():
         "load", help="bulk-load a warehouse from a flat file and save it"
     )
     load.add_argument("flatfile", help="input .tbl path")
-    load.add_argument("warehouse", help="output warehouse .json path")
+    load.add_argument("warehouse", help="output warehouse file path")
     load.add_argument(
         "--backend", choices=("dc-tree", "x-tree", "scan"),
         default="dc-tree",
@@ -95,7 +95,7 @@ def _build_parser():
     query = commands.add_parser(
         "query", help="one aggregate query against a saved warehouse"
     )
-    query.add_argument("warehouse", help="warehouse .json path")
+    query.add_argument("warehouse", help="warehouse file path")
     query.add_argument("--op", default="sum",
                        choices=("sum", "count", "avg", "min", "max"))
     query.add_argument(
@@ -111,7 +111,7 @@ def _build_parser():
     groupby = commands.add_parser(
         "groupby", help="roll-up report against a saved warehouse"
     )
-    groupby.add_argument("warehouse", help="warehouse .json path")
+    groupby.add_argument("warehouse", help="warehouse file path")
     groupby.add_argument("by", metavar="DIM.LEVEL",
                          help="e.g. Customer.Region")
     groupby.add_argument("--op", default="sum",
@@ -128,13 +128,13 @@ def _build_parser():
     inspect = commands.add_parser(
         "inspect", help="schema, sizes and tree statistics of a warehouse"
     )
-    inspect.add_argument("warehouse", help="warehouse .json path")
+    inspect.add_argument("warehouse", help="warehouse file path")
     inspect.set_defaults(handler=_cmd_inspect)
 
     sql = commands.add_parser(
         "sql", help="run a SQL-ish query against a saved warehouse"
     )
-    sql.add_argument("warehouse", help="warehouse .json path")
+    sql.add_argument("warehouse", help="warehouse file path")
     sql.add_argument(
         "query",
         help="e.g. \"SELECT SUM(ExtendedPrice) WHERE "
@@ -151,7 +151,7 @@ def _build_parser():
         help="profile one query: per-level page/CPU attribution, entry "
              "classifications, aggregate pruning, cache outcome",
     )
-    explain.add_argument("warehouse", help="warehouse .json path")
+    explain.add_argument("warehouse", help="warehouse file path")
     explain.add_argument("--op", default="sum",
                          choices=("sum", "count", "avg", "min", "max"))
     explain.add_argument(
@@ -178,7 +178,7 @@ def _build_parser():
     )
     recover.add_argument(
         "warehouse",
-        help="durable session directory, or a checkpoint .json path",
+        help="durable session directory, or a checkpoint file path",
     )
     recover.add_argument(
         "--wal", default=None, metavar="PATH",
@@ -257,7 +257,7 @@ def _parse_where(clauses):
 
 
 def _open_warehouse(path):
-    """Open a warehouse for reading: plain ``.json`` file or durable
+    """Open a warehouse for reading: plain warehouse file or durable
     session directory.  Returns ``(warehouse, report_or_None)``."""
     if os.path.isdir(path):
         warehouse, report = recover_warehouse(

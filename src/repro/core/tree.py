@@ -260,12 +260,13 @@ class DCTree:
         """Attach a durability sink; pass ``None`` to detach.
 
         The sink rides next to the :attr:`tree_version` bump: every
-        *acknowledged* mutator notifies it before returning —
-        ``record_insert(record)`` / ``record_delete(record)`` after the
-        in-memory apply succeeds, ``record_rebase(n_records)`` on a
-        wholesale root swap (:meth:`adopt_root`).  A write-ahead log
-        (see :class:`repro.persist.durable.DurableWarehouse`) is the
-        intended sink; anything with those three methods works.
+        *acknowledged* mutator notifies it before returning, after the
+        in-memory apply succeeds.  A sink implements all four methods:
+        ``record_insert(record)``, ``record_insert_batch(records)``
+        (once per non-empty :meth:`insert_batch`),
+        ``record_delete(record)`` and ``record_rebase(n_records)`` (a
+        wholesale root swap, :meth:`adopt_root`).  The write-ahead log's
+        :class:`repro.persist.durable.WalSink` is the intended sink.
         """
         self._mutation_sink = sink
 
@@ -380,12 +381,13 @@ class DCTree:
         * :attr:`tree_version` bumps ONCE per batch, at batch start —
           the result cache invalidates once, not per record.
         * A durability sink is notified once, after the in-memory apply,
-          via ``record_insert_batch(records)`` when it has one (the WAL
-          group-commits the batch as one atomic record: one fsync per
-          acknowledged batch) or by per-record ``record_insert`` calls
-          otherwise.  Returning IS the acknowledgement; a crash
-          mid-batch loses the whole unacknowledged batch and nothing
-          else.
+          via ``record_insert_batch(records)`` (the WAL group-commits
+          the batch as one atomic record: one fsync per acknowledged
+          batch); the sink also implements ``record_insert``,
+          ``record_delete`` and ``record_rebase`` (see
+          :meth:`set_mutation_sink`).  An empty batch is not logged.
+          Returning IS the acknowledgement; a crash mid-batch loses the
+          whole unacknowledged batch and nothing else.
 
         Returns the number of records inserted.
         """
@@ -414,14 +416,7 @@ class DCTree:
         finally:
             self._batch = None
         if self._mutation_sink is not None:
-            record_batch = getattr(
-                self._mutation_sink, "record_insert_batch", None
-            )
-            if record_batch is not None:
-                record_batch(records)
-            else:
-                for record in records:
-                    self._mutation_sink.record_insert(record)
+            self._mutation_sink.record_insert_batch(records)
         return pages_written
 
     def _flush_batch(self, batch):

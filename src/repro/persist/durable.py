@@ -3,13 +3,14 @@
 :class:`DurableWarehouse` is the crash-safe way to run a dynamic
 warehouse.  The directory layout is::
 
-    <directory>/checkpoint.json    last atomic, checksummed full save
+    <directory>/checkpoint.json    last atomic full save, framed
     <directory>/wal.log            mutations acknowledged since then
 
 Every ``insert``/``delete`` that returns to the caller has already been
 appended (and, per the fsync policy, synced) to the WAL by the DC-tree's
 mutation sink; :meth:`checkpoint` folds the log into a fresh atomic
-checkpoint and truncates it.  After a crash, :meth:`open` replays
+checkpoint and truncates it.  Both files use the length+CRC32 frames
+of :mod:`repro.persist.format`.  After a crash, :meth:`open` replays
 checkpoint + WAL, validates the result, immediately re-checkpoints the
 recovered state (log compaction) and resumes logging — acknowledged
 mutations are never lost, unacknowledged ones never half-applied.

@@ -1,16 +1,16 @@
 """Saving and loading warehouses (all three backends).
 
-``save_warehouse`` writes a single JSON file *atomically*: the document
-goes to a same-directory temp file, is fsynced, and replaces the target
-with ``os.replace`` — a crash at any point leaves either the complete
-old file or the complete new one, never a torn mixture.  Per-section
-CRCs (see :mod:`repro.persist.format`) are embedded on save and verified
-on load, so truncation and bit-rot are reported as a clean
-:class:`~repro.errors.StorageError` instead of a deep deserialization
-traceback.  ``load_warehouse`` restores a query-equivalent warehouse;
-for the tree backends the exact structure is preserved — nodes,
-MDSs/MBRs, supernode block counts, split histories and materialized
-aggregates — so loading never re-splits and costs O(n) deserialization.
+``save_warehouse`` writes the checkpoint format of
+:mod:`repro.persist.format` — a magic, then one length+CRC32 frame per
+section — *atomically*: the bytes go to a same-directory temp file, are
+fsynced, and replace the target with ``os.replace``, so a crash leaves
+either the complete old file or the complete new one.  Every frame is
+checked before it is decoded, so truncation and bit-rot surface as a
+:class:`~repro.errors.StorageError` naming the section and byte offset.
+``load_warehouse`` restores a query-equivalent warehouse; for the tree
+backends the exact structure is preserved — nodes, MDSs/MBRs, supernode
+block counts, split histories and materialized aggregates — so loading
+never re-splits and costs O(n) deserialization.
 
 The dict-level functions (``warehouse_to_dict`` / ``warehouse_from_dict``)
 are exposed for tests and for callers who want a different transport.
@@ -18,7 +18,6 @@ are exposed for tests and for callers who want a different transport.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
@@ -93,12 +92,6 @@ def _record_from_list(data):
     return DataRecord(
         tuple(tuple(path) for path in paths), tuple(measures)
     )
-
-
-#: Public names for the checkpoint's record codec (raw ID paths — valid
-#: only together with the hierarchy state saved alongside them).
-record_to_list = _record_to_list
-record_from_list = _record_from_list
 
 
 def record_to_labels(schema, record):
@@ -218,13 +211,11 @@ def _dc_tree_to_dict(tree):
 
 
 def _dc_tree_from_dict(data, schema, config=None):
-    if config is None and "config" in data:
+    if config is None:
         # Restore the saved configuration - capacities in particular must
         # match the stored structure (a node legal at dir_capacity 64 is
         # overfull at the default 16).
-        settings = dict(data["config"])
-        settings.pop("use_hot_path_caches", None)  # retired ablation flag
-        config = DCTreeConfig(**settings)
+        config = DCTreeConfig(**data["config"])
     tree = DCTree(schema, config=config)
     root = _dc_node_from_dict(data["root"], tree)
     # Root swap = mutation: adopt_root keeps the result cache's version
@@ -291,7 +282,7 @@ def _x_tree_to_dict(tree):
 
 
 def _x_tree_from_dict(data, schema, config=None):
-    if config is None and "config" in data:
+    if config is None:
         config = XTreeConfig(**data["config"])
     tree = XTree(schema, config=config)
     tree._root = _x_node_from_dict(data["root"], tree)
@@ -385,21 +376,20 @@ def _fsync_directory(dirpath):
 
 
 def save_warehouse(warehouse, path, extra_meta=None, faults=None):
-    """Write the warehouse to ``path`` (JSON), atomically.
+    """Write the warehouse to ``path`` as a checkpoint, atomically.
 
-    The document — with ``extra_meta`` merged into its meta section and
-    per-section CRCs embedded — is written to ``path + ".tmp"``, flushed
-    and fsynced, then moved over ``path`` with ``os.replace``.  A crash
-    at any point leaves the previous file intact; a leftover ``.tmp`` is
-    overwritten by the next save.  ``faults`` optionally routes every
-    write/fsync/rename through a fault injector (crash testing).
+    The checkpoint — ``extra_meta`` merged into its meta section — is
+    written to ``path + ".tmp"``, flushed and fsynced, then moved over
+    ``path`` with ``os.replace``.  A crash at any point leaves the
+    previous file intact; a leftover ``.tmp`` is overwritten by the next
+    save.  ``faults`` optionally routes every write/fsync/rename through
+    a fault injector (crash testing).
     """
     path = os.fspath(path)
     data = warehouse_to_dict(warehouse)
     if extra_meta:
         data["meta"].update(extra_meta)
-    data["checksums"] = fmt.compute_checksums(data)
-    payload = json.dumps(data).encode("utf-8")
+    payload = fmt.encode_checkpoint(data)
     tmp_path = path + ".tmp"
     handle = open(tmp_path, "wb")
     try:
@@ -421,10 +411,10 @@ def save_warehouse(warehouse, path, extra_meta=None, faults=None):
 def read_warehouse_file(path, faults=None):
     """Read and integrity-check a warehouse file; returns the raw dict.
 
-    Raises :class:`StorageError` — naming the path and byte offset —
-    on unreadable, truncated or checksum-failing files, *before* any
-    deserialization is attempted.  Recovery uses this to decide whether
-    a checkpoint is trustworthy.
+    Raises :class:`StorageError` on unreadable files and on everything
+    :func:`~repro.persist.format.decode_checkpoint` rejects, before any
+    deserialization.  Recovery uses this to decide whether a checkpoint
+    is trustworthy.
     """
     path = os.fspath(path)
     try:
@@ -434,26 +424,7 @@ def read_warehouse_file(path, faults=None):
         raise StorageError(
             "cannot read warehouse file %s: %s" % (path, error)
         )
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as error:
-        raise StorageError(
-            "corrupt warehouse file %s: undecodable UTF-8 at byte %d of %d"
-            % (path, error.start, len(raw))
-        )
-    except json.JSONDecodeError as error:
-        raise StorageError(
-            "corrupt warehouse file %s: %s at byte %d of %d on disk "
-            "(truncated or torn write?)" % (path, error.msg, error.pos,
-                                            len(raw))
-        )
-    if not isinstance(data, dict):
-        raise StorageError(
-            "corrupt warehouse file %s: top level is %s, not an object"
-            % (path, type(data).__name__)
-        )
-    fmt.verify_checksums(data, path)
-    return data
+    return fmt.decode_checkpoint(raw, path)
 
 
 def load_warehouse(path, config=None):

@@ -241,16 +241,10 @@ def _replay_wal(warehouse, wal_path, report, faults):
             # crash whole (every insert replays, batched so the replayed
             # tracker charges match the original run) or was torn away
             # whole — read_wal never yields a prefix of it.
-            records = [
+            records = warehouse.insert_records(
                 record_from_labels(warehouse.schema, labels)
                 for labels in payload
-            ]
-            insert_batch = getattr(warehouse.index, "insert_batch", None)
-            if insert_batch is not None:
-                insert_batch(records)
-            else:
-                for record in records:
-                    warehouse.index.insert(record)
+            )
             report.applied_inserts += len(records)
             report.applied_batches += 1
         elif op == wal_mod.OP_DELETE:

@@ -14,8 +14,7 @@ On-disk format
 
     file   := header record*
     header := b"DCWAL01\\n"                      (8 bytes)
-    record := length(u32 BE) crc32(u32 BE) payload
-    payload:= UTF-8 JSON  [lsn, op, data]
+    record := frame(UTF-8 JSON [lsn, op, data])
 
 ``lsn`` is a monotone log sequence number (checkpoints remember the last
 LSN they contain, so replay skips records a newer checkpoint already
@@ -25,7 +24,8 @@ group-committed batch of inserts in a single atomic record) or
 replay; recovery stops there and demands the checkpoint that the rebase
 triggered).
 
-Each record is length-prefixed and CRC-checksummed, so a torn tail —
+Each record is one length-prefixed, CRC-checksummed frame of the codec
+the checkpoint shares (:mod:`repro.persist.format`), so a torn tail —
 the expected residue of a crash mid-append — is detected and cleanly
 discarded: replay stops at the first record whose length or checksum
 does not hold.  The file is opened unbuffered; an append either reaches
@@ -42,17 +42,13 @@ from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
 
 from ..errors import StorageError
 from ..storage import faults as faults_mod
+from . import format as fmt
 
 #: File magic; 8 bytes so records start aligned.
 WAL_HEADER = b"DCWAL01\n"
-
-#: Per-record prefix: payload length + CRC32, both big-endian u32.
-_PREFIX = struct.Struct(">II")
 
 #: Operations a WAL record may carry.
 OP_INSERT = "insert"
@@ -68,8 +64,7 @@ OP_BATCH = "insert_batch"
 
 def encode_record(lsn, op, data):
     """One record's bytes: length + CRC32 prefix, JSON payload."""
-    payload = json.dumps([lsn, op, data]).encode("utf-8")
-    return _PREFIX.pack(len(payload), zlib.crc32(payload)) + payload
+    return fmt.encode_frame(json.dumps([lsn, op, data]).encode("utf-8"))
 
 
 class WriteAheadLog:
@@ -222,40 +217,14 @@ def read_wal(path, faults=None):
             "%s is not a WAL file (bad header %r)" % (path, raw[:8])
         )
     records = []
-    offset = len(WAL_HEADER)
-    total = len(raw)
-    while offset < total:
-        if offset + _PREFIX.size > total:
-            return WalScan(
-                records, True,
-                "torn record prefix at byte %d of %d" % (offset, total),
-                offset,
-            )
-        length, crc = _PREFIX.unpack_from(raw, offset)
-        start = offset + _PREFIX.size
-        end = start + length
-        if end > total:
-            return WalScan(
-                records, True,
-                "torn record payload at byte %d of %d (wanted %d bytes)"
-                % (start, total, length),
-                offset,
-            )
-        payload = raw[start:end]
-        if zlib.crc32(payload) != crc:
-            return WalScan(
-                records, True,
-                "checksum mismatch at byte %d of %d" % (offset, total),
-                offset,
-            )
-        try:
-            lsn, op, data = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            return WalScan(
-                records, True,
-                "unreadable payload at byte %d: %s" % (offset, error),
-                offset,
-            )
-        records.append((lsn, op, data))
-        offset = end
-    return WalScan(records, False, None, offset)
+    try:
+        for offset, payload in fmt.scan_frames(raw, len(WAL_HEADER)):
+            try:
+                lsn, op, data = json.loads(payload.decode("utf-8"))
+            except ValueError as error:  # UnicodeDecodeError included
+                raise fmt.FrameError("unreadable payload at byte %d: %s"
+                                     % (offset, error), offset)
+            records.append((lsn, op, data))
+    except fmt.FrameError as error:
+        return WalScan(records, True, str(error), error.offset)
+    return WalScan(records, False, None, len(raw))

@@ -246,19 +246,6 @@ class TestBatchSemantics:
         tree.insert_batch(records)
         assert calls == [("batch", records)]
 
-    def test_sink_without_batch_support_falls_back(self, toy_schema):
-        calls = []
-
-        class Sink:
-            def record_insert(self, record):
-                calls.append(record)
-
-        tree = self._tree(toy_schema)
-        tree.set_mutation_sink(Sink())
-        records = self._records(toy_schema, 6)
-        tree.insert_batch(records)
-        assert calls == records
-
     def test_batch_metrics_and_span(self, toy_schema):
         tree = self._tree(toy_schema, observability=True)
         tree.insert_batch(self._records(toy_schema, 8))

@@ -14,6 +14,12 @@ from repro.persist import (
     warehouse_from_dict,
     warehouse_to_dict,
 )
+from repro.persist.format import (
+    CHECKPOINT_MAGIC,
+    FRAME_PREFIX,
+    SECTIONS,
+    scan_frames,
+)
 from repro.workload.queries import QueryGenerator, query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema
 
@@ -23,6 +29,32 @@ def build_warehouse(backend):
     for country, city, color, sales in TOY_ROWS:
         warehouse.insert(((country, city), (color,)), (sales,))
     return warehouse
+
+
+def _frames(path):
+    """``(section, start, end)`` of every frame in a saved file."""
+    raw = open(path, "rb").read()
+    frames = []
+    for name, (start, payload) in zip(
+        SECTIONS, scan_frames(raw, len(CHECKPOINT_MAGIC))
+    ):
+        frames.append((name, start, start + FRAME_PREFIX.size + len(payload)))
+    return frames
+
+
+def _write(path, raw):
+    with open(path, "wb") as handle:
+        handle.write(raw)
+
+
+def _assert_rejected(path, section, detail=""):
+    """Loading fails naming the path, the section and a byte offset."""
+    with pytest.raises(StorageError) as excinfo:
+        load_warehouse(path)
+    message = str(excinfo.value)
+    assert path in message, message
+    assert "section %r" % section in message, message
+    assert "byte" in message and detail in message, message
 
 
 @pytest.mark.parametrize("backend", ["dc-tree", "x-tree", "scan"])
@@ -152,12 +184,11 @@ class TestFormatValidation:
         with pytest.raises(StorageError):
             warehouse_from_dict(data)
 
-    def test_file_is_valid_json(self, tmp_path):
+    def test_file_starts_with_versioned_magic(self, tmp_path):
         path = tmp_path / "wh.json"
         save_warehouse(build_warehouse("dc-tree"), path)
-        with open(path) as handle:
-            data = json.load(handle)
-        assert data["meta"]["version"] == FORMAT_VERSION
+        assert path.read_bytes().startswith(b"DCWH%03d\n" % FORMAT_VERSION)
+        assert load_warehouse(path).query("count") == len(TOY_ROWS)
 
     def test_empty_warehouse_roundtrip(self):
         warehouse = Warehouse(build_toy_schema(), "dc-tree")
@@ -209,33 +240,21 @@ class TestConfigPersistence:
         restored.index.check_invariants()
         assert restored.index.config.leaf_capacity == 128
 
-    def test_old_files_without_config_still_load(self):
-        warehouse = build_warehouse("dc-tree")
-        data = warehouse_to_dict(warehouse)
-        del data["index"]["config"]
-        restored = warehouse_from_dict(data)
-        assert len(restored) == len(warehouse)
-
-    def test_retired_hot_path_flag_still_loads(self):
-        """Checkpoints written before the flag was retired carry it."""
-        warehouse = build_warehouse("dc-tree")
-        data = warehouse_to_dict(warehouse)
-        assert "use_hot_path_caches" not in data["index"]["config"]
-        data["index"]["config"]["use_hot_path_caches"] = True
-        restored = warehouse_from_dict(json.loads(json.dumps(data)))
-        assert len(restored) == len(warehouse)
-        assert restored.index.check_invariants() == len(warehouse)
-        assert restored.query("sum") == warehouse.query("sum")
-
 
 class TestDurableSave:
-    def test_checksums_section_written(self, tmp_path):
+    def test_sections_framed_in_order(self, tmp_path):
         path = str(tmp_path / "wh.json")
-        save_warehouse(build_warehouse("dc-tree"), path)
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        assert set(data["checksums"]) == {"meta", "schema", "hierarchies",
-                                          "index"}
+        warehouse = build_warehouse("dc-tree")
+        save_warehouse(warehouse, path)
+        frames = _frames(path)
+        assert [name for name, _start, _end in frames] == list(SECTIONS)
+        raw = open(path, "rb").read()
+        assert frames[-1][2] == len(raw)
+        expected = warehouse_to_dict(warehouse)
+        for name, start, end in frames:
+            payload = raw[start + FRAME_PREFIX.size:end]
+            assert json.loads(payload) == json.loads(json.dumps(
+                expected[name]))
 
     def test_atomic_save_keeps_original_on_crash(self, tmp_path):
         from repro.storage.faults import FaultInjector, FaultPlan, InjectedFault
@@ -273,13 +292,61 @@ class TestDurableSave:
     def test_bit_rot_detected_by_section_checksum(self, tmp_path):
         path = str(tmp_path / "wh.json")
         save_warehouse(build_warehouse("dc-tree"), path)
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        data["index"]["n_records"] = 424242
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
-        with pytest.raises(StorageError, match="checksum"):
+        raw = open(path, "rb").read()
+        for name, start, end in _frames(path):
+            middle = (start + FRAME_PREFIX.size + end) // 2
+            _write(path, raw[:middle] + bytes([raw[middle] ^ 0x01])
+                   + raw[middle + 1:])
+            _assert_rejected(path, name, "checksum")
+
+    def test_damaged_frame_prefix_detected(self, tmp_path):
+        path = str(tmp_path / "wh.json")
+        save_warehouse(build_warehouse("dc-tree"), path)
+        raw = open(path, "rb").read()
+        for name, start, _end in _frames(path):
+            # Low and high byte of the length, then of the CRC.
+            for position in (start + 3, start, start + 7, start + 4):
+                _write(path, raw[:position]
+                       + bytes([raw[position] ^ 0x01])
+                       + raw[position + 1:])
+                _assert_rejected(path, name)
+
+    def test_truncation_at_frame_boundaries_detected(self, tmp_path):
+        path = str(tmp_path / "wh.json")
+        save_warehouse(build_warehouse("dc-tree"), path)
+        raw = open(path, "rb").read()
+        frames = _frames(path)
+        ends = [end for _name, _start, end in frames]
+        for boundary in [start for _name, start, _end in frames] + ends:
+            for cut in (boundary - 1, boundary, boundary + 1):
+                if cut >= len(raw):
+                    continue
+                _write(path, raw[:cut])
+                if cut < len(CHECKPOINT_MAGIC):
+                    with pytest.raises(StorageError,
+                                       match="expected magic") as excinfo:
+                        load_warehouse(path)
+                    assert path in str(excinfo.value)
+                    continue
+                intact = sum(1 for end in ends if end <= cut)
+                _assert_rejected(path, SECTIONS[intact])
+
+    def test_trailing_bytes_detected(self, tmp_path):
+        path = str(tmp_path / "wh.json")
+        save_warehouse(build_warehouse("dc-tree"), path)
+        with open(path, "ab") as handle:
+            handle.write(b"\x00")
+        _assert_rejected(path, "index", "unexpected")
+
+    def test_version_1_json_file_rejected(self, tmp_path):
+        path = str(tmp_path / "wh.json")
+        data = warehouse_to_dict(build_warehouse("dc-tree"))
+        data["meta"]["version"] = 1  # version 1: one JSON document
+        _write(path, json.dumps(data).encode("utf-8"))
+        with pytest.raises(StorageError) as excinfo:
             load_warehouse(path)
+        message = str(excinfo.value)
+        assert path in message and repr(CHECKPOINT_MAGIC) in message
 
     def test_malformed_document_wrapped(self, tmp_path):
         path = str(tmp_path / "wh.json")

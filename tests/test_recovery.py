@@ -28,7 +28,13 @@ from repro import (
     recover_warehouse,
 )
 from repro.core.bulkload import bulk_load
-from repro.persist.io import load_warehouse, record_to_labels, save_warehouse
+from repro.persist.format import CHECKPOINT_MAGIC
+from repro.persist.io import (
+    load_warehouse,
+    record_to_labels,
+    save_warehouse,
+    warehouse_to_dict,
+)
 from repro.workload.queries import query_from_labels
 
 _CONFIG = dict(leaf_capacity=4, dir_capacity=4)
@@ -321,14 +327,35 @@ def test_checkpoint_bit_rot_detected(tmp_path):
     directory = str(tmp_path / "bitrot")
     _run_workload(directory, plan=None)
     path = DurableWarehouse.checkpoint_path(directory)
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    data["index"]["n_records"] = 9999  # silent in-place corruption
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    middle = len(raw) // 2  # inside the index section, the largest
+    with open(path, "wb") as handle:
+        handle.write(raw[:middle] + bytes([raw[middle] ^ 0x01])
+                     + raw[middle + 1:])
     warehouse, report = recover_warehouse(path)
     assert warehouse is None
     assert "checksum" in report.checkpoint_error
+    assert "'index'" in report.checkpoint_error
+
+
+def test_version_1_checkpoint_rejected(tmp_path):
+    """A checkpoint in the retired version 1 (JSON) format is refused
+    with a StorageError naming the magic this build expects."""
+    directory = str(tmp_path / "v1")
+    _run_workload(directory, plan=None)
+    path = DurableWarehouse.checkpoint_path(directory)
+    data = warehouse_to_dict(load_warehouse(path))
+    data["meta"]["version"] = 1
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    warehouse, report = recover_warehouse(
+        path, DurableWarehouse.wal_path(directory)
+    )
+    assert warehouse is None
+    assert repr(CHECKPOINT_MAGIC) in report.checkpoint_error
+    with pytest.raises(StorageError, match="expected magic"):
+        DurableWarehouse.open(directory)
 
 
 def test_replay_stops_at_uncheckpointed_rebase(tmp_path):

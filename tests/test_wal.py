@@ -100,6 +100,8 @@ def test_encode_record_is_length_prefixed_and_checksummed():
     payload = record[8:]
     assert len(payload) == length
     assert zlib.crc32(payload) == crc
+    # The exact bytes: existing logs stay replayable.
+    assert record == b'\x00\x00\x00\x1c\xea{\xaf\x80[7, "insert", {"k": [1, 2]}]'
 
 
 def test_fsync_batching_counts_syncs(tmp_path):
