@@ -8,7 +8,8 @@ query      run one aggregate query against a saved warehouse
 groupby    run one roll-up report against a saved warehouse
 sql        run a SQL-ish query (SELECT agg(measure) WHERE ... GROUP BY ...)
 explain    profile one query: per-level cost attribution (EXPLAIN)
-inspect    print schema, size and tree statistics of a saved warehouse
+inspect    print schema, size, tree statistics and checkpoint bytes per
+           section of a saved warehouse
 recover    replay checkpoint + WAL after a crash and report what survived
 bench      shortcut for ``python -m repro.bench ...``
 
@@ -35,6 +36,7 @@ from .core.stats import collect_stats
 from .errors import ReproError, StorageError
 from .obs.metrics import describe_result_cache
 from .persist.durable import DurableWarehouse
+from .persist.format import CHECKPOINT_MAGIC, FRAME_PREFIX, SECTIONS, scan_frames
 from .persist.io import load_warehouse, save_warehouse
 from .persist.recovery import recover_warehouse
 from .query.sql import execute as execute_sql
@@ -126,9 +128,13 @@ def _build_parser():
     groupby.set_defaults(handler=_cmd_groupby)
 
     inspect = commands.add_parser(
-        "inspect", help="schema, sizes and tree statistics of a warehouse"
+        "inspect",
+        help="schema, sizes, tree statistics and checkpoint bytes of a "
+             "warehouse",
     )
-    inspect.add_argument("warehouse", help="warehouse file path")
+    inspect.add_argument(
+        "warehouse", help="warehouse file or durable session directory"
+    )
     inspect.set_defaults(handler=_cmd_inspect)
 
     sql = commands.add_parser(
@@ -396,6 +402,18 @@ def _cmd_recover(args):
     return 0
 
 
+def _print_checkpoint_bytes(path, n_records):
+    """Frame size of each section of the checkpoint at ``path``, and the
+    file's bytes per record."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    frames = scan_frames(raw, len(CHECKPOINT_MAGIC))
+    for name, (_offset, payload) in zip(SECTIONS, frames):
+        print("section %-12s %9d B" % (name, FRAME_PREFIX.size + len(payload)))
+    per_record = "%.1f" % (len(raw) / n_records) if n_records else "-"
+    print("file:     %d B, %s B/record" % (len(raw), per_record))
+
+
 def _cmd_inspect(args):
     warehouse, report = _open_warehouse(args.warehouse)
     if report is not None:
@@ -403,6 +421,11 @@ def _cmd_inspect(args):
     print("backend:  %s" % warehouse.backend)
     print("records:  %d" % len(warehouse))
     print("size:     %.1f KiB" % (warehouse.byte_size() / 1024))
+    if report is None:
+        _print_checkpoint_bytes(args.warehouse, len(warehouse))
+    else:
+        _print_checkpoint_bytes(report.checkpoint_path,
+                                report.records_at_checkpoint)
     for dimension in warehouse.schema.dimensions:
         hierarchy = dimension.hierarchy
         sizes = "/".join(

@@ -18,7 +18,16 @@ mutation; a checkpoint (:func:`encode_checkpoint`,
 * ``schema``      — dimension names + level names, measure names
 * ``hierarchies`` — per dimension, every node as ``[id, parent, label]``
                     (the dictionary encoding of §3.1)
-* ``index``       — the backend-specific structure dump
+* ``index``       — the backend-specific structure dump; every leaf's
+                    (and the scan table's) ``records`` are columns::
+
+                        records := [id_0 .. id_{D-1}, m_0 .. m_{M-1}]
+
+                    D columns of level-0 IDs, one per dimension, then M
+                    measure columns, all of one length (one entry per
+                    record, leaf order).  A record's full path is not
+                    stored: the loader rebuilds it from the restored
+                    ``hierarchies`` ancestor table.
 
 Each section is compact JSON, encoded once on save and decoded once on
 load.  The index section stores the *structure*, not just the records:
@@ -27,8 +36,9 @@ counts and materialized aggregates without re-running any split, so a
 load is a plain O(n) deserialization (and the loaded tree is
 bit-for-bit query-equivalent to the saved one — a property the test
 suite checks).  IDs are plain integers (the level tag lives inside the
-integer, §3.1).  The magic carries the format version; version 1 files
-(one JSON document) are not readable.
+integer, §3.1).  The magic carries the format version; files of an
+older version (1: one JSON document; 2: full-path leaf records) are
+refused, not migrated.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import zlib
 from ..errors import StorageError
 
 #: Current format version; bumped on breaking changes.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Checkpoint file magic; 8 bytes, like the WAL header.
 CHECKPOINT_MAGIC = b"DCWH%03d\n" % FORMAT_VERSION

@@ -12,6 +12,13 @@ backends the exact structure is preserved — nodes, MDSs/MBRs, supernode
 block counts, split histories and materialized aggregates — so loading
 never re-splits and costs O(n) deserialization.
 
+Leaf records are stored column-wise (:func:`_records_to_columns`): per
+dimension one column of level-0 IDs, then one column per measure.  A
+loader rebuilds each record's path from the restored hierarchy
+(:func:`_leaf_paths`), so the records of a loaded warehouse share one
+path tuple per leaf value.  The loaded record count is the sum over the
+restored leaves and must equal the file's ``meta.records``.
+
 The dict-level functions (``warehouse_to_dict`` / ``warehouse_from_dict``)
 are exposed for tests and for callers who want a different transport.
 """
@@ -83,15 +90,73 @@ def _restore_hierarchies(schema, rows_per_dimension):
 # ----------------------------------------------------------------------
 
 
-def _record_to_list(record):
-    return [[list(path) for path in record.paths], list(record.measures)]
+def _records_to_columns(records, schema):
+    """A leaf's records as columns: D level-0 ID columns, then M measures.
+
+    Column ``d < D`` holds each record's level-0 ID in dimension ``d``;
+    the rest of the path is a chain of parent links the ``hierarchies``
+    section already stores.  Column ``D + m`` holds measure ``m``.
+    """
+    return [
+        [record.paths[dim][-1] for record in records]
+        for dim in range(schema.n_dimensions)
+    ] + [
+        [record.measures[index] for record in records]
+        for index in range(schema.n_measures)
+    ]
 
 
-def _record_from_list(data):
-    paths, measures = data
-    return DataRecord(
-        tuple(tuple(path) for path in paths), tuple(measures)
-    )
+def _leaf_paths(schema):
+    """Per dimension, ``{level-0 id: path tuple}`` from the restored
+    hierarchies' ancestor tables (top attribute first, ALL dropped).
+
+    Built once per load, so every loaded record with the same leaf value
+    shares one path tuple.
+    """
+    return [
+        {
+            leaf: hierarchy.ancestors_of(leaf)[-2::-1]
+            for leaf in hierarchy.values_at_level(0)
+        }
+        for hierarchy in (dim.hierarchy for dim in schema.dimensions)
+    ]
+
+
+def _records_from_columns(columns, leaf_paths, n_measures):
+    """Rebuild the records of :func:`_records_to_columns` output.
+
+    ``leaf_paths`` is :func:`_leaf_paths` of the restored schema.  Raises
+    :class:`StorageError` unless there are exactly D+M columns of equal
+    length and every ID is a level-0 value of its dimension.
+    """
+    n_dimensions = len(leaf_paths)
+    if len(columns) != n_dimensions + n_measures:
+        raise StorageError(
+            "leaf has %d record columns, expected %d (%d ID + %d measure)"
+            % (len(columns), n_dimensions + n_measures, n_dimensions,
+               n_measures)
+        )
+    n_records = len(columns[0])
+    for index, column in enumerate(columns):
+        if len(column) != n_records:
+            raise StorageError(
+                "leaf record column %d holds %d values, column 0 holds %d"
+                % (index, len(column), n_records)
+            )
+    path_columns = []
+    for dim, (paths, column) in enumerate(zip(leaf_paths, columns)):
+        try:
+            path_columns.append([paths[value] for value in column])
+        except KeyError as error:
+            raise StorageError(
+                "leaf record ID %r is not a level-0 value of dimension %d"
+                % (error.args[0], dim)
+            ) from None
+    return [
+        DataRecord(paths, measures)
+        for paths, measures in zip(zip(*path_columns),
+                                   zip(*columns[n_dimensions:]))
+    ]
 
 
 def record_to_labels(schema, record):
@@ -154,7 +219,7 @@ def _mds_from_list(rows):
 # ----------------------------------------------------------------------
 
 
-def _dc_node_to_dict(node):
+def _dc_node_to_dict(node, schema):
     base = {
         "blocks": node.n_blocks,
         "mds": _mds_to_list(node.mds),
@@ -162,30 +227,36 @@ def _dc_node_to_dict(node):
     }
     if node.is_leaf:
         base["type"] = fmt.DATA_NODE
-        base["records"] = [_record_to_list(r) for r in node.records]
+        base["records"] = _records_to_columns(node.records, schema)
     else:
         base["type"] = fmt.DIR_NODE
-        base["children"] = [_dc_node_to_dict(c) for c in node.children]
+        base["children"] = [
+            _dc_node_to_dict(c, schema) for c in node.children
+        ]
     return base
 
 
-def _dc_node_from_dict(data, tree):
+def _dc_node_from_dict(data, tree, leaf_paths):
+    """The node in ``data`` and the number of records under it."""
     mds = _mds_from_list(data["mds"])
     aggregate = _aggregate_from_list(data["agg"])
+    page_id = tree.tracker.new_page_id()
     if data["type"] == fmt.DATA_NODE:
-        node = DCDataNode(
-            mds, aggregate, tree.tracker.new_page_id(),
-            records=[_record_from_list(r) for r in data["records"]],
+        records = _records_from_columns(
+            data["records"], leaf_paths, tree.schema.n_measures
         )
+        node = DCDataNode(mds, aggregate, page_id, records=records)
+        n_records = len(records)
     elif data["type"] == fmt.DIR_NODE:
-        node = DCDirNode(
-            mds, aggregate, tree.tracker.new_page_id(),
-            children=[_dc_node_from_dict(c, tree) for c in data["children"]],
-        )
+        loaded = [_dc_node_from_dict(c, tree, leaf_paths)
+                  for c in data["children"]]
+        node = DCDirNode(mds, aggregate, page_id,
+                         children=[child for child, _n in loaded])
+        n_records = sum(n for _child, n in loaded)
     else:
         raise StorageError("unknown node type %r" % (data.get("type"),))
     node.n_blocks = data["blocks"]
-    return node
+    return node, n_records
 
 
 def _dc_config_to_dict(config):
@@ -205,7 +276,7 @@ def _dc_config_to_dict(config):
 
 def _dc_tree_to_dict(tree):
     return {
-        "root": _dc_node_to_dict(tree.root),
+        "root": _dc_node_to_dict(tree.root, tree.schema),
         "config": _dc_config_to_dict(tree.config),
     }
 
@@ -217,10 +288,12 @@ def _dc_tree_from_dict(data, schema, config=None):
         # overfull at the default 16).
         config = DCTreeConfig(**data["config"])
     tree = DCTree(schema, config=config)
-    root = _dc_node_from_dict(data["root"], tree)
+    root, n_records = _dc_node_from_dict(
+        data["root"], tree, _leaf_paths(schema)
+    )
     # Root swap = mutation: adopt_root keeps the result cache's version
     # discipline and notifies any attached durability sink.
-    tree.adopt_root(root, root.aggregate.count)
+    tree.adopt_root(root, n_records)
     return tree
 
 
@@ -229,7 +302,7 @@ def _dc_tree_from_dict(data, schema, config=None):
 # ----------------------------------------------------------------------
 
 
-def _x_node_to_dict(node):
+def _x_node_to_dict(node, schema):
     base = {
         "blocks": node.n_blocks,
         "mbr": [list(node.mbr.lows), list(node.mbr.highs)],
@@ -237,31 +310,40 @@ def _x_node_to_dict(node):
     }
     if node.is_leaf:
         base["type"] = fmt.DATA_NODE
-        base["records"] = [_record_to_list(r) for _p, r in node.entries]
+        base["records"] = _records_to_columns(
+            [r for _p, r in node.entries], schema
+        )
     else:
         base["type"] = fmt.DIR_NODE
-        base["children"] = [_x_node_to_dict(c) for c in node.children]
+        base["children"] = [
+            _x_node_to_dict(c, schema) for c in node.children
+        ]
     return base
 
 
-def _x_node_from_dict(data, tree):
+def _x_node_from_dict(data, tree, leaf_paths):
+    """The node in ``data`` and the number of records under it."""
     mbr = MBR(data["mbr"][0], data["mbr"][1])
+    page_id = tree.tracker.new_page_id()
     if data["type"] == fmt.DATA_NODE:
-        records = [_record_from_list(r) for r in data["records"]]
+        records = _records_from_columns(
+            data["records"], leaf_paths, tree.schema.n_measures
+        )
         node = XDataNode(
-            mbr, tree.tracker.new_page_id(),
-            entries=[(r.flat_point(), r) for r in records],
+            mbr, page_id, entries=[(r.flat_point(), r) for r in records],
         )
+        n_records = len(records)
     elif data["type"] == fmt.DIR_NODE:
-        node = XDirNode(
-            mbr, tree.tracker.new_page_id(),
-            children=[_x_node_from_dict(c, tree) for c in data["children"]],
-        )
+        loaded = [_x_node_from_dict(c, tree, leaf_paths)
+                  for c in data["children"]]
+        node = XDirNode(mbr, page_id,
+                        children=[child for child, _n in loaded])
+        n_records = sum(n for _child, n in loaded)
     else:
         raise StorageError("unknown node type %r" % (data.get("type"),))
     node.n_blocks = data["blocks"]
     node.split_history = frozenset(data["history"])
-    return node
+    return node, n_records
 
 
 def _x_config_to_dict(config):
@@ -275,8 +357,7 @@ def _x_config_to_dict(config):
 
 def _x_tree_to_dict(tree):
     return {
-        "root": _x_node_to_dict(tree.root),
-        "count": len(tree),
+        "root": _x_node_to_dict(tree.root, tree.schema),
         "config": _x_config_to_dict(tree.config),
     }
 
@@ -285,9 +366,10 @@ def _x_tree_from_dict(data, schema, config=None):
     if config is None:
         config = XTreeConfig(**data["config"])
     tree = XTree(schema, config=config)
-    tree._root = _x_node_from_dict(data["root"], tree)
-    tree._n_records = data["count"]
-    tree._root_empty = data["count"] == 0
+    tree._root, tree._n_records = _x_node_from_dict(
+        data["root"], tree, _leaf_paths(schema)
+    )
+    tree._root_empty = tree._n_records == 0
     return tree
 
 
@@ -297,13 +379,16 @@ def _x_tree_from_dict(data, schema, config=None):
 
 
 def _scan_to_dict(table):
-    return {"records": [_record_to_list(r) for r in table.records()]}
+    return {"records": _records_to_columns(list(table.records()),
+                                           table.schema)}
 
 
 def _scan_from_dict(data, schema):
     table = FlatTable(schema)
-    for row in data["records"]:
-        table.insert(_record_from_list(row))
+    for record in _records_from_columns(
+        data["records"], _leaf_paths(schema), schema.n_measures
+    ):
+        table.insert(record)
     table.tracker.reset(clear_buffer=True)
     return table
 
@@ -350,7 +435,7 @@ def warehouse_from_dict(data, config=None):
     warehouse = Warehouse.wrap(index)
     if len(warehouse.index) != data["meta"]["records"]:
         raise StorageError(
-            "record count mismatch: meta says %d, index holds %d"
+            "record count mismatch: meta says %d, the restored leaves hold %d"
             % (data["meta"]["records"], len(warehouse.index))
         )
     return warehouse

@@ -93,6 +93,22 @@ class TestInspect:
         assert "height:" in out
         assert "Customer" in out
 
+    def test_prints_checkpoint_bytes_per_section(self, loaded_warehouse,
+                                                 capsys):
+        assert main(["inspect", str(loaded_warehouse)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sizes = {}
+        for line in lines:
+            if line.startswith("section "):
+                _word, name, size, unit = line.split()
+                assert unit == "B"
+                sizes[name] = int(size)
+        assert list(sizes) == ["meta", "schema", "hierarchies", "index"]
+        total = loaded_warehouse.stat().st_size
+        assert sum(sizes.values()) + 8 == total  # plus the 8-byte magic
+        assert "file:     %d B, %.1f B/record" % (total, total / 300) \
+            in lines
+
 
 class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
@@ -189,6 +205,10 @@ class TestDurability:
         assert main(["inspect", directory]) == 0
         out = capsys.readouterr().out
         assert "recovery: OK" in out and "backend:  dc-tree" in out
+        # Bytes of the checkpoint file, which holds no record yet (all
+        # seven are in the WAL).
+        assert "section index" in out
+        assert "B, - B/record" in out
 
     def test_recover_metrics_flag(self, tmp_path, capsys):
         directory = self._durable_dir(tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -14,10 +15,13 @@ from repro.persist import (
     warehouse_from_dict,
     warehouse_to_dict,
 )
+from repro.cube import ids as ids_mod
+from repro.persist import recover_warehouse
 from repro.persist.format import (
     CHECKPOINT_MAGIC,
     FRAME_PREFIX,
     SECTIONS,
+    encode_checkpoint,
     scan_frames,
 )
 from repro.workload.queries import QueryGenerator, query_from_labels
@@ -354,3 +358,107 @@ class TestDurableSave:
             handle.write("[1, 2, 3]")
         with pytest.raises(StorageError):
             load_warehouse(path)
+
+
+def _leaf_columns(data):
+    """The record columns of the first non-empty leaf in a dict dump."""
+    index = data["index"]
+    if "root" not in index:
+        return index["records"]
+    stack = [index["root"]]
+    while stack:
+        node = stack.pop()
+        if node["type"] == "data":
+            if node["records"][0]:
+                return node["records"]
+        else:
+            stack.extend(node["children"])
+    raise AssertionError("no leaf holds records")
+
+
+def _short_column(data, columns):
+    columns[-1].pop()
+
+
+def _extra_column(data, columns):
+    columns.append(list(columns[-1]))
+
+
+def _dropped_record(data, columns):
+    for column in columns:
+        column.pop()
+
+
+def _unknown_leaf_id(data, columns):
+    columns[0][0] = ids_mod.make_id(0, ids_mod.MAX_COUNTER)
+
+
+def _inner_level_id(data, columns):
+    # A known value of the dimension, but not a level-0 one.
+    columns[0][0] = data["hierarchies"][0][1][0]
+
+
+def _v2_file(data, columns):
+    # Written under the version 2 magic below; the magic alone decides.
+    data["meta"]["version"] = 2
+
+
+_DAMAGE = {
+    "short column": (_short_column, "holds 6 values, column 0 holds 7"),
+    "extra column": (_extra_column, "record columns, expected"),
+    "dropped record": (_dropped_record,
+                       "meta says 7, the restored leaves hold 6"),
+    "unknown leaf id": (_unknown_leaf_id, "not a level-0 value"),
+    "inner-level id": (_inner_level_id, "not a level-0 value"),
+    "framed v2 file": (_v2_file, repr(CHECKPOINT_MAGIC)),
+}
+
+
+@pytest.mark.parametrize("backend", ["dc-tree", "x-tree", "scan"])
+@pytest.mark.parametrize("damage", sorted(_DAMAGE))
+def test_damaged_leaf_columns_rejected(backend, damage, tmp_path):
+    """Every damaged leaf is refused by load and by recovery alike.  A
+    dropped record is caught by counting the restored leaves, not by
+    trusting the DC-tree's root aggregate or a stored count."""
+    mutate, detail = _DAMAGE[damage]
+    data = warehouse_to_dict(build_warehouse(backend))
+    mutate(data, _leaf_columns(data))
+    raw = encode_checkpoint(data)
+    if data["meta"]["version"] == 2:
+        raw = b"DCWH002\n" + raw[len(CHECKPOINT_MAGIC):]
+    path = str(tmp_path / "wh.json")
+    _write(path, raw)
+    with pytest.raises(StorageError, match=re.escape(detail)):
+        load_warehouse(path)
+    warehouse, report = recover_warehouse(path)
+    assert warehouse is None
+    assert detail in report.checkpoint_error, report.checkpoint_error
+
+
+def test_dc_leaf_records_are_id_and_measure_columns():
+    schema = make_tpcd_schema()
+    warehouse = Warehouse(schema, "dc-tree")
+    warehouse.insert_records(
+        TPCDGenerator(schema, seed=8, scale_records=600).records(600)
+    )
+    n_dims, n_measures = schema.n_dimensions, schema.n_measures
+    stack = [(warehouse.index.root,
+              warehouse_to_dict(warehouse)["index"]["root"])]
+    leaves = 0
+    while stack:
+        node, dumped = stack.pop()
+        if not node.is_leaf:
+            stack.extend(zip(node.children, dumped["children"]))
+            continue
+        leaves += 1
+        columns = dumped["records"]
+        assert len(columns) == n_dims + n_measures
+        assert {len(column) for column in columns} == {len(node.records)}
+        for dim in range(n_dims):
+            assert columns[dim] == [r.leaf_value(dim) for r in node.records]
+            assert all(ids_mod.level_of(v) == 0 for v in columns[dim])
+        for index in range(n_measures):
+            assert columns[n_dims + index] == [
+                r.measures[index] for r in node.records
+            ]
+    assert leaves > 1
