@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro.bench <experiment ...>``.
 
 Experiments: fig11a fig11b fig12a fig12b fig12c fig12d fig13
-             abl-split abl-measures abl-capacity abl-bulkload abl-order
+             abl-capacity abl-bulkload abl-order
              motivation aggview verdict all
 
 Options:
@@ -37,7 +37,7 @@ _QUICK_QUERIES = 20
 
 EXPERIMENTS = (
     "fig11a", "fig11b", "fig12a", "fig12b", "fig12c", "fig12d", "fig13",
-    "abl-split", "abl-measures", "abl-capacity", "abl-bulkload",
+    "abl-capacity", "abl-bulkload",
     "motivation", "aggview", "verdict", "abl-order",
 )
 
@@ -103,10 +103,6 @@ def _run(experiment, sweep_kwargs, ablation_kwargs):
         return fig12.report_fig12(experiment[-1], **sweep_kwargs)
     if experiment == "fig13":
         return fig13.report_fig13(**sweep_kwargs)
-    if experiment == "abl-split":
-        return ablations.report_ablation_split(**ablation_kwargs)
-    if experiment == "abl-measures":
-        return ablations.report_ablation_measures(**ablation_kwargs)
     if experiment == "abl-capacity":
         return ablations.report_ablation_capacity(**ablation_kwargs)
     if experiment == "motivation":

@@ -2,7 +2,9 @@
 
 All knobs live here so experiments (and the ablation benches) can vary them
 without touching algorithm code.  Defaults follow the paper where it gives
-numbers and common X-tree/R*-tree practice where it does not.
+numbers and common X-tree/R*-tree practice where it does not.  A knob stays
+only while some caller sets it; the split (Fig. 6), the use of materialized
+aggregates and the entry-count capacity rule are fixed behaviour.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ class DCTreeConfig:
         A split is rejected when ``overlap(G1, G2) / min(volume(G1),
         volume(G2))`` exceeds this bound ("overlap is not too high",
         Fig. 5); the X-tree paper found 20 % to be a good threshold.
-    split_algorithm:
-        ``"quadratic"`` is the paper's hierarchy split (Fig. 6);
-        ``"linear"`` is the cheaper single-pass variant built for the
-        future-work ablation.
-    use_materialized_aggregates:
-        When False the range-query algorithm never uses the aggregates
-        stored in directory entries and always descends to the data nodes
-        (ablation `abl-measures`).
     use_result_cache:
         When True (default) full ``range_query`` / ``group_by`` answers
         are memoized in a per-tree LRU keyed on (query digest, tree
@@ -67,15 +61,16 @@ class DCTreeConfig:
         environment variable (truthy values: ``1``/``true``/``yes``/
         ``on``), which CI uses to force the whole suite through the
         instrumented paths.
-    capacity_mode:
-        ``"entries"`` (default) bounds nodes by entry count —
-        predictable and what the comparison experiments use.
-        ``"bytes"`` bounds them by *serialized size* against the page
-        size: the faithful disk model for MDSs, whose size varies with
-        their value sets ("an MDS has to store more information and it
-        has variable size", §3.2).  A directory entry with a huge MDS
-        then legitimately crowds out its siblings.
+
+    Instances have ``__slots__``, so assigning a knob that does not exist
+    raises :class:`AttributeError` instead of being silently ignored.
     """
+
+    __slots__ = (
+        "dir_capacity", "leaf_capacity", "min_fanout_fraction",
+        "max_overlap_fraction", "use_result_cache", "result_cache_capacity",
+        "wal_fsync_interval", "observability",
+    )
 
     def __init__(
         self,
@@ -83,9 +78,6 @@ class DCTreeConfig:
         leaf_capacity=64,
         min_fanout_fraction=0.35,
         max_overlap_fraction=0.20,
-        split_algorithm="quadratic",
-        use_materialized_aggregates=True,
-        capacity_mode="entries",
         use_result_cache=True,
         result_cache_capacity=128,
         wal_fsync_interval=1,
@@ -99,16 +91,6 @@ class DCTreeConfig:
             raise SchemaError("min_fanout_fraction must be in (0, 0.5]")
         if max_overlap_fraction < 0.0:
             raise SchemaError("max_overlap_fraction must be non-negative")
-        if split_algorithm not in ("quadratic", "linear"):
-            raise SchemaError(
-                "split_algorithm must be 'quadratic' or 'linear', got %r"
-                % (split_algorithm,)
-            )
-        if capacity_mode not in ("entries", "bytes"):
-            raise SchemaError(
-                "capacity_mode must be 'entries' or 'bytes', got %r"
-                % (capacity_mode,)
-            )
         if result_cache_capacity < 1:
             raise SchemaError("result_cache_capacity must be at least 1")
         if not isinstance(wal_fsync_interval, int) or wal_fsync_interval < 0:
@@ -119,9 +101,6 @@ class DCTreeConfig:
         self.leaf_capacity = leaf_capacity
         self.min_fanout_fraction = min_fanout_fraction
         self.max_overlap_fraction = max_overlap_fraction
-        self.split_algorithm = split_algorithm
-        self.use_materialized_aggregates = use_materialized_aggregates
-        self.capacity_mode = capacity_mode
         self.use_result_cache = bool(use_result_cache)
         self.result_cache_capacity = result_cache_capacity
         self.wal_fsync_interval = wal_fsync_interval

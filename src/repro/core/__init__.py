@@ -17,7 +17,6 @@ from .split import (
     choose_seeds,
     compute_group_mds,
     hierarchy_split,
-    linear_split,
     plan_node_split,
 )
 from .stats import LevelStats, TreeStats, collect_cache_stats, collect_stats
@@ -41,7 +40,6 @@ __all__ = [
     "covers_record",
     "extension",
     "hierarchy_split",
-    "linear_split",
     "operation_cost",
     "overlap",
     "overlaps",

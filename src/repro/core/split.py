@@ -19,10 +19,6 @@ Splitting a DC-tree node proceeds in two stages:
    into the group sharing the most split-dimension values with it
    (§4.3), tie-broken by least resulting inter-group overlap, extension
    sum, volume sum, then the smaller group.
-
-A cheaper single-pass :func:`linear_split` implements the paper's
-future-work suggestion of a sub-quadratic split and is exposed through
-``DCTreeConfig.split_algorithm = "linear"`` for the `abl-split` ablation.
 """
 
 from __future__ import annotations
@@ -67,14 +63,9 @@ def plan_node_split(node_mds, n_entries, adapt_entries, config, hierarchies):
         for target_levels in _adaptation_attempts(node_mds, dim):
             adapted = adapt_entries(target_levels)
             cpu_units += sum(m.size() for m in adapted)
-            if config.split_algorithm == "linear":
-                groups, work = linear_split(
-                    adapted, dim, hierarchies, min_group
-                )
-            else:
-                groups, work = hierarchy_split(
-                    adapted, dim, hierarchies, min_group
-                )
+            groups, work = hierarchy_split(
+                adapted, dim, hierarchies, min_group
+            )
             cpu_units += work
             if min(len(groups[0]), len(groups[1])) < min_group:
                 continue
@@ -274,50 +265,6 @@ def hierarchy_split(mdss, split_dim, hierarchies, min_group=2):
                     break
         idx = remaining.pop(chosen_pos)
         remaining_cards -= cards[idx]
-        target_a = _prefer_group_a(
-            mds_a, mds_b, mdss[idx], group_a, group_b, split_dim, hierarchies
-        )
-        cpu_units += mds_mod.operation_cost(mds_a, mds_b)
-        if target_a:
-            group_a.append(idx)
-            mds_a.add_mds(mdss[idx], hierarchies)
-        else:
-            group_b.append(idx)
-            mds_b.add_mds(mdss[idx], hierarchies)
-    return (group_a, group_b), cpu_units
-
-
-def linear_split(mdss, split_dim, hierarchies, min_group=2):
-    """Single-pass split (future-work ablation): linear seed choice, then
-    the remaining entries are assigned in input order with Fig. 6's group
-    criterion.  Returns the same shape as :func:`hierarchy_split`."""
-    seed_a = 0
-    seed_b = None
-    worst_similarity = None
-    cpu_units = 0
-    base = mdss[seed_a].value_set(split_dim)
-    for idx in range(1, len(mdss)):
-        other = mdss[idx].value_set(split_dim)
-        union = len(base | other)
-        similarity = len(base & other) / union if union else 1.0
-        cpu_units += len(base) + len(other)
-        if worst_similarity is None or similarity < worst_similarity:
-            worst_similarity = similarity
-            seed_b = idx
-    if seed_b is None:
-        seed_b = len(mdss) - 1
-    group_a, group_b = [seed_a], [seed_b]
-    mds_a = mdss[seed_a].copy()
-    mds_b = mdss[seed_b].copy()
-    remaining = [i for i in range(len(mdss)) if i not in (seed_a, seed_b)]
-    for position, idx in enumerate(remaining):
-        left = len(remaining) - position
-        if len(group_a) + left <= min_group:
-            group_a.extend(remaining[position:])
-            break
-        if len(group_b) + left <= min_group:
-            group_b.extend(remaining[position:])
-            break
         target_a = _prefer_group_a(
             mds_a, mds_b, mdss[idx], group_a, group_b, split_dim, hierarchies
         )

@@ -539,24 +539,17 @@ class DCTree:
     # ------------------------------------------------------------------
 
     def _blocks_needed(self, node):
-        """Blocks the node's contents fill (per the capacity mode).
+        """Blocks the node's entries fill at one capacity per block.
 
         The one capacity rule: a node is overfull when this exceeds its
         ``n_blocks``, a fresh split half gets exactly this many, and a
         supernode that lost entries shrinks to it.
         """
-        if self.config.capacity_mode == "entries":
-            base = (
-                self.config.leaf_capacity if node.is_leaf
-                else self.config.dir_capacity
-            )
-            return max(1, -(-node.entry_count // base))
-        return page_mod.pages_for(
-            node.byte_size(
-                self.schema.n_flat_attributes, self.schema.n_measures
-            ),
-            self.tracker.config.page_size,
+        base = (
+            self.config.leaf_capacity if node.is_leaf
+            else self.config.dir_capacity
         )
+        return max(1, -(-node.entry_count // base))
 
     @_observed("hierarchy_split", start=_split_start, done=_split_done)
     def _split_or_grow(self, node):
@@ -838,8 +831,7 @@ class DCTree:
         """Aggregate ``op`` of one measure over the cells in ``range_mds``.
 
         ``measure`` may be an index or a measure name.  Uses the
-        materialized aggregates of contained directory entries unless the
-        configuration disables them (ablation `abl-measures`).  MIN and
+        materialized aggregates of contained directory entries.  MIN and
         MAX additionally run branch-and-bound over the stored extrema
         (the optimization of Ho et al., the paper's reference [6]): a
         partially overlapping subtree whose stored bound cannot improve
@@ -854,11 +846,7 @@ class DCTree:
         check_aggregate(op)
         measure_index = self._measure_index(measure)
         self._check_query_mds(range_mds)
-        # use_materialized_aggregates changes the traversal (and therefore
-        # the charged trace), so it is part of the memo identity: flipping
-        # the ablation knob mid-life must recompute, not replay.
-        key = ("range", range_mds.cache_key(), op, measure_index,
-               self.config.use_materialized_aggregates)
+        key = ("range", range_mds.cache_key(), op, measure_index)
         return self._answer(
             "range_query", op, measure_index, key,
             lambda: self._range_query_computed(range_mds, op, measure_index),
@@ -868,7 +856,7 @@ class DCTree:
     def _range_query_computed(self, range_mds, op, measure_index):
         """The actual Fig. 7 traversal behind :meth:`range_query`."""
         keep = mds_mod.record_filter(range_mds, self.hierarchies)
-        if op in ("min", "max") and self.config.use_materialized_aggregates:
+        if op in ("min", "max"):
             sign = 1.0 if op == "max" else -1.0
             return self._extremum_node(
                 self._root, range_mds, keep, sign, measure_index, None
@@ -883,9 +871,8 @@ class DCTree:
             for record in records:
                 aggregator.add_record(record)
             return
-        check = self.config.use_materialized_aggregates
         for child in node.children:
-            outcome = self._classify(range_mds, child, depth, check)
+            outcome = self._classify(range_mds, child, depth)
             if outcome == mds_mod.CONTAINED:
                 aggregator.add_vector(child.aggregate)
                 if self._profile is not None:
@@ -1119,7 +1106,6 @@ class DCTree:
         key = (
             "groupby", dim_index, level, op, measure_index,
             range_mds.cache_key(),
-            self.config.use_materialized_aggregates,
         )
         # Hits hand out copies: callers merge groups onwards (e.g. by
         # label) and must not mutate the memoized aggregators.
@@ -1152,7 +1138,6 @@ class DCTree:
                     .add_record(record)
             return
         hierarchy = self.hierarchies[dim_index]
-        use_aggregates = self.config.use_materialized_aggregates
         for child in node.children:
             single_group = None
             if child.mds.level(dim_index) <= level:
@@ -1160,8 +1145,7 @@ class DCTree:
                 if len(lifted) == 1:
                     single_group = next(iter(lifted))
             outcome = self._classify(
-                range_mds, child, depth,
-                use_aggregates and single_group is not None,
+                range_mds, child, depth, single_group is not None
             )
             if outcome == mds_mod.CONTAINED:
                 self._group_for(single_group, op, measure_index, groups) \
@@ -1191,12 +1175,12 @@ class DCTree:
     def delete(self, record):
         """Remove one record (by value); raise if it is not indexed.
 
-        Aggregates are subtracted along the deletion path; stale MIN/MAX
-        summaries and the path's MDSs are recomputed bottom-up so coverage
-        *and* minimality keep holding.  Empty nodes are unlinked,
-        underflowing nodes are condensed (their contents reinserted, as in
-        the R-tree), shrunk supernodes give blocks back, and a root
-        directory left with a single child is collapsed.
+        Every node on the deletion path refolds its MDS and aggregate
+        vector from its remaining records or children, bottom-up, so
+        coverage, minimality and exact MIN/MAX keep holding.  Empty nodes
+        are unlinked, underflowing nodes are condensed (their contents
+        reinserted, as in the R-tree), shrunk supernodes give blocks back,
+        and a root directory left with a single child is collapsed.
         """
         self.note_mutation()
         orphans = []
@@ -1223,7 +1207,7 @@ class DCTree:
             except ValueError:
                 return False
             self._recompute_leaf_summary(node)
-            self.tracker.write_node(node.page_id)
+            self._charge_node_write(node.page_id)
             return True
         for child in node.children:
             self.tracker.cpu(self.schema.n_dimensions)
@@ -1232,7 +1216,7 @@ class DCTree:
             if self._delete_from(child, record, orphans):
                 self._handle_underflow(node, child, orphans)
                 self._recompute_dir_summary(node)
-                self.tracker.write_node(node.page_id)
+                self._charge_node_write(node.page_id)
                 return True
         return False
 

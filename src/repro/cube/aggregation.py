@@ -8,9 +8,9 @@ which SUM, COUNT, AVG, MIN and MAX range queries can all be answered.
 
 SUM and COUNT are fully invertible, so deletions subtract in O(1).  MIN and
 MAX are only *semi*-invertible: removing the current extremum invalidates
-the summary, which the tree repairs by recomputing the affected path from
-its children (see ``DCTree.delete``).  :meth:`MeasureSummary.subtract_value`
-reports whether such a repair is needed.
+the summary, and :meth:`MeasureSummary.subtract_value` reports whether it
+must be recomputed.  (``DCTree.delete`` does not subtract: it refolds every
+node on the deletion path from its remaining records or children.)
 """
 
 from __future__ import annotations

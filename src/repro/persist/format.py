@@ -37,7 +37,8 @@ load is a plain O(n) deserialization (and the loaded tree is
 bit-for-bit query-equivalent to the saved one — a property the test
 suite checks).  IDs are plain integers (the level tag lives inside the
 integer, §3.1).  The magic carries the format version; files of an
-older version (1: one JSON document; 2: full-path leaf records) are
+older version (1: one JSON document; 2: full-path leaf records; 3: a
+DC-tree config with the retired split, aggregate and capacity knobs) are
 refused, not migrated.
 """
 
@@ -50,7 +51,7 @@ import zlib
 from ..errors import StorageError
 
 #: Current format version; bumped on breaking changes.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Checkpoint file magic; 8 bytes, like the WAL header.
 CHECKPOINT_MAGIC = b"DCWH%03d\n" % FORMAT_VERSION

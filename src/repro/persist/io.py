@@ -265,9 +265,6 @@ def _dc_config_to_dict(config):
         "leaf_capacity": config.leaf_capacity,
         "min_fanout_fraction": config.min_fanout_fraction,
         "max_overlap_fraction": config.max_overlap_fraction,
-        "split_algorithm": config.split_algorithm,
-        "use_materialized_aggregates": config.use_materialized_aggregates,
-        "capacity_mode": config.capacity_mode,
         "use_result_cache": config.use_result_cache,
         "result_cache_capacity": config.result_cache_capacity,
         "wal_fsync_interval": config.wal_fsync_interval,

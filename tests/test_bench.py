@@ -1,13 +1,11 @@
 """Tests for the benchmark harness (tiny scales, shape assertions)."""
 
+import statistics
+
 import pytest
 
 from repro.bench import harness
-from repro.bench.ablations import (
-    ablation_capacity,
-    ablation_measures,
-    ablation_split,
-)
+from repro.bench.ablations import ablation_capacity
 from repro.bench.fig11 import fig11a_rows, fig11b_rows
 from repro.bench.fig12 import PANELS, fig12_rows, selectivity_profile
 from repro.bench.fig13 import fig13_rows
@@ -105,26 +103,6 @@ class TestHelpers:
 
 
 class TestAblations:
-    def test_split_ablation_rows(self):
-        rows = ablation_split(n_records=200, n_queries=3)
-        assert [row[0] for row in rows] == ["quadratic", "linear"]
-        for row in rows:
-            assert row[1] > 0
-        quadratic, linear = rows
-        # The linear split builds cheaper in simulated (deterministic)
-        # cost; build wall time is too close at this size to compare ...
-        assert linear[2] < quadratic[2]
-        # ... while query quality stays within 2.5x of the quadratic split
-        # ("reasonably good splits").
-        assert linear[4] < 2.5 * quadratic[4]
-
-    def test_measures_ablation_rows(self):
-        rows = ablation_measures(n_records=200, n_queries=3)
-        assert [row[1] for row in rows] == ["on", "off", "on", "off"]
-        # Turning aggregates off can never *reduce* node accesses.
-        assert rows[1][4] >= rows[0][4]
-        assert rows[3][4] >= rows[2][4]
-
     def test_capacity_ablation_rows(self):
         rows = ablation_capacity(
             n_records=200, n_queries=3, capacities=((8, 16), (16, 32))
@@ -167,7 +145,7 @@ class TestCli:
     def test_main_ablation(self, capsys):
         from repro.bench.__main__ import main
 
-        code = main(["abl-measures", "--quick"])
+        code = main(["abl-capacity", "--quick"])
         assert code == 0
         assert "Ablation" in capsys.readouterr().out
 
@@ -314,6 +292,21 @@ class TestRegressionHarness:
         assert batch["reads_identical"] and batch["cpu_not_worse"]
         assert batch["structure_identical"]
         assert entry["durability"]["counters_identical"] is True
+
+    def test_wal_overhead_is_the_median_of_back_to_back_pairs(self):
+        schema, records = regression.make_dataset(80, seed=4)
+        serial = regression.run_workload(schema, records, 2, seed=4)
+        durability = regression.measure_wal_overhead(schema, records, serial)
+        ratios = durability["pair_ratios"]
+        assert len(ratios) == regression.WAL_PAIRS
+        assert all(ratio > 0 for ratio in ratios)
+        assert durability["overhead_ratio"] == statistics.median(ratios)
+        assert durability["counters_identical"] is True
+        assert durability["wal_bytes"] > 0
+        # The logged phases are compared with the serial pass's counters.
+        other = regression.run_workload(schema, records[:-1], 2, seed=4)
+        moved = regression.measure_wal_overhead(schema, records, other)
+        assert moved["counters_identical"] is False
 
     def test_run_workload_observability_snapshot(self):
         schema, records = regression.make_dataset(120, seed=2)

@@ -11,8 +11,6 @@ class TestDCTreeConfig:
         config = DCTreeConfig()
         assert config.dir_capacity >= 4
         assert config.leaf_capacity >= 4
-        assert config.split_algorithm == "quadratic"
-        assert config.use_materialized_aggregates
 
     def test_capacity_bounds(self):
         with pytest.raises(SchemaError):
@@ -31,10 +29,16 @@ class TestDCTreeConfig:
             DCTreeConfig(max_overlap_fraction=-0.1)
         DCTreeConfig(max_overlap_fraction=0.0)
 
-    def test_split_algorithm_validated(self):
-        with pytest.raises(SchemaError):
-            DCTreeConfig(split_algorithm="cubic")
-        DCTreeConfig(split_algorithm="linear")
+    @pytest.mark.parametrize("knob", [
+        "split_algorithm", "use_materialized_aggregates", "capacity_mode",
+    ])
+    def test_retired_knobs_rejected(self, knob):
+        """Setting a knob that no longer exists fails loudly, whether by
+        keyword or by assignment, instead of being silently ignored."""
+        with pytest.raises(TypeError):
+            DCTreeConfig(**{knob: None})
+        with pytest.raises(AttributeError):
+            setattr(DCTreeConfig(), knob, None)
 
     def test_min_fanouts(self):
         config = DCTreeConfig(

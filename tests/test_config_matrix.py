@@ -1,8 +1,8 @@
 """Cross-backend equivalence under a matrix of configurations.
 
 The invariant "all backends return identical answers" must hold for any
-capacities, split algorithm, and aggregate setting — not just the
-defaults the other suites use.
+capacities and split thresholds — not just the defaults the other suites
+use.
 """
 
 import math
@@ -30,21 +30,11 @@ DC_CONFIGS = [
         DCTreeConfig(dir_capacity=64, leaf_capacity=256), id="dc-fat-nodes"
     ),
     pytest.param(
-        DCTreeConfig(split_algorithm="linear"), id="dc-linear-split"
-    ),
-    pytest.param(
-        DCTreeConfig(use_materialized_aggregates=False),
-        id="dc-no-aggregates",
-    ),
-    pytest.param(
         DCTreeConfig(max_overlap_fraction=0.0), id="dc-zero-overlap"
     ),
     pytest.param(
         DCTreeConfig(max_overlap_fraction=1.0, min_fanout_fraction=0.1),
         id="dc-loose-splits",
-    ),
-    pytest.param(
-        DCTreeConfig(capacity_mode="bytes"), id="dc-byte-capacity"
     ),
 ]
 

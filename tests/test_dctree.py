@@ -260,13 +260,11 @@ class TestRangeQuery:
         assert all(query.matches(record) for record in found)
 
     def test_query_without_aggregates_same_answer(self):
-        schema, tree, _records = build_toy_tree()
+        """The aggregate-using answer equals a fold of the matching records."""
+        schema, tree, records = build_toy_tree()
         query = query_from_labels(schema, {"Geo": ("Country", ["DE"])})
-        with_aggregates = tree.range_query(query.mds)
-        tree.config.use_materialized_aggregates = False
-        without = tree.range_query(query.mds)
-        tree.config.use_materialized_aggregates = True
-        assert with_aggregates == without
+        expected = sum(r.measures[0] for r in records if query.matches(r))
+        assert tree.range_query(query.mds) == expected
 
 
 class TestDelete:
@@ -525,70 +523,3 @@ class TestHarnessBufferEqualization:
         assert scan.buffer_misses > 0
         dc = point.queries[("dc-tree", 0.25)]
         assert dc.node_accesses > 0
-
-
-class TestByteCapacityMode:
-    @pytest.fixture
-    def bytes_tree(self, tpcd_schema):
-        from repro import StorageConfig
-
-        config = DCTreeConfig(capacity_mode="bytes")
-        tree = DCTree(
-            tpcd_schema, config=config,
-            storage_config=StorageConfig(page_size=1024, buffer_pages=0),
-        )
-        generator = TPCDGenerator(tpcd_schema, seed=13, scale_records=1200)
-        records = generator.generate(1200)
-        for record in records:
-            tree.insert(record)
-        return tree, records
-
-    def test_invariants_hold(self, bytes_tree):
-        tree, records = bytes_tree
-        tree.check_invariants()
-        assert len(tree) == len(records)
-
-    def test_every_node_fits_its_blocks(self, bytes_tree):
-        tree, _records = bytes_tree
-        page_size = tree.tracker.config.page_size
-        n_flat = tree.schema.n_flat_attributes
-        n_measures = tree.schema.n_measures
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            assert node.byte_size(n_flat, n_measures) <= (
-                page_size * node.n_blocks
-            )
-            if not node.is_leaf:
-                stack.extend(node.children)
-
-    def test_queries_agree_with_naive(self, bytes_tree):
-        tree, records = bytes_tree
-        for query in QueryGenerator(tree.schema, 0.2, seed=3).queries(10):
-            expected = sum(
-                r.measures[0] for r in records if query.matches(r)
-            )
-            assert math.isclose(tree.range_query(query.mds), expected,
-                                abs_tol=1e-4)
-
-    def test_deletes_work(self, bytes_tree):
-        tree, records = bytes_tree
-        for record in records[:200]:
-            tree.delete(record)
-        tree.check_invariants()
-        assert len(tree) == len(records) - 200
-
-    def test_persist_roundtrip_keeps_mode(self, bytes_tree):
-        from repro import Warehouse
-        from repro.persist import warehouse_from_dict, warehouse_to_dict
-
-        tree, _records = bytes_tree
-        warehouse = Warehouse.wrap(tree)
-        restored = warehouse_from_dict(warehouse_to_dict(warehouse))
-        assert restored.index.config.capacity_mode == "bytes"
-
-    def test_invalid_mode_rejected(self):
-        from repro.errors import SchemaError
-
-        with pytest.raises(SchemaError):
-            DCTreeConfig(capacity_mode="blocks")

@@ -77,12 +77,13 @@ class TestTreeGroupBy:
         assert tree.group_by(0, 0) == {}
 
     def test_aggregates_disabled_same_result(self):
-        schema, tree, _records = build_tree_and_records()
-        with_aggregates = tree.group_by(0, 1)
-        tree.config.use_materialized_aggregates = False
-        without = tree.group_by(0, 1)
-        tree.config.use_materialized_aggregates = True
-        assert with_aggregates == without
+        """The aggregate-using roll-up equals a per-group record fold."""
+        _schema, tree, records = build_tree_and_records()
+        expected = {}
+        for record in records:
+            value = record.value_at_level(0, 1)
+            expected[value] = expected.get(value, 0.0) + record.measures[0]
+        assert tree.group_by(0, 1) == expected
 
 
 class TestWarehouseGroupBy:

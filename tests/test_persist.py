@@ -403,6 +403,18 @@ def _v2_file(data, columns):
     data["meta"]["version"] = 2
 
 
+def _v3_file(data, columns):
+    # Written under the version 3 magic below.  A v3 DC-tree config still
+    # held the retired split, aggregate and capacity knobs, which the
+    # current DCTreeConfig would reject with a bare TypeError.
+    data["meta"]["version"] = 3
+    if data["meta"]["backend"] == "dc-tree":
+        data["index"]["config"].update(
+            split_algorithm="quadratic", use_materialized_aggregates=True,
+            capacity_mode="entries",
+        )
+
+
 _DAMAGE = {
     "short column": (_short_column, "holds 6 values, column 0 holds 7"),
     "extra column": (_extra_column, "record columns, expected"),
@@ -411,6 +423,7 @@ _DAMAGE = {
     "unknown leaf id": (_unknown_leaf_id, "not a level-0 value"),
     "inner-level id": (_inner_level_id, "not a level-0 value"),
     "framed v2 file": (_v2_file, repr(CHECKPOINT_MAGIC)),
+    "framed v3 file": (_v3_file, repr(CHECKPOINT_MAGIC)),
 }
 
 
@@ -424,8 +437,9 @@ def test_damaged_leaf_columns_rejected(backend, damage, tmp_path):
     data = warehouse_to_dict(build_warehouse(backend))
     mutate(data, _leaf_columns(data))
     raw = encode_checkpoint(data)
-    if data["meta"]["version"] == 2:
-        raw = b"DCWH002\n" + raw[len(CHECKPOINT_MAGIC):]
+    version = data["meta"]["version"]
+    if version != FORMAT_VERSION:
+        raw = b"DCWH%03d\n" % version + raw[len(CHECKPOINT_MAGIC):]
     path = str(tmp_path / "wh.json")
     _write(path, raw)
     with pytest.raises(StorageError, match=re.escape(detail)):

@@ -119,30 +119,6 @@ class TestSplitPreconditions:
             split_mod.hierarchy_split(mixed, 0, hierarchies)
 
 
-class TestLinearSplit:
-    def test_partitions_all_indices(self, city_mdss):
-        _schema, hierarchies, _records, mdss = city_mdss
-        (group_a, group_b), _cost = split_mod.linear_split(
-            mdss, 0, hierarchies
-        )
-        assert sorted(group_a + group_b) == list(range(len(mdss)))
-
-    def test_min_group_respected(self, city_mdss):
-        _schema, hierarchies, _records, mdss = city_mdss
-        (group_a, group_b), _cost = split_mod.linear_split(
-            mdss, 0, hierarchies, min_group=3
-        )
-        assert min(len(group_a), len(group_b)) >= 3
-
-    def test_cheaper_than_quadratic(self, city_mdss):
-        _schema, hierarchies, _records, mdss = city_mdss
-        _groups, quadratic_cost = split_mod.hierarchy_split(
-            mdss, 0, hierarchies
-        )
-        _groups, linear_cost = split_mod.linear_split(mdss, 0, hierarchies)
-        assert linear_cost < quadratic_cost
-
-
 class TestDimensionOrder:
     def test_highest_level_first(self):
         mds = MDS([{1}, {2}], [2, 0])
