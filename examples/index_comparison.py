@@ -11,15 +11,7 @@ Run with:  python examples/index_comparison.py [n_records]
 import sys
 import time
 
-from repro import (
-    CostModel,
-    DCTree,
-    FlatTable,
-    TPCDGenerator,
-    XTree,
-    make_tpcd_schema,
-)
-from repro.bench.harness import execute_query
+from repro import BACKENDS, CostModel, TPCDGenerator, Warehouse, make_tpcd_schema
 from repro.storage.buffer import BufferPool
 from repro.workload.queries import QueryGenerator
 
@@ -27,25 +19,21 @@ from repro.workload.queries import QueryGenerator
 def main(n_records=4000, n_queries=25):
     schema = make_tpcd_schema()
     generator = TPCDGenerator(schema, seed=1, scale_records=n_records)
-    backends = {
-        "dc-tree": DCTree(schema),
-        "x-tree": XTree(schema),
-        "scan": FlatTable(schema),
-    }
+    backends = {name: Warehouse(schema, name) for name in BACKENDS}
 
     print("building all three backends over %d records ..." % n_records)
     build_seconds = {}
-    for name, index in backends.items():
+    for name, warehouse in backends.items():
         records = TPCDGenerator(
             schema, seed=1, scale_records=n_records
         ).records(n_records)
         start = time.perf_counter()
         for record in records:
-            index.insert(record)
+            warehouse.insert_record(record)
         build_seconds[name] = time.perf_counter() - start
 
     # The paper's control: every backend gets the memory the DC-tree uses.
-    buffer_pages = max(16, backends["dc-tree"].page_count() // 4)
+    buffer_pages = max(16, backends["dc-tree"].index.page_count() // 4)
     model = CostModel()
 
     print("\nbuffer budget: %d pages (25%% of the DC-tree)\n" % buffer_pages)
@@ -58,20 +46,20 @@ def main(n_records=4000, n_queries=25):
         )
         print("selectivity %.0f%%" % (selectivity * 100))
         print(header)
-        for name, index in backends.items():
-            index.tracker.buffer = BufferPool(buffer_pages)
-            index.tracker.reset()
+        for name, warehouse in backends.items():
+            warehouse.tracker.buffer = BufferPool(buffer_pages)
+            warehouse.tracker.reset()
             start = time.perf_counter()
             for query in queries:
-                execute_query(name, index, query)
+                warehouse.execute(query)
             wall = (time.perf_counter() - start) / n_queries
-            stats = index.tracker.snapshot()
+            stats = warehouse.tracker.snapshot()
             print(
                 "%-10s %10.2f %12d %12.1f %12.4f %14.2f"
                 % (
                     name,
                     build_seconds[name],
-                    index.page_count(),
+                    warehouse.index.page_count(),
                     stats.buffer_misses / n_queries,
                     stats.simulated_seconds(model) / n_queries,
                     wall * 1e3,

@@ -226,7 +226,7 @@ class MaterializedAggregateView:
                 "query level(s) %r below view granularity %r"
                 % (range_mds.levels, self.levels)
             )
-        measure_index = self._measure_index(measure)
+        measure_index = self.schema.measure_index(measure)
         aggregator = StreamingAggregator(op, measure_index)
         self.tracker.access_node(self._base_page, self.page_count())
         for key, cell in self._cells.items():
@@ -246,13 +246,6 @@ class MaterializedAggregateView:
             ):
                 return False
         return True
-
-    def _measure_index(self, measure):
-        if isinstance(measure, str):
-            return self.schema.measure_index(measure)
-        if not 0 <= measure < self.schema.n_measures:
-            raise QueryError("measure index %r out of range" % (measure,))
-        return measure
 
     # ------------------------------------------------------------------
     # footprint

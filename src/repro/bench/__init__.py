@@ -8,8 +8,6 @@ from .harness import (
     QueryMeasurement,
     SweepResult,
     cached_sweep,
-    execute_query,
-    make_backend,
     run_combined_sweep,
 )
 from .regression import (
@@ -33,7 +31,5 @@ __all__ = [
     "QueryMeasurement",
     "SweepResult",
     "cached_sweep",
-    "execute_query",
-    "make_backend",
     "run_combined_sweep",
 ]

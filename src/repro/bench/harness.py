@@ -18,13 +18,11 @@ import time
 
 from ..config import CostModel, DCTreeConfig, StorageConfig, XTreeConfig
 from ..core.stats import collect_stats
-from ..core.tree import DCTree
-from ..scan.table import FlatTable
 from ..storage.buffer import BufferPool
 from ..tpcd.generator import TPCDGenerator
 from ..tpcd.schema import make_tpcd_schema
+from ..warehouse import Warehouse
 from ..workload.queries import QueryGenerator
-from ..xtree.tree import XTree
 
 #: Checkpoint sizes of the paper's sweep (Figs. 11-13).
 PAPER_SIZES = (10000, 20000, 30000)
@@ -91,25 +89,6 @@ class SweepResult:
         raise KeyError("no checkpoint at %d records" % n_records)
 
 
-def make_backend(name, schema, dc_config=None, x_config=None,
-                 storage_config=None):
-    """Instantiate one index backend over ``schema``."""
-    if name == "dc-tree":
-        return DCTree(schema, config=dc_config, storage_config=storage_config)
-    if name == "x-tree":
-        return XTree(schema, config=x_config, storage_config=storage_config)
-    if name == "scan":
-        return FlatTable(schema, storage_config=storage_config)
-    raise ValueError("unknown backend %r" % name)
-
-
-def execute_query(backend_name, index, query, op="sum"):
-    """Run one :class:`RangeQuery` against any backend."""
-    if backend_name == "x-tree":
-        return index.range_query(query.to_mbr(), query.predicate(), op=op)
-    return index.range_query(query.mds, op=op)
-
-
 def run_combined_sweep(
     sizes=PAPER_SIZES,
     selectivities=PAPER_SELECTIVITIES,
@@ -138,9 +117,10 @@ def run_combined_sweep(
 
     schema = make_tpcd_schema()
     generator = TPCDGenerator(schema, seed=seed, scale_records=sizes[-1])
-    indexes = {
-        name: make_backend(name, schema, dc_config, x_config,
-                           StorageConfig(buffer_pages=0))
+    configs = {"dc-tree": dc_config, "x-tree": x_config}
+    warehouses = {
+        name: Warehouse(schema, name, configs.get(name),
+                        StorageConfig(buffer_pages=0))
         for name in backends
     }
     result = SweepResult(sizes, selectivities, n_queries, backends, seed)
@@ -154,16 +134,16 @@ def run_combined_sweep(
         inserted = checkpoint_size
         note("inserting up to %d records" % checkpoint_size)
         for name in backends:
-            index = indexes[name]
+            warehouse = warehouses[name]
             # Inserts run against an unconstrained buffer; query phases
             # swap in the equalized pool, so restore + reset here.
-            index.tracker.buffer = BufferPool(0)
-            index.tracker.reset()
+            warehouse.tracker.buffer = BufferPool(0)
+            warehouse.tracker.reset()
             start = time.perf_counter()
             for record in batch:
-                index.insert(record)
+                warehouse.insert_record(record)
             insert_wall[name] += time.perf_counter() - start
-            stats = index.tracker.snapshot()
+            stats = warehouse.tracker.snapshot()
             insert_ios[name] += stats.page_ios
             insert_cpu[name] += stats.cpu_units
 
@@ -178,10 +158,10 @@ def run_combined_sweep(
             )
 
         if "dc-tree" in backends:
-            point.dc_stats = collect_stats(indexes["dc-tree"])
+            point.dc_stats = collect_stats(warehouses["dc-tree"].index)
 
         buffer_pages = _query_buffer_pages(
-            indexes, backends, buffer_fraction
+            warehouses, backends, buffer_fraction
         )
         for selectivity in selectivities:
             note(
@@ -195,29 +175,31 @@ def run_combined_sweep(
             )
             for name in backends:
                 point.queries[(name, selectivity)] = _measure_queries(
-                    name, indexes[name], queries, buffer_pages, model
+                    warehouses[name], queries, buffer_pages, model
                 )
         result.checkpoints.append(point)
     return result
 
 
-def _query_buffer_pages(indexes, backends, buffer_fraction):
+def _query_buffer_pages(warehouses, backends, buffer_fraction):
     """The equalized buffer budget (pages) for the query phases."""
     if "dc-tree" in backends:
-        reference = indexes["dc-tree"].page_count()
+        reference = warehouses["dc-tree"].index.page_count()
     else:
-        reference = max(indexes[name].page_count() for name in backends)
+        reference = max(
+            warehouses[name].index.page_count() for name in backends
+        )
     return max(16, int(reference * buffer_fraction))
 
 
-def _measure_queries(backend_name, index, queries, buffer_pages, model):
+def _measure_queries(warehouse, queries, buffer_pages, model):
     """Run one query batch; return per-query averages."""
-    tracker = index.tracker
+    tracker = warehouse.tracker
     tracker.buffer = BufferPool(buffer_pages)
     tracker.reset()
     start = time.perf_counter()
     for query in queries:
-        execute_query(backend_name, index, query)
+        warehouse.execute(query)
     wall = time.perf_counter() - start
     stats = tracker.snapshot()
     n = len(queries)

@@ -43,7 +43,7 @@ from .query.sql import execute as execute_sql
 from .tpcd.flatfile import read_flatfile, write_flatfile
 from .tpcd.generator import TPCDGenerator
 from .tpcd.schema import make_tpcd_schema
-from .warehouse import Warehouse
+from .warehouse import BACKENDS, Warehouse
 
 
 def main(argv=None):
@@ -83,8 +83,7 @@ def _build_parser():
     load.add_argument("flatfile", help="input .tbl path")
     load.add_argument("warehouse", help="output warehouse file path")
     load.add_argument(
-        "--backend", choices=("dc-tree", "x-tree", "scan"),
-        default="dc-tree",
+        "--backend", choices=BACKENDS, default="dc-tree",
     )
     load.add_argument(
         "--batch-size", type=int, default=None, metavar="N",

@@ -151,9 +151,7 @@ class _BulkLoader:
         for record in records:
             mds.add_record(record, self.hierarchies)
             aggregate.add_record(record)
-        node.n_blocks = self._blocks_for(
-            len(records), self.config.leaf_capacity
-        )
+        node.n_blocks = self.tree._blocks_needed(node)
         self.tracker.cpu(len(records) * self.schema.n_flat_attributes)
         self.tracker.access_node(node.page_id, node.n_blocks)
         self.tracker.write_node(node.page_id, node.n_blocks)
@@ -187,14 +185,8 @@ class _BulkLoader:
         for child in children:
             self.tree._extend_with_child(mds, child)
             aggregate.add_vector(child.aggregate)
-        node.n_blocks = self._blocks_for(
-            len(children), self.config.dir_capacity
-        )
+        node.n_blocks = self.tree._blocks_needed(node)
         self.tracker.cpu(len(children) * self.schema.n_dimensions)
         self.tracker.access_node(node.page_id, node.n_blocks)
         self.tracker.write_node(node.page_id, node.n_blocks)
         return node
-
-    @staticmethod
-    def _blocks_for(n_entries, capacity):
-        return max(1, -(-n_entries // capacity))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from ..storage import page as page_mod
+
 
 class LevelStats:
     """Aggregated statistics for one depth of the tree (root = depth 0)."""
@@ -76,6 +78,46 @@ class TreeStats:
             self.n_nodes,
             self.n_records,
         )
+
+
+class TreeFootprint:
+    """Height, bytes and pages of a tree, over the node protocol that
+    :func:`collect_stats` walks (``is_leaf``, ``children``,
+    ``byte_size(n_flat, n_measures)``).
+
+    Mixed into the DC-tree and the X-tree, which supply ``root``,
+    ``schema`` and ``tracker``.  Nothing is charged.
+    """
+
+    def height(self):
+        """Number of levels, counting the root as 1."""
+        levels = 1
+        node = self.root
+        while not node.is_leaf:
+            levels += 1
+            node = node.children[0]
+        return levels
+
+    def byte_size(self):
+        """Approximate on-disk footprint of the whole tree in bytes."""
+        return sum(self._node_bytes())
+
+    def page_count(self):
+        """Pages occupied at the configured page size."""
+        page_size = self.tracker.config.page_size
+        return sum(
+            page_mod.pages_for(size, page_size) for size in self._node_bytes()
+        )
+
+    def _node_bytes(self):
+        n_flat = self.schema.n_flat_attributes
+        n_measures = self.schema.n_measures
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node.byte_size(n_flat, n_measures)
+            if not node.is_leaf:
+                stack.extend(node.children)
 
 
 def collect_stats(tree):

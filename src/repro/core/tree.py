@@ -29,13 +29,13 @@ from ..cube.aggregation import (
 )
 from ..errors import QueryError, RecordNotFoundError, TreeError
 from ..obs import ExplainResult, Observability, ProfileSession, QueryProfile
-from ..storage import page as page_mod
 from ..storage.tracker import StorageTracker
 from . import mds as mds_mod
 from . import split as split_mod
 from .mds import MDS
 from .node import DCDataNode, DCDirNode
 from .result_cache import ResultCache
+from .stats import TreeFootprint
 
 
 def _observed(span, start=None, done=None):
@@ -179,7 +179,7 @@ class _BatchState:
         self.pending.pop(page_id, None)
 
 
-class DCTree:
+class DCTree(TreeFootprint):
     """A DC-tree over one :class:`~repro.cube.schema.CubeSchema`.
 
     Parameters
@@ -284,15 +284,6 @@ class DCTree:
         if self._mutation_sink is not None:
             self._mutation_sink.record_rebase(n_records)
 
-    def height(self):
-        """Number of levels, counting the root as 1."""
-        levels = 1
-        node = self._root
-        while not node.is_leaf:
-            levels += 1
-            node = node.children[0]
-        return levels
-
     def records(self):
         """Iterate over all records (no I/O accounting; test/debug aid)."""
         stack = [self._root]
@@ -302,35 +293,6 @@ class DCTree:
                 yield from node.records
             else:
                 stack.extend(node.children)
-
-    def byte_size(self):
-        """Approximate on-disk footprint of the whole tree in bytes."""
-        n_flat = self.schema.n_flat_attributes
-        n_measures = self.schema.n_measures
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            total += node.byte_size(n_flat, n_measures)
-            if not node.is_leaf:
-                stack.extend(node.children)
-        return total
-
-    def page_count(self):
-        """Pages occupied at the configured page size."""
-        page_size = self.tracker.config.page_size
-        n_flat = self.schema.n_flat_attributes
-        n_measures = self.schema.n_measures
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            total += page_mod.pages_for(
-                node.byte_size(n_flat, n_measures), page_size
-            )
-            if not node.is_leaf:
-                stack.extend(node.children)
-        return total
 
     # ------------------------------------------------------------------
     # insertion (Fig. 4)
@@ -844,7 +806,7 @@ class DCTree:
         bit-identical to the plain call (see :meth:`_answer`).
         """
         check_aggregate(op)
-        measure_index = self._measure_index(measure)
+        measure_index = self.schema.measure_index(measure)
         self._check_query_mds(range_mds)
         key = ("range", range_mds.cache_key(), op, measure_index)
         return self._answer(
@@ -927,7 +889,7 @@ class DCTree:
         materialized vectors hold all four, Fig. 7's algorithm is
         aggregate-agnostic).
         """
-        measure_index = self._measure_index(measure)
+        measure_index = self.schema.measure_index(measure)
         self._check_query_mds(range_mds)
         aggregator = StreamingAggregator("sum", measure_index)
         keep = mds_mod.record_filter(range_mds, self.hierarchies)
@@ -1026,13 +988,6 @@ class DCTree:
                 self._collect_records(child, range_mds, keep, result,
                                       depth + 1)
 
-    def _measure_index(self, measure):
-        if isinstance(measure, str):
-            return self.schema.measure_index(measure)
-        if not 0 <= measure < self.schema.n_measures:
-            raise QueryError("measure index %r out of range" % (measure,))
-        return measure
-
     def _check_query_mds(self, range_mds):
         if range_mds.n_dimensions != self.schema.n_dimensions:
             raise QueryError(
@@ -1090,7 +1045,7 @@ class DCTree:
         checked before anything is charged or looked up.
         """
         check_aggregate(op)
-        measure_index = self._measure_index(measure)
+        measure_index = self.schema.measure_index(measure)
         if not 0 <= dim_index < self.schema.n_dimensions:
             raise QueryError("dimension index %r out of range" % (dim_index,))
         hierarchy = self.hierarchies[dim_index]

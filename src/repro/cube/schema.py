@@ -10,7 +10,7 @@ instances.
 
 from __future__ import annotations
 
-from ..errors import SchemaError
+from ..errors import QueryError, SchemaError
 from .hierarchy import ConceptHierarchy
 from .record import DataRecord
 
@@ -127,12 +127,21 @@ class CubeSchema:
         except KeyError:
             raise SchemaError("unknown dimension %r" % name) from None
 
-    def measure_index(self, name):
-        """Position of the measure called ``name``."""
-        try:
-            return self._measure_index[name]
-        except KeyError:
-            raise SchemaError("unknown measure %r" % name) from None
+    def measure_index(self, measure):
+        """Position of a measure given by name or by index.
+
+        The one resolver every backend and the warehouse use: an unknown
+        name raises :class:`SchemaError`, an index outside
+        ``0 <= measure < n_measures`` raises :class:`QueryError`.
+        """
+        if isinstance(measure, str):
+            try:
+                return self._measure_index[measure]
+            except KeyError:
+                raise SchemaError("unknown measure %r" % measure) from None
+        if not 0 <= measure < self.n_measures:
+            raise QueryError("measure index %r out of range" % (measure,))
+        return measure
 
     def hierarchy(self, dim_index):
         """Concept hierarchy of the dimension at ``dim_index``."""

@@ -168,9 +168,7 @@ class PartitionedWarehouse:
                 "expected a RangeQuery, got %r" % type(range_query).__name__
             )
         aggregator = StreamingAggregator(
-            op,
-            self.schema.measure_index(measure)
-            if isinstance(measure, str) else measure,
+            op, self.schema.measure_index(measure)
         )
         for key, tree in self._partitions.items():
             if not self._key_overlaps(key, range_query.mds):

@@ -187,10 +187,12 @@ class DurableWarehouse:
 
     def insert(self, dimension_values, measures):
         """Insert one cell from label tuples; durable once returned."""
+        self._require_open()
         return self.warehouse.insert(dimension_values, measures)
 
     def insert_record(self, record):
         """Insert an already-built record; durable once returned."""
+        self._require_open()
         return self.warehouse.insert_record(record)
 
     def insert_many(self, rows):
@@ -200,15 +202,18 @@ class DurableWarehouse:
         record (one fsync per acknowledged batch at
         ``wal_fsync_interval=1``).  Durable once returned; a crash
         before the return loses the entire batch, never part of it."""
+        self._require_open()
         return self.warehouse.insert_many(rows)
 
     def insert_records(self, records):
         """Batch variant of :meth:`insert_record` (see
         :meth:`insert_many` for the durability semantics)."""
+        self._require_open()
         return self.warehouse.insert_records(records)
 
     def delete(self, record):
         """Delete one record; durable once returned."""
+        self._require_open()
         self.warehouse.delete(record)
 
     def __len__(self):
@@ -216,6 +221,7 @@ class DurableWarehouse:
 
     def checkpoint(self):
         """Fold the WAL into a fresh atomic checkpoint and truncate it."""
+        self._require_open()
         obs = self.warehouse.index.observability
         if obs is None:
             return self._checkpoint_impl()
@@ -239,8 +245,18 @@ class DurableWarehouse:
         # acknowledged to the caller.
         self.checkpoint()
 
+    def _require_open(self):
+        # A closed session has no log to make a mutation durable, so it
+        # refuses every mutation and checkpoint instead of applying one
+        # in memory only.
+        if self.wal is None:
+            raise StorageError("durable session %s is closed" % self.directory)
+
     def close(self):
-        """Detach the sink and close the log (the WAL stays replayable)."""
+        """Detach the sink and close the log (the WAL stays replayable).
+
+        Afterwards the session's mutators and :meth:`checkpoint` raise
+        :class:`StorageError`."""
         if self.warehouse is not None:
             self.warehouse.index.set_mutation_sink(None)
         if self.wal is not None:

@@ -62,23 +62,6 @@ class RecoveryReport:
     def applied_total(self):
         return self.applied_inserts + self.applied_deletes
 
-    def to_dict(self):
-        """The report as one plain dict (CLI/CI artifact friendly)."""
-        return {
-            slot: getattr(self, slot)
-            for slot in (
-                "checkpoint_path", "wal_path", "checkpoint_ok",
-                "checkpoint_error", "checkpoint_lsn",
-                "records_at_checkpoint", "wal_records_seen",
-                "applied_inserts", "applied_batches", "applied_deletes",
-                "skipped_stale",
-                "failed_deletes", "torn_tail", "wal_error",
-                "stopped_at_rebase", "validated", "validation_error",
-                "n_records", "last_lsn", "wal_bytes_scanned",
-                "checkpoint_age_seconds",
-            )
-        }
-
     def publish_metrics(self, registry, prefix="recovery"):
         """Export the audit as gauges into a metrics registry.
 

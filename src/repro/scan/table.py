@@ -96,7 +96,7 @@ class FlatTable:
 
     def range_query(self, range_mds, op="sum", measure=0):
         """Aggregate over the records covered by ``range_mds``."""
-        measure_index = self._measure_index(measure)
+        measure_index = self.schema.measure_index(measure)
         aggregator = StreamingAggregator(op, measure_index)
         for record in self._scan(range_mds):
             aggregator.add_record(record)
@@ -126,10 +126,3 @@ class FlatTable:
             self.tracker.access_node(
                 (self._base_page, record_index // self._records_per_page)
             )
-
-    def _measure_index(self, measure):
-        if isinstance(measure, str):
-            return self.schema.measure_index(measure)
-        if not 0 <= measure < self.schema.n_measures:
-            raise QueryError("measure index %r out of range" % (measure,))
-        return measure

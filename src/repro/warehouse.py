@@ -27,8 +27,28 @@ from .tpcd.schema import make_tpcd_schema
 from .workload.queries import RangeQuery, query_from_labels
 from .xtree.tree import XTree
 
+
+def _mds_args(range_query):
+    return (range_query.mds,)
+
+
+def _mbr_args(range_query):
+    # The X-tree indexes flattened points: it navigates by the query's
+    # MBR and filters its leaves with the exact predicate (§5.2).
+    return (range_query.to_mbr(), range_query.predicate())
+
+
+#: backend name -> (index class, config class or None, query arguments).
+#: The one place that knows which backends exist, how each is built and
+#: how a :class:`RangeQuery` reaches its ``range_query``/``range_records``.
+_BACKENDS = {
+    "dc-tree": (DCTree, DCTreeConfig, _mds_args),
+    "x-tree": (XTree, XTreeConfig, _mbr_args),
+    "scan": (FlatTable, None, _mds_args),
+}
+
 #: The selectable index backends.
-BACKENDS = ("dc-tree", "x-tree", "scan")
+BACKENDS = tuple(_BACKENDS)
 
 
 class Warehouse:
@@ -56,20 +76,16 @@ class Warehouse:
                 "unknown backend %r (choose from %s)"
                 % (backend, ", ".join(BACKENDS))
             )
-        self.schema = schema
-        self.backend = backend
-        if backend == "dc-tree":
-            if config is not None and not isinstance(config, DCTreeConfig):
-                raise SchemaError("dc-tree backend needs a DCTreeConfig")
-            self.index = DCTree(schema, config=config,
-                                storage_config=storage_config)
-        elif backend == "x-tree":
-            if config is not None and not isinstance(config, XTreeConfig):
-                raise SchemaError("x-tree backend needs an XTreeConfig")
-            self.index = XTree(schema, config=config,
-                               storage_config=storage_config)
-        else:
-            self.index = FlatTable(schema, storage_config=storage_config)
+        index_class, config_class, _ = _BACKENDS[backend]
+        options = {"storage_config": storage_config}
+        if config_class is not None:
+            if config is not None and not isinstance(config, config_class):
+                raise SchemaError(
+                    "%s backend needs a config of type %s, got %s"
+                    % (backend, config_class.__name__, type(config).__name__)
+                )
+            options["config"] = config
+        self._bind(backend, index_class(schema, **options))
 
     @classmethod
     def tpcd(cls, backend="dc-tree", config=None, storage_config=None):
@@ -81,22 +97,20 @@ class Warehouse:
         """Wrap an existing index (e.g. a bulk-loaded or deserialized
         tree) in a warehouse facade; the backend is inferred from the
         index type."""
-        if isinstance(index, DCTree):
-            backend = "dc-tree"
-        elif isinstance(index, XTree):
-            backend = "x-tree"
-        elif isinstance(index, FlatTable):
-            backend = "scan"
-        else:
-            raise SchemaError(
-                "cannot wrap %r as a warehouse backend"
-                % type(index).__name__
-            )
-        warehouse = cls.__new__(cls)
-        warehouse.schema = index.schema
-        warehouse.backend = backend
-        warehouse.index = index
-        return warehouse
+        for backend, (index_class, _, _) in _BACKENDS.items():
+            if isinstance(index, index_class):
+                warehouse = cls.__new__(cls)
+                warehouse._bind(backend, index)
+                return warehouse
+        raise SchemaError(
+            "cannot wrap %r as a warehouse backend" % type(index).__name__
+        )
+
+    def _bind(self, backend, index):
+        self.schema = index.schema
+        self.backend = backend
+        self.index = index
+        self._query_args = _BACKENDS[backend][2]
 
     # ------------------------------------------------------------------
     # updates
@@ -176,12 +190,9 @@ class Warehouse:
             return self.index.range_query(
                 range_query.mds, op=op, measure=measure, explain=True
             )
-        if self.backend == "x-tree":
-            return self.index.range_query(
-                range_query.to_mbr(), range_query.predicate(),
-                op=op, measure=measure,
-            )
-        return self.index.range_query(range_query.mds, op=op, measure=measure)
+        return self.index.range_query(
+            *self._query_args(range_query), op=op, measure=measure
+        )
 
     def _require_explain_backend(self):
         if self.backend != "dc-tree":
@@ -204,10 +215,7 @@ class Warehouse:
         range_query = query_from_labels(self.schema, where or {})
         if self.backend == "dc-tree":
             return self.index.range_summary(range_query.mds, measure=measure)
-        measure_index = (
-            self.schema.measure_index(measure)
-            if isinstance(measure, str) else measure
-        )
+        measure_index = self.schema.measure_index(measure)
         summary = MeasureSummary()
         for record in self.records_matching(range_query):
             summary.add_value(record.measures[measure_index])
@@ -276,10 +284,7 @@ class Warehouse:
         elif explain:
             self._require_explain_backend()
         else:
-            measure_index = (
-                self.schema.measure_index(measure)
-                if isinstance(measure, str) else measure
-            )
+            measure_index = self.schema.measure_index(measure)
             for record in self.records_matching(range_query):
                 value = record.value_at_level(dim_index, level)
                 label = hierarchy.label(value)
@@ -292,11 +297,7 @@ class Warehouse:
     def records_matching(self, range_query):
         """The records matching a prepared query."""
         self._check_query(range_query)
-        if self.backend == "x-tree":
-            return self.index.range_records(
-                range_query.to_mbr(), range_query.predicate()
-            )
-        return self.index.range_records(range_query.mds)
+        return self.index.range_records(*self._query_args(range_query))
 
     def _check_query(self, range_query):
         if not isinstance(range_query, RangeQuery):

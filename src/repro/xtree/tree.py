@@ -15,16 +15,16 @@ keeps all backends returning identical answers).
 from __future__ import annotations
 
 from ..config import XTreeConfig
+from ..core.stats import TreeFootprint
 from ..cube.aggregation import StreamingAggregator
 from ..errors import QueryError, RecordNotFoundError, TreeError
-from ..storage import page as page_mod
 from ..storage.tracker import StorageTracker
 from . import split as split_mod
 from .mbr import MBR
 from .node import XDataNode, XDirNode
 
 
-class XTree:
+class XTree(TreeFootprint):
     """An X-tree over the flattened attribute space of a cube schema."""
 
     def __init__(self, schema, config=None, tracker=None, storage_config=None):
@@ -53,14 +53,6 @@ class XTree:
     def root(self):
         return self._root
 
-    def height(self):
-        levels = 1
-        node = self._root
-        while not node.is_leaf:
-            levels += 1
-            node = node.children[0]
-        return levels
-
     def records(self):
         """Iterate over all records (test/debug aid, no I/O accounting)."""
         stack = [self._root]
@@ -71,31 +63,6 @@ class XTree:
                     yield record
             else:
                 stack.extend(node.children)
-
-    def byte_size(self):
-        n_measures = self.schema.n_measures
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            total += node.byte_size(self.n_flat, n_measures)
-            if not node.is_leaf:
-                stack.extend(node.children)
-        return total
-
-    def page_count(self):
-        page_size = self.tracker.config.page_size
-        n_measures = self.schema.n_measures
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            total += page_mod.pages_for(
-                node.byte_size(self.n_flat, n_measures), page_size
-            )
-            if not node.is_leaf:
-                stack.extend(node.children)
-        return total
 
     # ------------------------------------------------------------------
     # insertion
@@ -249,7 +216,7 @@ class XTree:
         (used for the exact MDS semantics); ``None`` means the box itself
         is the query.
         """
-        measure_index = self._measure_index(measure)
+        measure_index = self.schema.measure_index(measure)
         self._check_query_mbr(range_mbr)
         aggregator = StreamingAggregator(op, measure_index)
         self._query_node(self._root, range_mbr, predicate, aggregator)
@@ -294,13 +261,6 @@ class XTree:
         for child in node.children:
             if range_mbr.intersects(child.mbr):
                 self._query_node(child, range_mbr, predicate, aggregator)
-
-    def _measure_index(self, measure):
-        if isinstance(measure, str):
-            return self.schema.measure_index(measure)
-        if not 0 <= measure < self.schema.n_measures:
-            raise QueryError("measure index %r out of range" % (measure,))
-        return measure
 
     def _check_query_mbr(self, range_mbr):
         if range_mbr.n_dimensions != self.n_flat:

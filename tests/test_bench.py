@@ -85,12 +85,6 @@ class TestFigureRows:
 
 
 class TestHelpers:
-    def test_make_backend_unknown(self):
-        from repro import make_tpcd_schema
-
-        with pytest.raises(ValueError):
-            harness.make_backend("btree", make_tpcd_schema())
-
     def test_cached_sweep_memoizes(self):
         harness._SWEEP_CACHE.clear()
         first = harness.cached_sweep(

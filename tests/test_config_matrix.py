@@ -14,11 +14,11 @@ from repro import (
     DCTreeConfig,
     FlatTable,
     TPCDGenerator,
+    Warehouse,
     XTree,
     XTreeConfig,
     make_tpcd_schema,
 )
-from repro.bench.harness import execute_query
 from repro.workload.queries import QueryGenerator
 
 DC_CONFIGS = [
@@ -109,7 +109,7 @@ def test_x_tree_correct_under_config(dataset, config):
     tree.check_invariants()
     for query in queries:
         assert math.isclose(
-            execute_query("x-tree", tree, query),
+            Warehouse.wrap(tree).execute(query),
             oracle.range_query(query.mds),
             abs_tol=1e-4,
         )

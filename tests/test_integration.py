@@ -17,11 +17,11 @@ from repro import (
     DCTreeConfig,
     FlatTable,
     TPCDGenerator,
+    Warehouse,
     XTree,
     XTreeConfig,
     make_tpcd_schema,
 )
-from repro.bench.harness import execute_query
 from repro.workload.queries import QueryGenerator
 from tests.conftest import build_toy_schema, toy_record
 from tests.hypothesis_settings import TREE_SETTINGS
@@ -36,6 +36,10 @@ def build_all_backends(schema, records, dc_config=None, x_config=None):
         xt.insert(record)
         scan.insert(record)
     return {"dc-tree": dc, "x-tree": xt, "scan": scan}
+
+
+def execute(index, query, op="sum"):
+    return Warehouse.wrap(index).execute(query, op=op)
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +58,8 @@ class TestTPCDAgreement:
             schema, selectivity, seed=int(selectivity * 100)
         ).queries(10):
             results = [
-                execute_query(name, index, query)
-                for name, index in backends.items()
+                execute(index, query)
+                for index in backends.values()
             ]
             assert math.isclose(results[0], results[1], abs_tol=1e-4)
             assert math.isclose(results[1], results[2], abs_tol=1e-4)
@@ -65,8 +69,8 @@ class TestTPCDAgreement:
         schema, _records, backends = tpcd_backends
         for query in QueryGenerator(schema, 0.25, seed=77).queries(5):
             results = [
-                execute_query(name, index, query, op=op)
-                for name, index in backends.items()
+                execute(index, query, op=op)
+                for index in backends.values()
             ]
             if results[0] is None:
                 assert results[1] is None and results[2] is None
@@ -82,7 +86,7 @@ class TestTPCDAgreement:
             )
             for name, index in backends.items():
                 assert math.isclose(
-                    execute_query(name, index, query), expected, abs_tol=1e-4
+                    execute(index, query), expected, abs_tol=1e-4
                 ), name
 
     def test_structural_invariants(self, tpcd_backends):
@@ -99,7 +103,7 @@ class TestTPCDAgreement:
             index = backends[name]
             index.tracker.reset(clear_buffer=True)
             for query in queries:
-                execute_query(name, index, query)
+                execute(index, query)
             costs[name] = index.tracker.snapshot().node_accesses
         assert costs["dc-tree"] < costs["scan"]
 
@@ -122,8 +126,8 @@ class TestDynamicUpdates:
             if i % 50 == 49:
                 query = query_gen.query()
                 results = [
-                    execute_query(name, index, query)
-                    for name, index in backends.items()
+                    execute(index, query)
+                    for index in backends.values()
                 ]
                 assert math.isclose(results[0], results[1], abs_tol=1e-4)
                 assert math.isclose(results[1], results[2], abs_tol=1e-4)
@@ -156,8 +160,8 @@ def test_property_three_backends_one_answer(rows, seed):
     )
     for query in QueryGenerator(schema, 0.5, seed=seed).queries(4):
         results = [
-            execute_query(name, index, query)
-            for name, index in backends.items()
+            execute(index, query)
+            for index in backends.values()
         ]
         assert math.isclose(results[0], results[1], abs_tol=1e-6)
         assert math.isclose(results[1], results[2], abs_tol=1e-6)

@@ -17,7 +17,7 @@ from repro import (
     Warehouse,
 )
 from repro.core.bulkload import bulk_load
-from repro.errors import QueryError
+from repro.errors import QueryError, SchemaError
 from repro.persist import warehouse_from_dict, warehouse_to_dict
 from repro.workload.queries import query_from_labels
 
@@ -93,6 +93,38 @@ class TestPerMeasureQueries:
         assert units.aggregate("max") == 60.0
 
 
+_DE = {"Store": ("Country", ["DE"])}
+_ASK = {
+    "query": lambda w, measure: w.query("sum", measure=measure, where=_DE),
+    "summary": lambda w, measure: [
+        w.summary(measure=measure, where=_DE).aggregate(op)
+        for op in ("sum", "count", "min", "max")
+    ],
+    "group_by": lambda w, measure: w.group_by(
+        "Product", "Category", measure=measure, where=_DE
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_ASK))
+@pytest.mark.parametrize("backend", ["dc-tree", "x-tree", "scan"])
+def test_measure_argument_means_the_same_on_every_backend(backend, method):
+    ask = _ASK[method]
+    warehouse = Warehouse(build_sales_schema(), backend)
+    reference = Warehouse(build_sales_schema(), "dc-tree")
+    populate(warehouse)
+    populate(reference)
+    for index, name in enumerate(("Revenue", "Units", "Discount")):
+        answer = ask(warehouse, name)
+        assert ask(warehouse, index) == answer
+        assert answer == pytest.approx(ask(reference, index))
+    for measure in (3, -1):
+        with pytest.raises(QueryError):
+            ask(warehouse, measure)
+    with pytest.raises(SchemaError):
+        ask(warehouse, "Profit")
+
+
 class TestGroupByPerMeasure:
     def test_group_by_second_measure(self):
         warehouse = Warehouse(build_sales_schema())
@@ -151,7 +183,5 @@ class TestStructuresCarryAllMeasures:
     def test_wrong_measure_arity_rejected(self):
         schema = build_sales_schema()
         warehouse = Warehouse(schema)
-        from repro.errors import SchemaError
-
         with pytest.raises(SchemaError):
             warehouse.insert((("DE", "Munich"), ("Food", "Bread")), (1.0,))

@@ -307,6 +307,33 @@ def test_recovered_session_keeps_logging(tmp_path):
     assert report.applied_inserts == 1
 
 
+@pytest.mark.parametrize("call", [
+    "insert", "insert_record", "insert_many", "insert_records", "delete",
+    "checkpoint",
+])
+def test_closed_session_refuses_mutations(tmp_path, call):
+    session = DurableWarehouse.create(str(tmp_path / "closed"),
+                                      _toy_warehouse())
+    schema = session.warehouse.schema
+    stored = session.insert_many(
+        [(((country, city), (color,)), (sales,))
+         for country, city, color, sales in TOY_ROWS]
+    )
+    session.close()
+    record = toy_record(schema, "IT", "Rome", "red", 9.0)
+    row = ((("IT", "Rome"), ("red",)), (9.0,))
+    args = {
+        "insert": row, "insert_record": (record,),
+        "insert_many": ([row],), "insert_records": ([record],),
+        "delete": (stored[0],), "checkpoint": (),
+    }[call]
+    tree = session.warehouse.index
+    n_records, version = len(session), tree.tree_version
+    with pytest.raises(StorageError, match="closed"):
+        getattr(session, call)(*args)
+    assert (len(session), tree.tree_version) == (n_records, version)
+
+
 def test_unreadable_checkpoint_reports_not_raises(tmp_path):
     directory = str(tmp_path / "corrupt")
     _run_workload(directory, plan=None)
