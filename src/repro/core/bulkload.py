@@ -19,9 +19,6 @@ of once per covered record, which the `abl-bulkload` bench quantifies.
 
 from __future__ import annotations
 
-from ..cube.aggregation import AggregateVector
-from .mds import MDS
-from .node import DCDataNode, DCDirNode
 from .tree import DCTree
 
 
@@ -143,19 +140,9 @@ class _BulkLoader:
     # ------------------------------------------------------------------
 
     def _make_leaf(self, records, levels):
-        mds = MDS.empty(levels)
-        aggregate = AggregateVector(self.schema.n_measures)
-        node = DCDataNode(
-            mds, aggregate, self.tracker.new_page_id(), records=list(records)
-        )
-        for record in records:
-            mds.add_record(record, self.hierarchies)
-            aggregate.add_record(record)
-        node.n_blocks = self.tree._blocks_needed(node)
-        self.tracker.cpu(len(records) * self.schema.n_flat_attributes)
-        self.tracker.access_node(node.page_id, node.n_blocks)
-        self.tracker.write_node(node.page_id, node.n_blocks)
-        return node
+        node = self.tree._new_node(levels, records=list(records))
+        n_flat = self.schema.n_flat_attributes
+        return self._written(node, len(records) * n_flat)
 
     def _assemble(self, children, levels):
         """Stack ``children`` under directory nodes at ``levels``.
@@ -177,16 +164,12 @@ class _BulkLoader:
         return self._make_dir(children, levels)
 
     def _make_dir(self, children, levels):
-        mds = MDS.empty(levels)
-        aggregate = AggregateVector(self.schema.n_measures)
-        node = DCDirNode(
-            mds, aggregate, self.tracker.new_page_id(), children=list(children)
-        )
-        for child in children:
-            self.tree._extend_with_child(mds, child)
-            aggregate.add_vector(child.aggregate)
-        node.n_blocks = self.tree._blocks_needed(node)
-        self.tracker.cpu(len(children) * self.schema.n_dimensions)
+        node = self.tree._new_node(levels, children=list(children))
+        return self._written(node, len(children) * self.schema.n_dimensions)
+
+    def _written(self, node, cpu_units):
+        """Charge a built node's fold CPU, its access and its write."""
+        self.tracker.cpu(cpu_units)
         self.tracker.access_node(node.page_id, node.n_blocks)
         self.tracker.write_node(node.page_id, node.n_blocks)
         return node

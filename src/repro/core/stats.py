@@ -83,11 +83,26 @@ class TreeStats:
 class TreeFootprint:
     """Height, bytes and pages of a tree, over the node protocol that
     :func:`collect_stats` walks (``is_leaf``, ``children``,
-    ``byte_size(n_flat, n_measures)``).
+    ``entry_count``, ``byte_size(n_flat, n_measures)``), and the
+    capacity rule of both trees.
 
     Mixed into the DC-tree and the X-tree, which supply ``root``,
-    ``schema`` and ``tracker``.  Nothing is charged.
+    ``schema``, ``config`` and ``tracker``.  Nothing is charged.
     """
+
+    def _blocks_needed(self, node):
+        """Blocks the node's entries fill at one capacity per block.
+
+        The capacity rule of both trees (§4.2, ``capacity × blocks``): a
+        node is overfull when this exceeds its ``n_blocks``, a fresh
+        node gets exactly this many, and a DC-tree supernode that lost
+        entries shrinks to it.
+        """
+        base = (
+            self.config.leaf_capacity if node.is_leaf
+            else self.config.dir_capacity
+        )
+        return max(1, -(-node.entry_count // base))
 
     def height(self):
         """Number of levels, counting the root as 1."""

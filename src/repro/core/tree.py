@@ -202,7 +202,11 @@ class DCTree(TreeFootprint):
         else:
             self.tracker = StorageTracker(storage_config)
         self._n_records = 0
-        self._root = self._new_data_node(MDS.all_mds(self.hierarchies))
+        self._root = DCDataNode(
+            MDS.all_mds(self.hierarchies),
+            AggregateVector(schema.n_measures),
+            self.tracker.new_page_id(),
+        )
         self._tree_version = 0
         self._batch = None
         self._mutation_sink = None
@@ -482,36 +486,58 @@ class DCTree(TreeFootprint):
 
     def _grow_root(self, split_pair):
         """Install a new root above a split root (tree grows by one level)."""
-        old_mds = self._root.mds
-        new_root = DCDirNode(
-            MDS(
-                [set(old_mds.value_set(d)) for d in range(old_mds.n_dimensions)],
-                old_mds.levels,
-            ),
-            self._aggregate_of_nodes(split_pair),
-            self.tracker.new_page_id(),
-            children=list(split_pair),
-        )
+        new_root = self._new_node(self._root.mds.levels,
+                                  children=list(split_pair))
         self._root = new_root
         self.tracker.access_node(new_root.page_id, new_root.n_blocks)
         self._charge_node_write(new_root.page_id)
 
+    def _new_node(self, levels, records=None, children=None):
+        """A node over ``records`` or ``children`` on a fresh page.
+
+        Its MDS at ``levels`` and its aggregate vector come from
+        :meth:`_fold`, its block count from the capacity rule.  Charges
+        nothing: every caller charges its own CPU, access and write.
+        """
+        mds = MDS.empty(levels)
+        aggregate = AggregateVector(self.schema.n_measures)
+        page_id = self.tracker.new_page_id()
+        if children is None:
+            node = DCDataNode(mds, aggregate, page_id, records=records)
+        else:
+            node = DCDirNode(mds, aggregate, page_id, children=children)
+        self._fold(node)
+        node.n_blocks = self._blocks_needed(node)
+        return node
+
+    def _fold(self, node):
+        """Refold the node's MDS (at its current levels) and aggregate
+        vector from its records or children; charges nothing.
+
+        Children must be at least as specific as the node, so each
+        child's value sets lift to the node's levels without a subtree
+        walk.  Splits, root growth, deletes and the bulk loader all
+        build their summaries here.
+        """
+        mds = node.mds
+        node.aggregate.clear()
+        for dim in range(mds.n_dimensions):
+            mds.clear_dimension(dim)
+        if node.is_leaf:
+            for record in node.records:
+                node.aggregate.add_record(record)
+                mds.add_record(record, self.hierarchies)
+            return
+        for child in node.children:
+            node.aggregate.add_vector(child.aggregate)
+            for dim in range(mds.n_dimensions):
+                mds.update_values(
+                    dim, self._values_at(child, dim, mds.level(dim))
+                )
+
     # ------------------------------------------------------------------
     # splitting (Fig. 5) and supernode management
     # ------------------------------------------------------------------
-
-    def _blocks_needed(self, node):
-        """Blocks the node's entries fill at one capacity per block.
-
-        The one capacity rule: a node is overfull when this exceeds its
-        ``n_blocks``, a fresh split half gets exactly this many, and a
-        supernode that lost entries shrinks to it.
-        """
-        base = (
-            self.config.leaf_capacity if node.is_leaf
-            else self.config.dir_capacity
-        )
-        return max(1, -(-node.entry_count // base))
 
     @_observed("hierarchy_split", start=_split_start, done=_split_done)
     def _split_or_grow(self, node):
@@ -533,10 +559,7 @@ class DCTree(TreeFootprint):
             node.n_blocks += 1
             return None
         self.tracker.cpu(plan.cpu_units)
-        if node.is_leaf:
-            pair = self._materialize_leaf_split(node, plan)
-        else:
-            pair = self._materialize_dir_split(node, plan)
+        pair = self._materialize_split(node, plan)
         self._free_node(node.page_id, node.n_blocks)
         return pair
 
@@ -605,44 +628,19 @@ class DCTree(TreeFootprint):
                 self.tracker.cpu(len(current.children))
         return values
 
-    def _materialize_leaf_split(self, node, plan):
-        groups = plan.groups
+    def _materialize_split(self, node, plan):
+        """Build the plan's two halves on fresh pages at its levels."""
         pair = []
-        for group in groups:
-            records = [node.records[i] for i in group]
-            new_node = self._new_data_node(
-                MDS.empty(plan.levels), records=records
-            )
-            for record in records:
-                new_node.mds.add_record(record, self.hierarchies)
-                new_node.aggregate.add_record(record)
-            new_node.n_blocks = self._blocks_needed(new_node)
-            pair.append(new_node)
-        self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-        for new_node in pair:
-            self.tracker.access_node(new_node.page_id, new_node.n_blocks)
-            self._charge_node_write(new_node.page_id, new_node.n_blocks)
-        return tuple(pair)
-
-    def _materialize_dir_split(self, node, plan):
-        groups = plan.groups
-        pair = []
-        for group in groups:
+        for group in plan.groups:
+            if node.is_leaf:
+                records = [node.records[i] for i in group]
+                pair.append(self._new_node(plan.levels, records=records))
+                continue
             children = [node.children[i] for i in group]
             for child in children:
                 self._refine_child_levels(child, plan.levels)
-            group_mds = MDS.empty(plan.levels)
-            for child in children:
-                self._extend_with_child(group_mds, child)
-            new_node = DCDirNode(
-                group_mds,
-                self._aggregate_of_nodes(children),
-                self.tracker.new_page_id(),
-                children=children,
-            )
-            new_node.n_blocks = self._blocks_needed(new_node)
-            pair.append(new_node)
-        self.tracker.cpu(len(node.children) * self.schema.n_dimensions)
+            pair.append(self._new_node(plan.levels, children=children))
+        self.tracker.cpu(node.entry_count * self.schema.n_dimensions)
         for new_node in pair:
             self.tracker.access_node(new_node.page_id, new_node.n_blocks)
             self._charge_node_write(new_node.page_id, new_node.n_blocks)
@@ -662,27 +660,6 @@ class DCTree(TreeFootprint):
                 child.mds.refine_dimension(
                     dim, self._collect_values(child, dim, level), level
                 )
-
-    def _extend_with_child(self, group_mds, child):
-        """Fold a child's value sets into a group MDS being built."""
-        for dim in range(group_mds.n_dimensions):
-            group_mds.update_values(
-                dim, self._values_at(child, dim, group_mds.level(dim))
-            )
-
-    def _aggregate_of_nodes(self, nodes):
-        aggregate = AggregateVector(self.schema.n_measures)
-        for node in nodes:
-            aggregate.add_vector(node.aggregate)
-        return aggregate
-
-    def _new_data_node(self, mds, records=None):
-        return DCDataNode(
-            mds,
-            AggregateVector(self.schema.n_measures),
-            self.tracker.new_page_id(),
-            records=records,
-        )
 
     # ------------------------------------------------------------------
     # range queries (Fig. 7)
@@ -1131,16 +1108,18 @@ class DCTree(TreeFootprint):
         """Remove one record (by value); raise if it is not indexed.
 
         Every node on the deletion path refolds its MDS and aggregate
-        vector from its remaining records or children, bottom-up, so
-        coverage, minimality and exact MIN/MAX keep holding.  Empty nodes
-        are unlinked, underflowing nodes are condensed (their contents
-        reinserted, as in the R-tree), shrunk supernodes give blocks back,
-        and a root directory left with a single child is collapsed.
+        vector from its remaining records or children (:meth:`_fold`),
+        bottom-up, so coverage, minimality and exact MIN/MAX keep
+        holding.  Empty nodes are unlinked, underflowing nodes are
+        condensed (their contents reinserted, as in the R-tree), shrunk
+        supernodes give blocks back, and a root directory left with a
+        single child is collapsed.  A record that is not found changes
+        nothing, so :attr:`tree_version` stays and cached answers stand.
         """
-        self.note_mutation()
         orphans = []
         if not self._delete_from(self._root, record, orphans):
             raise RecordNotFoundError("record not found: %r" % (record,))
+        self.note_mutation()
         self._n_records -= 1
         self._collapse_root()
         for orphan in orphans:
@@ -1161,19 +1140,19 @@ class DCTree(TreeFootprint):
                 node.records.remove(record)
             except ValueError:
                 return False
-            self._recompute_leaf_summary(node)
-            self._charge_node_write(node.page_id)
-            return True
-        for child in node.children:
-            self.tracker.cpu(self.schema.n_dimensions)
-            if not mds_mod.covers_record(child.mds, record, self.hierarchies):
-                continue
-            if self._delete_from(child, record, orphans):
-                self._handle_underflow(node, child, orphans)
-                self._recompute_dir_summary(node)
-                self._charge_node_write(node.page_id)
-                return True
-        return False
+        else:
+            for child in node.children:
+                self.tracker.cpu(self.schema.n_dimensions)
+                if (mds_mod.covers_record(child.mds, record, self.hierarchies)
+                        and self._delete_from(child, record, orphans)):
+                    self._handle_underflow(node, child, orphans)
+                    break
+            else:
+                return False
+        self._fold(node)
+        self.tracker.cpu(node.entry_count * self.schema.n_dimensions)
+        self._charge_node_write(node.page_id)
+        return True
 
     def _handle_underflow(self, parent, child, orphans):
         """Unlink empty/underfull children; shrink shrunken supernodes."""
@@ -1203,24 +1182,6 @@ class DCTree(TreeFootprint):
                 orphans.extend(current.records)
             else:
                 stack.extend(current.children)
-
-    def _recompute_leaf_summary(self, node):
-        node.aggregate.clear()
-        for dim in range(node.mds.n_dimensions):
-            node.mds.clear_dimension(dim)
-        for record in node.records:
-            node.aggregate.add_record(record)
-            node.mds.add_record(record, self.hierarchies)
-        self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-
-    def _recompute_dir_summary(self, node):
-        node.aggregate.clear()
-        for dim in range(node.mds.n_dimensions):
-            node.mds.clear_dimension(dim)
-        for child in node.children:
-            node.aggregate.add_vector(child.aggregate)
-            self._extend_with_child(node.mds, child)
-        self.tracker.cpu(len(node.children) * self.schema.n_dimensions)
 
     # ------------------------------------------------------------------
     # invariants (test support)

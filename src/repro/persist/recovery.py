@@ -275,6 +275,7 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
     except OSError:
         report.checkpoint_age_seconds = None
 
+    obs = None
     if wal_path is not None:
         obs = getattr(warehouse.index, "observability", None)
         if obs is not None:
@@ -285,8 +286,6 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
                          torn_tail=report.torn_tail)
         else:
             _replay_wal(warehouse, wal_path, report, faults)
-        if obs is not None:
-            report.publish_metrics(obs.registry)
 
     try:
         _audit(warehouse, report)
@@ -294,4 +293,7 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
     except ReproError as error:
         report.validation_error = str(error)
     report.n_records = len(warehouse)
+    # Published last, so the gauges describe the finished recovery.
+    if obs is not None:
+        report.publish_metrics(obs.registry)
     return warehouse, report

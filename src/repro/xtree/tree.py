@@ -95,7 +95,7 @@ class XTree(TreeFootprint):
             # the X-tree stores no measures, so most inserts leave the
             # upper levels untouched (the asymmetry behind Fig. 11a).
             self.tracker.write_node(node.page_id)
-            if len(node.entries) > self._capacity(node):
+            if self._blocks_needed(node) > node.n_blocks:
                 return self._split_or_grow(node)
             return None
         child = self._choose_subtree(node, point)
@@ -107,7 +107,7 @@ class XTree(TreeFootprint):
             grew = True
         if grew:
             self.tracker.write_node(node.page_id)
-        if not node.is_leaf and len(node.children) > self._capacity(node):
+        if self._blocks_needed(node) > node.n_blocks:
             return self._split_or_grow(node)
         return None
 
@@ -128,11 +128,7 @@ class XTree(TreeFootprint):
         return best
 
     def _grow_root(self, split_pair):
-        new_root = XDirNode(
-            MBR.cover_of(n.mbr for n in split_pair),
-            self.tracker.new_page_id(),
-            children=list(split_pair),
-        )
+        new_root = self._new_node(children=list(split_pair))
         new_root.split_history = frozenset.intersection(
             *(n.split_history for n in split_pair)
         )
@@ -144,12 +140,24 @@ class XTree(TreeFootprint):
     # splitting
     # ------------------------------------------------------------------
 
-    def _capacity(self, node):
-        base = (
-            self.config.leaf_capacity if node.is_leaf
-            else self.config.dir_capacity
-        )
-        return base * node.n_blocks
+    def _new_node(self, entries=None, children=None):
+        """A node over ``entries`` or ``children`` on a fresh page, with
+        its minimal MBR and the capacity rule's block count; charges
+        nothing."""
+        page_id = self.tracker.new_page_id()
+        if children is None:
+            node = XDataNode(None, page_id, entries=entries)
+        else:
+            node = XDirNode(None, page_id, children=children)
+        node.mbr = self._cover(node)
+        node.n_blocks = self._blocks_needed(node)
+        return node
+
+    def _cover(self, node):
+        """The minimal MBR of a non-empty node's points or children."""
+        if node.is_leaf:
+            return MBR.cover_of(MBR.of_point(p) for p, _r in node.entries)
+        return MBR.cover_of(child.mbr for child in node.children)
 
     def _split_or_grow(self, node):
         if node.is_leaf:
@@ -176,30 +184,14 @@ class XTree(TreeFootprint):
     def _materialize_split(self, node, plan):
         history = node.split_history | {plan.dimension}
         pair = []
-        if node.is_leaf:
-            capacity = self.config.leaf_capacity
-            for group in plan.groups:
-                entries = [node.entries[i] for i in group]
-                new_node = XDataNode(
-                    MBR.cover_of(MBR.of_point(p) for p, _r in entries),
-                    self.tracker.new_page_id(),
-                    entries=entries,
-                )
-                new_node.n_blocks = max(1, -(-len(entries) // capacity))
-                new_node.split_history = history
-                pair.append(new_node)
-        else:
-            capacity = self.config.dir_capacity
-            for group in plan.groups:
-                children = [node.children[i] for i in group]
-                new_node = XDirNode(
-                    MBR.cover_of(child.mbr for child in children),
-                    self.tracker.new_page_id(),
-                    children=children,
-                )
-                new_node.n_blocks = max(1, -(-len(children) // capacity))
-                new_node.split_history = history
-                pair.append(new_node)
+        for group in plan.groups:
+            if node.is_leaf:
+                new_node = self._new_node([node.entries[i] for i in group])
+            else:
+                new_node = self._new_node(
+                    children=[node.children[i] for i in group])
+            new_node.split_history = history
+            pair.append(new_node)
         for new_node in pair:
             self.tracker.access_node(new_node.page_id, new_node.n_blocks)
             self.tracker.write_node(new_node.page_id, new_node.n_blocks)
@@ -295,9 +287,7 @@ class XTree(TreeFootprint):
                 if entry_point == point and entry_record == record:
                     del node.entries[position]
                     if node.entries:
-                        node.mbr = MBR.cover_of(
-                            MBR.of_point(p) for p, _r in node.entries
-                        )
+                        node.mbr = self._cover(node)
                     self.tracker.write_node(node.page_id)
                     return True
             return False
@@ -309,7 +299,7 @@ class XTree(TreeFootprint):
                     node.children.remove(child)
                     self.tracker.free_node(child.page_id, child.n_blocks)
                 if node.children:
-                    node.mbr = MBR.cover_of(c.mbr for c in node.children)
+                    node.mbr = self._cover(node)
                 self.tracker.write_node(node.page_id)
                 return True
         return False
@@ -329,10 +319,10 @@ class XTree(TreeFootprint):
         return total
 
     def _check_node(self, node):
-        if node.entry_count > self._capacity(node):
+        if self._blocks_needed(node) > node.n_blocks:
             raise TreeError(
-                "node overfull: %d entries, capacity %d"
-                % (node.entry_count, self._capacity(node))
+                "node overfull: %d entries in %d block(s)"
+                % (node.entry_count, node.n_blocks)
             )
         if node.is_leaf:
             if node.entries:

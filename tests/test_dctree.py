@@ -278,9 +278,17 @@ class TestDelete:
 
     def test_delete_missing_raises(self):
         schema, tree, _records = build_toy_tree()
+        query = query_from_labels(schema, {})
+        answer = tree.range_query(query.mds)
+        version = tree.tree_version
+        hits = tree.result_cache.stats().hits
         ghost = toy_record(schema, "DE", "Munich", "red", 999.0)
         with pytest.raises(RecordNotFoundError):
             tree.delete(ghost)
+        # Nothing changed, so the version stands and the cache still serves.
+        assert tree.tree_version == version
+        assert tree.range_query(query.mds) == answer
+        assert tree.result_cache.stats().hits == hits + 1
 
     def test_delete_all_then_queries_empty(self):
         schema, tree, records = build_toy_tree()

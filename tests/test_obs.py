@@ -503,6 +503,12 @@ class TestBridgesAndDurability:
             assert applied.snapshot_value() == 2
             scanned = obs.registry.get("recovery_wal_bytes_scanned")
             assert scanned.snapshot_value() == report.wal_bytes_scanned
+            # The gauges describe the finished recovery, audit included.
+            assert report.validated and report.n_records == 5
+            validated = obs.registry.get("recovery_validated")
+            assert validated.snapshot_value() == 1
+            n_records = obs.registry.get("recovery_n_records")
+            assert n_records.snapshot_value() == 5
         finally:
             recovered.close()
 
