@@ -28,7 +28,6 @@ from .core.mds import MDS
 from .core.stats import collect_stats
 from .core.tree import DCTree
 from .maintenance.batch import BatchWarehouse
-from .maintenance.partitioned import PartitionedWarehouse
 from .persist.durable import DurableWarehouse
 from .persist.io import load_warehouse, save_warehouse
 from .persist.recovery import RecoveryReport, recover_warehouse
@@ -59,7 +58,6 @@ __all__ = [
     "BACKENDS",
     "BatchWarehouse",
     "MaterializedAggregateView",
-    "PartitionedWarehouse",
     "CostModel",
     "CubeSchema",
     "DCTree",

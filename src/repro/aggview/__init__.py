@@ -1,14 +1,5 @@
-"""Static materialized aggregate views, view selection, hybrid routing."""
+"""Static materialized aggregate views, the related-work baseline ([7])."""
 
-from .advisor import (
-    ViewRecommendation,
-    candidate_levels,
-    covers,
-    estimate_cells,
-    recommend_view,
-    recommend_views,
-)
-from .hybrid import HybridWarehouse, RouterStats
 from .view import (
     MaterializedAggregateView,
     StaleViewError,
@@ -16,15 +7,7 @@ from .view import (
 )
 
 __all__ = [
-    "HybridWarehouse",
     "MaterializedAggregateView",
-    "RouterStats",
     "StaleViewError",
     "UnanswerableQueryError",
-    "ViewRecommendation",
-    "candidate_levels",
-    "covers",
-    "estimate_cells",
-    "recommend_view",
-    "recommend_views",
 ]

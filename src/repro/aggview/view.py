@@ -107,68 +107,6 @@ class MaterializedAggregateView:
         """Record that the underlying warehouse changed (static design)."""
         self._stale = True
 
-    # ------------------------------------------------------------------
-    # incremental maintenance (extension beyond [7]'s static design)
-    # ------------------------------------------------------------------
-
-    def apply_insert(self, record):
-        """Fold one inserted record into its cell — no rebuild needed.
-
-        SUM/COUNT/MIN/MAX are all insert-incremental, so the view stays
-        exact and fresh.  Only valid on a built, non-stale view.
-        """
-        self._check_maintainable()
-        key = self._cell_key(record)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = AggregateVector(self.schema.n_measures)
-            self._cells[key] = cell
-        cell.add_record(record)
-        self._n_source_records += 1
-        self.tracker.cpu(self.schema.n_dimensions)
-        self.tracker.write_node(self._base_page)
-
-    def apply_delete(self, record):
-        """Subtract one deleted record from its cell.
-
-        SUM and COUNT stay exact; MIN/MAX are only semi-invertible — when
-        the removed value was a cell's extremum the view cannot repair it
-        locally and marks itself stale (the caller rebuilds before the
-        next MIN/MAX-accurate use).  Returns True when the view stayed
-        fresh.
-        """
-        self._check_maintainable()
-        key = self._cell_key(record)
-        cell = self._cells.get(key)
-        if cell is None:
-            raise StorageError(
-                "delete of a record whose cell is not in the view: %r"
-                % (record,)
-            )
-        extrema_stale = cell.subtract_record(record)
-        if cell.count == 0:
-            del self._cells[key]
-            extrema_stale = False
-        self._n_source_records -= 1
-        self.tracker.cpu(self.schema.n_dimensions)
-        self.tracker.write_node(self._base_page)
-        if extrema_stale:
-            self._stale = True
-            return False
-        return True
-
-    def _check_maintainable(self):
-        if not self._built:
-            raise StaleViewError("view was never built")
-        if self._stale:
-            raise StaleViewError(
-                "view is stale: rebuild before applying further deltas"
-            )
-
-    @property
-    def is_stale(self):
-        return self._stale
-
     @property
     def n_cells(self):
         return len(self._cells)

@@ -61,7 +61,7 @@ def main(argv=None):
                         help="small sizes for a fast sanity run")
     parser.add_argument("--sizes", type=_parse_sizes, default=None,
                         help="comma-separated checkpoint sizes")
-    parser.add_argument("--queries", type=int, default=None,
+    parser.add_argument("--queries", type=_positive_int, default=None,
                         help="queries per measurement")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -121,8 +121,18 @@ def _run(experiment, sweep_kwargs, ablation_kwargs):
     raise ValueError("unknown experiment %r" % experiment)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _parse_sizes(text):
-    return tuple(int(part) for part in text.split(",") if part)
+    sizes = tuple(_positive_int(part) for part in text.split(",") if part)
+    if not sizes:
+        raise argparse.ArgumentTypeError("needs at least one size")
+    return sizes
 
 
 if __name__ == "__main__":

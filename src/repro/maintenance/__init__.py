@@ -1,11 +1,9 @@
-"""Warehouse operation modes: batch updates, partitioning/retention."""
+"""Warehouse operation modes: batch updates with an offline window."""
 
 from .batch import BatchWarehouse, MaintenanceStats, WarehouseOfflineError
-from .partitioned import PartitionedWarehouse
 
 __all__ = [
     "BatchWarehouse",
     "MaintenanceStats",
-    "PartitionedWarehouse",
     "WarehouseOfflineError",
 ]

@@ -18,10 +18,7 @@ case-sensitive.  Values may be single- or double-quoted (required when
 they contain spaces or punctuation).
 
 ``parse`` returns a :class:`QuerySpec`; ``execute`` runs one against a
-:class:`~repro.warehouse.Warehouse` (or anything with the same ``query``
-/ ``group_by`` methods, e.g. a
-:class:`~repro.aggview.hybrid.HybridWarehouse` for non-grouping
-queries).
+:class:`~repro.warehouse.Warehouse` of any backend.
 """
 
 from __future__ import annotations
@@ -244,14 +241,11 @@ def execute(warehouse, text, explain=False):
     """
     spec = parse(text)
     measure = spec.measure if spec.measure is not None else 0
-    # Forwarded only when asked: non-Warehouse targets (e.g. the hybrid
-    # aggview facade) need not grow an ``explain`` parameter.
-    extra = {"explain": True} if explain else {}
     if spec.group_by is not None:
         dimension, level = spec.group_by
         return warehouse.group_by(
             dimension, level, op=spec.op, measure=measure, where=spec.where,
-            **extra,
+            explain=explain,
         )
     return warehouse.query(spec.op, measure=measure, where=spec.where,
-                           **extra)
+                           explain=explain)

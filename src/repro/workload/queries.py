@@ -33,6 +33,8 @@ class RangeQuery:
                 "query MDS has %d dimensions, schema has %d"
                 % (mds.n_dimensions, schema.n_dimensions)
             )
+        if mds.is_empty():
+            raise QueryError("query MDS has an empty dimension")
         self.schema = schema
         self.mds = mds
         self._hierarchies = tuple(d.hierarchy for d in schema.dimensions)

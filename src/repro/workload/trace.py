@@ -90,8 +90,9 @@ def read_trace(path, schema):
 def replay(warehouse, queries, op="sum", measure=0):
     """Run ``queries`` in order; returns the list of results.
 
-    Works with anything exposing ``execute`` (a plain or hybrid
-    warehouse).
+    Works with anything exposing ``execute`` (a
+    :class:`~repro.warehouse.Warehouse` of any backend or a
+    :class:`~repro.maintenance.BatchWarehouse`).
     """
     results = []
     for query in queries:

@@ -144,72 +144,3 @@ class TestAggviewExperiment:
         assert view_row[1] != "100%"
         # ... and one update costs it far more than the dynamic tree.
         assert view_row[3] > tree_row[3]
-
-
-class TestIncrementalMaintenance:
-    def test_apply_insert_updates_cell(self, toy_view):
-        schema, records, view = toy_view
-        extra = toy_record(schema, "DE", "Munich", "red", 7.0)
-        view.apply_insert(extra)
-        query = query_from_labels(schema, {"Geo": ("Country", ["DE"])})
-        assert view.range_query(query.mds) == 42.0
-        assert view.n_source_records == len(records) + 1
-
-    def test_apply_insert_creates_new_cell(self, toy_view):
-        schema, _records, view = toy_view
-        extra = toy_record(schema, "JP", "Tokyo", "red", 3.0)
-        cells_before = view.n_cells
-        view.apply_insert(extra)
-        assert view.n_cells == cells_before + 1
-        query = query_from_labels(schema, {"Geo": ("Country", ["JP"])})
-        assert view.range_query(query.mds) == 3.0
-
-    def test_apply_delete_interior_value_stays_fresh(self, toy_view):
-        schema, records, view = toy_view
-        # Add a second value to the (DE, red) cell so removing the first
-        # original (10.0) keeps... 10 is the max of {10, 5}? The DE/red
-        # cell holds Munich-red 10.0 and Berlin-red 5.0; removing an
-        # interior value is impossible with two, so insert a third first.
-        view.apply_insert(toy_record(schema, "DE", "Munich", "red", 7.0))
-        fresh = view.apply_delete(
-            toy_record(schema, "DE", "Munich", "red", 7.0)
-        )
-        assert fresh
-        assert not view.is_stale
-        query = query_from_labels(schema, {"Geo": ("Country", ["DE"])})
-        assert view.range_query(query.mds) == 35.0
-
-    def test_apply_delete_extremum_marks_stale(self, toy_view):
-        schema, records, view = toy_view
-        # records[0] (Munich red 10.0) is the max of its (DE, red) cell.
-        fresh = view.apply_delete(records[0])
-        assert not fresh
-        assert view.is_stale
-        with pytest.raises(StaleViewError):
-            query = query_from_labels(schema, {})
-            view.range_query(query.mds)
-
-    def test_apply_delete_last_record_drops_cell(self, toy_view):
-        schema, records, view = toy_view
-        # records[4] (FR, Lyon, green, 3.0) is alone in its (FR, green)
-        # cell: removing it empties and drops the cell, and the view
-        # stays exact (no surviving extremum to invalidate).
-        cells_before = view.n_cells
-        fresh = view.apply_delete(records[4])
-        assert fresh
-        assert view.n_cells == cells_before - 1
-        assert not view.is_stale
-
-    def test_apply_delete_unknown_cell_rejected(self, toy_view):
-        schema, _records, view = toy_view
-        ghost = toy_record(schema, "BR", "Rio", "red", 1.0)
-        from repro.errors import StorageError
-
-        with pytest.raises(StorageError):
-            view.apply_delete(ghost)
-
-    def test_deltas_on_stale_view_rejected(self, toy_view):
-        schema, _records, view = toy_view
-        view.mark_stale()
-        with pytest.raises(StaleViewError):
-            view.apply_insert(toy_record(schema, "DE", "Munich", "red", 1.0))

@@ -30,7 +30,6 @@ from tests.differential import READ_COUNTERS, assert_same_run
 
 from repro import Warehouse
 from repro.config import DCTreeConfig
-from repro.core.debug import structure_digest
 from repro.core.stats import collect_stats
 from repro.core.tree import DCTree
 from repro.errors import TreeError
@@ -271,25 +270,3 @@ class TestBatchSemantics:
         observed.insert_batch(records)
         assert repr(plain.tracker.snapshot()) == \
             repr(observed.tracker.snapshot())
-
-    def test_partitioned_batches_per_partition(self, toy_schema):
-        from repro.maintenance.partitioned import PartitionedWarehouse
-
-        serial = PartitionedWarehouse(toy_schema, "Geo", "Country",
-                                      config=DCTreeConfig(
-                                          dir_capacity=CAPACITY,
-                                          leaf_capacity=CAPACITY))
-        batched = PartitionedWarehouse(toy_schema, "Geo", "Country",
-                                       config=DCTreeConfig(
-                                           dir_capacity=CAPACITY,
-                                           leaf_capacity=CAPACITY))
-        records = self._records(toy_schema, 60)
-        for record in records:
-            serial.insert_record(record)
-        batched.insert_records(records)
-        assert len(serial) == len(batched) == 60
-        assert serial.partition_labels() == batched.partition_labels()
-        assert serial.query("sum") == batched.query("sum")
-        for key in serial.partition_keys:
-            assert structure_digest(serial._partitions[key]) == \
-                structure_digest(batched._partitions[key])

@@ -144,6 +144,23 @@ class TestCli:
         assert "Ablation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig11a", "--queries", "0", "--sizes", "200"],
+    ["fig11a", "--sizes", "0"],
+    ["fig11a", "--sizes", "200,-5"],
+    ["fig11a", "--sizes", ","],
+])
+def test_main_rejects_bad_sizes_and_query_counts(argv, capsys):
+    from repro.bench.__main__ import main
+    from repro.cli import main as repro_main
+
+    for entry, args in ((main, argv), (repro_main, ["bench"] + argv)):
+        with pytest.raises(SystemExit) as exit_info:
+            entry(args)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestChart:
     def test_renders_markers_and_legend(self):
         from repro.bench.reporting import format_chart

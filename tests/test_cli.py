@@ -70,6 +70,18 @@ class TestQuery:
         assert "error" in capsys.readouterr().err
 
 
+def test_empty_where_list_is_an_error_on_the_x_tree(tmp_path, capsys):
+    flat = tmp_path / "cube.tbl"
+    warehouse = tmp_path / "x.wh"
+    assert main(["generate", str(flat), "--records", "40"]) == 0
+    assert main(["load", str(flat), str(warehouse),
+                 "--backend", "x-tree"]) == 0
+    capsys.readouterr()
+    code = main(["query", str(warehouse), "--where", "Customer.Region=,"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestGroupBy:
     def test_groups_partition_count(self, loaded_warehouse, capsys):
         assert main([

@@ -51,10 +51,3 @@ def test_warehouse_lifecycle():
     assert result.returncode == 0, result.stderr
     assert "bulk-loaded 500 records" in result.stdout
     assert "the loaded tree is live" in result.stdout
-
-
-def test_view_advisor():
-    result = run_example("view_advisor.py", "600")
-    assert result.returncode == 0, result.stderr
-    assert "advisor picks" in result.stdout
-    assert "via views" in result.stdout

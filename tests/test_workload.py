@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import TPCDGenerator, make_tpcd_schema
+from repro import BACKENDS, TPCDGenerator, Warehouse, make_tpcd_schema
 from repro.core.mds import MDS
 from repro.errors import QueryError
 from repro.workload.queries import QueryGenerator, RangeQuery, query_from_labels
@@ -204,3 +204,16 @@ class TestMinLevels:
         )
         with pytest.raises(QueryError):
             generator.query()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_empty_label_list_rejected_on_every_backend(backend):
+    """An empty value set describes no range: every backend refuses it
+    with the same QueryError instead of its own answer or crash."""
+    schema = build_toy_schema()
+    warehouse = Warehouse(schema, backend)
+    warehouse.insert_records([toy_record(schema, *row) for row in TOY_ROWS])
+    with pytest.raises(QueryError):
+        warehouse.query("sum", where={"Geo": ("Country", [])})
+    with pytest.raises(QueryError):
+        RangeQuery(schema, MDS([set(), {1}], [1, 0]))
