@@ -1,7 +1,6 @@
 """Command-line entry point: ``python -m repro.bench <experiment ...>``.
 
 Experiments: fig11a fig11b fig12a fig12b fig12c fig12d fig13
-             abl-capacity abl-bulkload abl-order
              motivation aggview verdict all
 
 Options:
@@ -20,25 +19,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import (
-    ablations,
-    aggview_bench,
-    bulkload_bench,
-    fig11,
-    fig12,
-    fig13,
-    motivation,
-    verdict,
-    workload_bench,
-)
+from ..cli import positive_int
+from . import aggview_bench, fig11, fig12, fig13, motivation, verdict
 
 _QUICK_SIZES = (1000, 2000, 4000)
 _QUICK_QUERIES = 20
 
 EXPERIMENTS = (
     "fig11a", "fig11b", "fig12a", "fig12b", "fig12c", "fig12d", "fig13",
-    "abl-capacity", "abl-bulkload",
-    "motivation", "aggview", "verdict", "abl-order",
+    "motivation", "aggview", "verdict",
 )
 
 
@@ -61,7 +50,7 @@ def main(argv=None):
                         help="small sizes for a fast sanity run")
     parser.add_argument("--sizes", type=_parse_sizes, default=None,
                         help="comma-separated checkpoint sizes")
-    parser.add_argument("--queries", type=_positive_int, default=None,
+    parser.add_argument("--queries", type=positive_int, default=None,
                         help="queries per measurement")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -83,18 +72,19 @@ def main(argv=None):
 
     sweep_kwargs["progress"] = _progress
 
-    ablation_kwargs = {"seed": args.seed}
+    # motivation and aggview build their own data instead of the sweep's.
+    standalone_kwargs = {"seed": args.seed}
     if args.quick:
-        ablation_kwargs["n_records"] = 2000
-        ablation_kwargs["n_queries"] = 10
+        standalone_kwargs["n_records"] = 2000
+        standalone_kwargs["n_queries"] = 10
 
     for experiment in experiments:
-        print(_run(experiment, sweep_kwargs, ablation_kwargs))
+        print(_run(experiment, sweep_kwargs, standalone_kwargs))
         print()
     return 0
 
 
-def _run(experiment, sweep_kwargs, ablation_kwargs):
+def _run(experiment, sweep_kwargs, standalone_kwargs):
     if experiment == "fig11a":
         return fig11.report_fig11a(**sweep_kwargs)
     if experiment == "fig11b":
@@ -103,33 +93,20 @@ def _run(experiment, sweep_kwargs, ablation_kwargs):
         return fig12.report_fig12(experiment[-1], **sweep_kwargs)
     if experiment == "fig13":
         return fig13.report_fig13(**sweep_kwargs)
-    if experiment == "abl-capacity":
-        return ablations.report_ablation_capacity(**ablation_kwargs)
     if experiment == "motivation":
-        kwargs = {"seed": ablation_kwargs.get("seed", 0)}
-        if "n_records" in ablation_kwargs:  # --quick
-            kwargs["n_updates"] = ablation_kwargs["n_records"]
+        kwargs = {"seed": standalone_kwargs.get("seed", 0)}
+        if "n_records" in standalone_kwargs:  # --quick
+            kwargs["n_updates"] = standalone_kwargs["n_records"]
         return motivation.report_motivation(**kwargs)
     if experiment == "aggview":
-        return aggview_bench.report_aggview(**ablation_kwargs)
-    if experiment == "abl-bulkload":
-        return bulkload_bench.report_bulkload(**ablation_kwargs)
+        return aggview_bench.report_aggview(**standalone_kwargs)
     if experiment == "verdict":
         return verdict.report_verdict(**sweep_kwargs)
-    if experiment == "abl-order":
-        return workload_bench.report_insert_order(**ablation_kwargs)
     raise ValueError("unknown experiment %r" % experiment)
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
-
-
 def _parse_sizes(text):
-    sizes = tuple(_positive_int(part) for part in text.split(",") if part)
+    sizes = tuple(positive_int(part) for part in text.split(",") if part)
     if not sizes:
         raise argparse.ArgumentTypeError("needs at least one size")
     return sizes

@@ -75,15 +75,3 @@ def report_fig12(panel, **sweep_kwargs):
     )
     return table + "\n\n" + chart
 
-
-def selectivity_profile(sweep, backend="dc-tree"):
-    """Per-selectivity per-query simulated seconds at the largest size.
-
-    Supports the paper's observation that 5 % queries are the cheapest for
-    the DC-tree (containment hit-rate vs MDS-computation trade-off).
-    """
-    point = sweep.checkpoints[-1]
-    return {
-        selectivity: point.queries[(backend, selectivity)].simulated_seconds
-        for selectivity in sweep.selectivities
-    }

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import time
 
-from ..config import CostModel, DCTreeConfig, StorageConfig, XTreeConfig
+from ..config import CostModel, StorageConfig
 from ..core.stats import collect_stats
 from ..storage.buffer import BufferPool
 from ..tpcd.generator import TPCDGenerator
 from ..tpcd.schema import make_tpcd_schema
-from ..warehouse import Warehouse
+from ..warehouse import BACKENDS, Warehouse
 from ..workload.queries import QueryGenerator
 
 #: Checkpoint sizes of the paper's sweep (Figs. 11-13).
@@ -30,6 +30,11 @@ PAPER_SIZES = (10000, 20000, 30000)
 PAPER_SELECTIVITIES = (0.01, 0.05, 0.25)
 #: Queries averaged per measurement in the paper.
 PAPER_QUERIES = 100
+#: Every backend's query-phase LRU pool, as a fraction of the DC-tree's
+#: page footprint — the paper's memory-equalization rule (§5.3: "the main
+#: memory available for the X-tree was restricted to the memory size that
+#: the DC-tree uses").
+BUFFER_FRACTION = 0.25
 
 
 class QueryMeasurement:
@@ -93,47 +98,34 @@ def run_combined_sweep(
     sizes=PAPER_SIZES,
     selectivities=PAPER_SELECTIVITIES,
     n_queries=PAPER_QUERIES,
-    backends=("dc-tree", "x-tree", "scan"),
     seed=0,
-    dc_config=None,
-    x_config=None,
-    cost_model=None,
-    buffer_fraction=0.25,
     progress=None,
 ):
     """Run the paper's full measurement protocol; return a
-    :class:`SweepResult`.
-
-    ``buffer_fraction`` sizes every backend's LRU pool to that fraction of
-    the *DC-tree's* page footprint — the paper's memory-equalization rule
-    ("the main memory available for the X-tree was restricted to the
-    memory size that the DC-tree uses").
-    """
+    :class:`SweepResult`."""
     sizes = sorted(sizes)
-    model = cost_model if cost_model is not None else CostModel()
-    dc_config = dc_config if dc_config is not None else DCTreeConfig()
-    x_config = x_config if x_config is not None else XTreeConfig()
+    model = CostModel()
     note = progress if progress is not None else (lambda message: None)
 
     schema = make_tpcd_schema()
     generator = TPCDGenerator(schema, seed=seed, scale_records=sizes[-1])
-    configs = {"dc-tree": dc_config, "x-tree": x_config}
     warehouses = {
-        name: Warehouse(schema, name, configs.get(name),
-                        StorageConfig(buffer_pages=0))
-        for name in backends
+        name: Warehouse(
+            schema, name, storage_config=StorageConfig(buffer_pages=0)
+        )
+        for name in BACKENDS
     }
-    result = SweepResult(sizes, selectivities, n_queries, backends, seed)
+    result = SweepResult(sizes, selectivities, n_queries, BACKENDS, seed)
 
     inserted = 0
-    insert_wall = {name: 0.0 for name in backends}
-    insert_ios = {name: 0 for name in backends}
-    insert_cpu = {name: 0 for name in backends}
+    insert_wall = {name: 0.0 for name in BACKENDS}
+    insert_ios = {name: 0 for name in BACKENDS}
+    insert_cpu = {name: 0 for name in BACKENDS}
     for checkpoint_size in sizes:
         batch = generator.generate(checkpoint_size - inserted)
         inserted = checkpoint_size
         note("inserting up to %d records" % checkpoint_size)
-        for name in backends:
+        for name in BACKENDS:
             warehouse = warehouses[name]
             # Inserts run against an unconstrained buffer; query phases
             # swap in the equalized pool, so restore + reset here.
@@ -148,7 +140,7 @@ def run_combined_sweep(
             insert_cpu[name] += stats.cpu_units
 
         point = Checkpoint(checkpoint_size)
-        for name in backends:
+        for name in BACKENDS:
             point.insert_seconds[name] = insert_wall[name]
             point.insert_simulated[name] = model.simulated_seconds(
                 insert_ios[name], insert_cpu[name]
@@ -157,12 +149,9 @@ def run_combined_sweep(
                 insert_wall[name] / checkpoint_size
             )
 
-        if "dc-tree" in backends:
-            point.dc_stats = collect_stats(warehouses["dc-tree"].index)
-
-        buffer_pages = _query_buffer_pages(
-            warehouses, backends, buffer_fraction
-        )
+        dc_tree = warehouses["dc-tree"].index
+        point.dc_stats = collect_stats(dc_tree)
+        buffer_pages = max(16, int(dc_tree.page_count() * BUFFER_FRACTION))
         for selectivity in selectivities:
             note(
                 "querying %d records at selectivity %.0f%%"
@@ -173,23 +162,12 @@ def run_combined_sweep(
                     schema, selectivity, seed=seed + int(selectivity * 1000)
                 ).queries(n_queries)
             )
-            for name in backends:
+            for name in BACKENDS:
                 point.queries[(name, selectivity)] = _measure_queries(
                     warehouses[name], queries, buffer_pages, model
                 )
         result.checkpoints.append(point)
     return result
-
-
-def _query_buffer_pages(warehouses, backends, buffer_fraction):
-    """The equalized buffer budget (pages) for the query phases."""
-    if "dc-tree" in backends:
-        reference = warehouses["dc-tree"].index.page_count()
-    else:
-        reference = max(
-            warehouses[name].index.page_count() for name in backends
-        )
-    return max(16, int(reference * buffer_fraction))
 
 
 def _measure_queries(warehouse, queries, buffer_pages, model):
@@ -221,7 +199,6 @@ def cached_sweep(**kwargs):
         tuple(kwargs.get("sizes", PAPER_SIZES)),
         tuple(kwargs.get("selectivities", PAPER_SELECTIVITIES)),
         kwargs.get("n_queries", PAPER_QUERIES),
-        tuple(kwargs.get("backends", ("dc-tree", "x-tree", "scan"))),
         kwargs.get("seed", 0),
     )
     if key not in _SWEEP_CACHE:

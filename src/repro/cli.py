@@ -62,6 +62,14 @@ def main(argv=None):
         return 0
 
 
+def positive_int(text):
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -73,7 +81,7 @@ def _build_parser():
         "generate", help="write a TPC-D-style flat insert file"
     )
     generate.add_argument("path", help="output .tbl path")
-    generate.add_argument("--records", type=int, default=10000)
+    generate.add_argument("--records", type=positive_int, default=10000)
     generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(handler=_cmd_generate)
 
@@ -86,10 +94,10 @@ def _build_parser():
         "--backend", choices=BACKENDS, default="dc-tree",
     )
     load.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
+        "--batch-size", type=positive_int, default=None, metavar="N",
         help="load through insert_batch in chunks of N records instead "
         "of the offline bulk loader — the dynamic-update path with "
-        "amortized page writes (any backend; N must be positive)",
+        "amortized page writes (any backend)",
     )
     load.set_defaults(handler=_cmd_load)
 
@@ -225,9 +233,6 @@ def _cmd_generate(args):
 def _cmd_load(args):
     schema, records = read_flatfile(args.flatfile)
     if args.batch_size is not None:
-        if args.batch_size <= 0:
-            print("--batch-size must be positive")
-            return 2
         warehouse = Warehouse(schema, args.backend)
         for start in range(0, len(records), args.batch_size):
             warehouse.insert_records(records[start:start + args.batch_size])
@@ -256,6 +261,11 @@ def _parse_where(clauses):
         if not (dim and level and labels):
             raise SystemExit(
                 "bad --where %r (expected DIM.LEVEL=A,B)" % clause
+            )
+        if dim in where:
+            raise SystemExit(
+                "--where constrains dimension %r twice (combine the labels "
+                "into one DIM.LEVEL=A,B clause)" % dim
             )
         where[dim] = (level, [label for label in labels.split(",") if label])
     return where

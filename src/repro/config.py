@@ -1,6 +1,6 @@
 """Tunable parameters for the index structures and the cost model.
 
-All knobs live here so experiments (and the ablation benches) can vary them
+All knobs live here so tests, benchmarks and applications can vary them
 without touching algorithm code.  Defaults follow the paper where it gives
 numbers and common X-tree/R*-tree practice where it does not.  A knob stays
 only while some caller sets it; the split (Fig. 6), the use of materialized

@@ -14,7 +14,8 @@ The result obeys every DC-tree invariant (coverage, minimality, level
 monotonicity, capacities) and is immediately updatable with ordinary
 :meth:`~repro.core.tree.DCTree.insert` / ``delete`` calls.  Compared to
 record-at-a-time insertion the bulk build touches each page once instead
-of once per covered record, which the `abl-bulkload` bench quantifies.
+of once per covered record (59x cheaper in simulated cost at 10k records,
+as measured in EXPERIMENTS.md).
 """
 
 from __future__ import annotations

@@ -30,12 +30,6 @@ class TPCDGenerator:
         Intended total number of records — sizes the customer, supplier
         and part pools with TPC-D's cardinality ratios.  Generating more
         records than this is allowed (the pools simply get denser).
-    skew:
-        0.0 (default) draws entities uniformly, as TPC-D's dbgen does.
-        Positive values skew the draws Zipf-style towards the front of
-        each pool (0.5–1.5 are realistic retail shapes): a few customers,
-        suppliers and parts dominate the line items, which is what real
-        warehouses look like and what clustering indexes profit from.
     """
 
     #: TPC-D cardinality ratios: line items per dimension entity.
@@ -43,18 +37,15 @@ class TPCDGenerator:
     RECORDS_PER_SUPPLIER = 600
     RECORDS_PER_PART = 30
 
-    def __init__(self, schema=None, seed=0, scale_records=30000, skew=0.0):
+    def __init__(self, schema=None, seed=0, scale_records=30000):
         if scale_records < 1:
             raise SchemaError("scale_records must be positive")
-        if skew < 0.0:
-            raise SchemaError("skew must be non-negative")
         self.schema = schema if schema is not None else make_tpcd_schema()
         if self.schema.n_dimensions != 4 or self.schema.n_measures < 1:
             raise SchemaError(
                 "TPCDGenerator needs the 4-dimensional TPC-D cube schema"
             )
         self.seed = seed
-        self.skew = skew
         self._rng = random.Random(seed)
         self.customers = self._make_customers(
             max(25, scale_records // self.RECORDS_PER_CUSTOMER)
@@ -113,25 +104,13 @@ class TPCDGenerator:
     # record generation
     # ------------------------------------------------------------------
 
-    def _pick(self, pool):
-        """Draw one entity: uniform at skew 0, Zipf-ish otherwise.
-
-        The skewed draw maps a uniform sample through ``u^(1 + skew)``,
-        concentrating mass on low pool indices with a long tail — a
-        cheap, deterministic stand-in for a Zipf distribution.
-        """
-        if self.skew == 0.0:
-            return self._rng.choice(pool)
-        position = self._rng.random() ** (1.0 + self.skew)
-        return pool[min(len(pool) - 1, int(position * len(pool)))]
-
     def record(self):
         """One fresh data record (a line item of the cube)."""
         return self.schema.record(
             (
-                self._pick(self.customers),
-                self._pick(self.suppliers),
-                self._pick(self.parts),
+                self._rng.choice(self.customers),
+                self._rng.choice(self.suppliers),
+                self._rng.choice(self.parts),
                 self._random_date(),
             ),
             (self._extended_price(),),

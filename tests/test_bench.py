@@ -5,9 +5,8 @@ import statistics
 import pytest
 
 from repro.bench import harness
-from repro.bench.ablations import ablation_capacity
 from repro.bench.fig11 import fig11a_rows, fig11b_rows
-from repro.bench.fig12 import PANELS, fig12_rows, selectivity_profile
+from repro.bench.fig12 import PANELS, fig12_rows
 from repro.bench.fig13 import fig13_rows
 from repro.bench import regression
 from repro.bench.reporting import format_speedup, format_table, speedup
@@ -79,10 +78,6 @@ class TestFigureRows:
         for row in rows:
             assert row[4] >= 1  # height
 
-    def test_selectivity_profile(self, tiny_sweep):
-        profile = selectivity_profile(tiny_sweep)
-        assert set(profile) == set(tiny_sweep.selectivities)
-
 
 class TestHelpers:
     def test_cached_sweep_memoizes(self):
@@ -94,16 +89,6 @@ class TestHelpers:
             sizes=(100,), selectivities=(0.25,), n_queries=2, seed=1
         )
         assert first is second
-
-
-class TestAblations:
-    def test_capacity_ablation_rows(self):
-        rows = ablation_capacity(
-            n_records=200, n_queries=3, capacities=((8, 16), (16, 32))
-        )
-        assert len(rows) == 2
-        # Bigger nodes -> no more than 1.5x the nodes per query.
-        assert rows[-1][4] <= rows[0][4] * 1.5
 
 
 class TestReporting:
@@ -135,13 +120,6 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "Figure 13" in out
-
-    def test_main_ablation(self, capsys):
-        from repro.bench.__main__ import main
-
-        code = main(["abl-capacity", "--quick"])
-        assert code == 0
-        assert "Ablation" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

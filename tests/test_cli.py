@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import importlib
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -68,6 +71,40 @@ class TestQuery:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["query"], ["groupby", "Time.Year"], ["explain"],
+])
+def test_where_rejects_a_repeated_dimension(loaded_warehouse, command):
+    # Customer.Region=EUROPE and Customer.Nation=CHINA match nothing
+    # together; keeping only the last clause would answer for CHINA.
+    argv = command[:1] + [str(loaded_warehouse)] + command[1:] + [
+        "--where", "Customer.Region=EUROPE",
+        "--where", "Customer.Nation=CHINA",
+    ]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    message = str(exit_info.value.code)
+    assert "'Customer' twice" in message
+    assert "DIM.LEVEL=A,B" in message
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "out.tbl", "--records", "0"],
+    ["load", "in.tbl", "out.wh", "--batch-size", "0"],
+])
+def test_counts_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_importing_the_entry_module_does_not_run_the_cli(monkeypatch):
+    monkeypatch.delitem(sys.modules, "repro.__main__", raising=False)
+    module = importlib.import_module("repro.__main__")
+    assert module.main is main
 
 
 def test_empty_where_list_is_an_error_on_the_x_tree(tmp_path, capsys):

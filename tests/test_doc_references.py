@@ -63,8 +63,6 @@ def _repro_classes():
     """Class name → the classes of that name defined in ``repro``."""
     classes = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name.endswith(".__main__"):
-            continue  # running it would start the CLI
         module = importlib.import_module(info.name)
         for name, obj in vars(module).items():
             if inspect.isclass(obj) and obj.__module__ == module.__name__:

@@ -138,48 +138,3 @@ class TestGenerator:
     def test_generate_returns_requested_count(self):
         generator = TPCDGenerator(seed=0, scale_records=100)
         assert len(generator.generate(37)) == 37
-
-
-class TestSkew:
-    def test_zero_skew_is_uniform_default(self):
-        a = TPCDGenerator(seed=5, scale_records=300)
-        b = TPCDGenerator(seed=5, scale_records=300, skew=0.0)
-        assert a.generate(30) == b.generate(30)
-
-    def test_negative_skew_rejected(self):
-        with pytest.raises(SchemaError):
-            TPCDGenerator(scale_records=100, skew=-0.5)
-
-    def test_skew_concentrates_mass(self):
-        from collections import Counter
-
-        uniform = TPCDGenerator(seed=7, scale_records=4000)
-        skewed = TPCDGenerator(seed=7, scale_records=4000, skew=1.5)
-
-        def top_share(generator):
-            counts = Counter(
-                record.leaf_value(0) for record in generator.records(2000)
-            )
-            total = sum(counts.values())
-            top = sorted(counts.values(), reverse=True)[:10]
-            return sum(top) / total
-
-        assert top_share(skewed) > top_share(uniform) * 1.5
-
-    def test_skewed_records_still_valid(self, tpcd_schema):
-        generator = TPCDGenerator(
-            tpcd_schema, seed=1, scale_records=200, skew=2.0
-        )
-        for record in generator.records(50):
-            assert len(record.flat_point()) == 13
-
-    def test_insert_order_experiment_rows(self):
-        from repro.bench.workload_bench import run_insert_order
-
-        rows = run_insert_order(n_records=400, n_queries=5)
-        assert [row[0] for row in rows] == [
-            "uniform / random", "uniform / clustered",
-            "skewed / random", "skewed / clustered",
-        ]
-        for row in rows:
-            assert row[1] > 0 and row[2] > 0
