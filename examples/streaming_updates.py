@@ -14,7 +14,7 @@ Run with:  python examples/streaming_updates.py [n_ticks]
 import sys
 import time
 
-from repro import CubeSchema, Dimension, Measure, TPCDGenerator, Warehouse
+from repro import CubeSchema, Dimension, Measure, Warehouse
 
 
 def make_market_schema():

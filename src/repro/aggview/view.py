@@ -22,6 +22,7 @@ The `aggview` bench measures both limitations against the DC-tree.
 
 from __future__ import annotations
 
+from ..core.mds import check_query_mds
 from ..cube.aggregation import AggregateVector, StreamingAggregator
 from ..errors import QueryError, StorageError
 from ..storage import page as page_mod
@@ -154,11 +155,7 @@ class MaterializedAggregateView:
             raise StaleViewError(
                 "view is stale: the warehouse changed after the last build"
             )
-        if range_mds.n_dimensions != self.schema.n_dimensions:
-            raise QueryError(
-                "query has %d dimensions, cube has %d"
-                % (range_mds.n_dimensions, self.schema.n_dimensions)
-            )
+        check_query_mds(range_mds, self.hierarchies)
         if not self.can_answer(range_mds):
             raise UnanswerableQueryError(
                 "query level(s) %r below view granularity %r"

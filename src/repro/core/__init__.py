@@ -19,7 +19,7 @@ from .split import (
     hierarchy_split,
     plan_node_split,
 )
-from .stats import LevelStats, TreeStats, collect_cache_stats, collect_stats
+from .stats import LevelStats, TreeStats, collect_stats
 from .tree import DCTree
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "SplitPlan",
     "TreeStats",
     "choose_seeds",
-    "collect_cache_stats",
     "collect_stats",
     "compute_group_mds",
     "contains",

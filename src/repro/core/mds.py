@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 
-from ..errors import MdsError
+from ..errors import MdsError, QueryError
 
 #: Outcomes of :func:`classify` (ordered: more overlap = larger value).
 DISJOINT = 0
@@ -451,6 +451,28 @@ def classify(range_mds, entry_mds, hierarchies, check_containment=True):
                         contained = False
                         break
     return CONTAINED if contained else PARTIAL
+
+
+def check_query_mds(mds, hierarchies):
+    """Raise :class:`QueryError` unless ``mds`` is a range over ``hierarchies``.
+
+    One value set and one level per dimension, no set empty (it would
+    describe no range), and every level within ``0..top_level`` (below 0
+    would index a record's path from the wrong end; the top level is ALL).
+    """
+    if mds.n_dimensions != len(hierarchies):
+        raise QueryError(
+            "query has %d dimensions, cube has %d"
+            % (mds.n_dimensions, len(hierarchies))
+        )
+    if mds.is_empty():
+        raise QueryError("query MDS has an empty dimension")
+    for dim, hierarchy in enumerate(hierarchies):
+        level = mds.level(dim)
+        if not 0 <= level <= hierarchy.top_level:
+            raise QueryError(
+                "query level %r out of range for dimension %d" % (level, dim)
+            )
 
 
 def covers_record(mds, record, hierarchies):

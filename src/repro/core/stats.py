@@ -165,17 +165,3 @@ def collect_stats(tree):
                 stack.append((child, depth + 1))
     levels = [per_depth[d] for d in range(max_depth + 1)]
     return TreeStats(levels, n_records, max_depth + 1)
-
-
-def collect_cache_stats(tree):
-    """Result-cache counters of a DC-tree, or ``None``.
-
-    Returns the :class:`~repro.core.result_cache.ResultCacheStats`
-    snapshot of ``tree``'s query-result cache — hits, misses, evictions,
-    invalidations, occupancy — or ``None`` when the tree has no cache
-    attached (``use_result_cache=False``) or is a backend without one
-    (X-tree, scan).  Like :func:`collect_stats`, reading the counters is
-    offline analysis and charges nothing.
-    """
-    cache = getattr(tree, "result_cache", None)
-    return cache.stats() if cache is not None else None

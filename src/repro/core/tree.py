@@ -652,14 +652,25 @@ class DCTree(TreeFootprint):
         A hierarchy split may descend one concept level past a child that
         never descended there itself; the child's exact value set at the
         target level was already collected for the grouping, so the
-        child's own MDS is refined to it — children stay at least as
-        specific as their parents.
+        child's own MDS is refined to it.  A refined directory child's
+        own children may be as coarse as it was, so they are refined in
+        turn (and the child's page, which holds their entries, is
+        rewritten) — children stay at least as specific as their parents.
+        Returns whether ``child`` was refined.
         """
+        refined = False
         for dim, level in enumerate(levels):
             if child.mds.level(dim) > level:
                 child.mds.refine_dimension(
                     dim, self._collect_values(child, dim, level), level
                 )
+                refined = True
+        if refined and not child.is_leaf and any([
+            self._refine_child_levels(grandchild, levels)
+            for grandchild in child.children
+        ]):
+            self._charge_node_write(child.page_id, child.n_blocks)
+        return refined
 
     # ------------------------------------------------------------------
     # range queries (Fig. 7)
@@ -784,7 +795,7 @@ class DCTree(TreeFootprint):
         """
         check_aggregate(op)
         measure_index = self.schema.measure_index(measure)
-        self._check_query_mds(range_mds)
+        mds_mod.check_query_mds(range_mds, self.hierarchies)
         key = ("range", range_mds.cache_key(), op, measure_index)
         return self._answer(
             "range_query", op, measure_index, key,
@@ -867,88 +878,15 @@ class DCTree(TreeFootprint):
         aggregate-agnostic).
         """
         measure_index = self.schema.measure_index(measure)
-        self._check_query_mds(range_mds)
+        mds_mod.check_query_mds(range_mds, self.hierarchies)
         aggregator = StreamingAggregator("sum", measure_index)
         keep = mds_mod.record_filter(range_mds, self.hierarchies)
         self._query_node(self._root, range_mds, keep, aggregator)
         return aggregator.summary.copy()
 
-    def estimate_count(self, range_mds, max_depth=1):
-        """Cheap cardinality estimate from the directory only.
-
-        Descends at most ``max_depth`` levels; fully contained entries
-        contribute their exact counts, partially overlapping entries are
-        prorated by the fraction of their MDS volume the query covers
-        (uniformity assumption — the classic optimizer trade of accuracy
-        for I/O).  ``max_depth=0`` inspects only the root's entries.
-        """
-        self._check_query_mds(range_mds)
-        keep = mds_mod.record_filter(range_mds, self.hierarchies)
-        return self._estimate_node(self._root, range_mds, keep, max_depth)
-
-    def _estimate_node(self, node, range_mds, keep, max_depth, depth=0):
-        records = self._visit(node, keep, depth)
-        if records is not None:
-            return float(len(records))
-        estimate = 0.0
-        for child in node.children:
-            outcome = self._classify(range_mds, child, depth)
-            if outcome == mds_mod.CONTAINED:
-                estimate += child.aggregate.count
-            elif outcome == mds_mod.DISJOINT:
-                continue
-            elif depth < max_depth:
-                estimate += self._estimate_node(
-                    child, range_mds, keep, max_depth, depth + 1
-                )
-            else:
-                fraction = self._overlap_fraction(range_mds, child.mds)
-                estimate += child.aggregate.count * fraction
-        return estimate
-
-    def _overlap_fraction(self, range_mds, entry_mds):
-        """Estimated fraction of the entry's records inside the range.
-
-        Per dimension: the covered share of the entry's value set,
-        expanded to the *query's* level when the query is more specific
-        (upward adaptation would wildly overestimate — 25 % of the days
-        adapt up to *all* months).  Dimensions multiply (independence
-        assumption).
-        """
-        fraction = 1.0
-        for dim in range(range_mds.n_dimensions):
-            hierarchy = self.hierarchies[dim]
-            query_level = range_mds.level(dim)
-            entry_level = entry_mds.level(dim)
-            query_set = range_mds.value_set(dim)
-            if query_level >= entry_level:
-                # Inspecting the entry means lifting each of its stored
-                # values; charge those, not the (possibly collapsed)
-                # adapted set.
-                self.tracker.cpu(entry_mds.cardinality(dim))
-                entry_set = entry_mds.adapted_set(dim, query_level, hierarchy)
-                covered = len(entry_set & query_set)
-                total = len(entry_set)
-            else:
-                covered = 0
-                total = 0
-                for value in entry_mds.value_set(dim):
-                    descendants = hierarchy.descendants_at_level(
-                        value, query_level
-                    )
-                    self.tracker.cpu(len(descendants))
-                    covered += len(descendants & query_set)
-                    total += len(descendants)
-            if total == 0:
-                return 0.0
-            fraction *= covered / total
-            if fraction == 0.0:
-                return 0.0
-        return fraction
-
     def range_records(self, range_mds):
         """The records inside ``range_mds`` (always descends to leaves)."""
-        self._check_query_mds(range_mds)
+        mds_mod.check_query_mds(range_mds, self.hierarchies)
         result = []
         keep = mds_mod.record_filter(range_mds, self.hierarchies)
         self._collect_records(self._root, range_mds, keep, result)
@@ -964,22 +902,6 @@ class DCTree(TreeFootprint):
             if outcome != mds_mod.DISJOINT:
                 self._collect_records(child, range_mds, keep, result,
                                       depth + 1)
-
-    def _check_query_mds(self, range_mds):
-        if range_mds.n_dimensions != self.schema.n_dimensions:
-            raise QueryError(
-                "query has %d dimensions, cube has %d"
-                % (range_mds.n_dimensions, self.schema.n_dimensions)
-            )
-        if range_mds.is_empty():
-            raise QueryError("query MDS has an empty dimension")
-        for dim, hierarchy in enumerate(self.hierarchies):
-            level = range_mds.level(dim)
-            if not 0 <= level <= hierarchy.top_level:
-                raise QueryError(
-                    "query level %r out of range for dimension %d"
-                    % (level, dim)
-                )
 
     # ------------------------------------------------------------------
     # group-by (roll-up along one concept hierarchy)
@@ -1034,7 +956,7 @@ class DCTree(TreeFootprint):
         if range_mds is None:
             range_mds = MDS.all_mds(self.hierarchies)
         else:
-            self._check_query_mds(range_mds)
+            mds_mod.check_query_mds(range_mds, self.hierarchies)
         key = (
             "groupby", dim_index, level, op, measure_index,
             range_mds.cache_key(),

@@ -144,6 +144,13 @@ class ConceptHierarchy:
 
     def _new_node(self, level, label, parent):
         attr_id = self._allocator.allocate(level)
+        self._link(attr_id, level, label, parent)
+        self._invalidate_ancestor_caches(attr_id)
+        return attr_id
+
+    def _link(self, attr_id, level, label, parent):
+        """Enter ``attr_id`` in every table, under an already linked
+        ``parent`` (``None`` for ALL)."""
         self._parent[attr_id] = parent
         self._children[attr_id] = []
         self._label[attr_id] = label
@@ -155,8 +162,6 @@ class ConceptHierarchy:
                 (attr_id,) + self._ancestor_table[parent]
             self._children[parent].append(attr_id)
             self._child_by_label[(parent, label)] = attr_id
-            self._invalidate_ancestor_caches(attr_id)
-        return attr_id
 
     def _invalidate_ancestor_caches(self, attr_id):
         for node in self._ancestor_table[attr_id]:
@@ -276,10 +281,6 @@ class ConceptHierarchy:
         cache[level] = result
         return result
 
-    def count_descendants_at_level(self, attr_id, level):
-        """``len(descendants_at_level(...))`` without building new sets."""
-        return len(self.descendants_at_level(attr_id, level))
-
     def values_at_level(self, level):
         """All IDs currently allocated at ``level``, in allocation order.
 
@@ -335,15 +336,8 @@ class ConceptHierarchy:
                 raise HierarchyError(
                     "row %r references unknown parent %r" % (attr_id, parent)
                 )
-            self._parent[attr_id] = parent
-            self._children[attr_id] = []
-            self._label[attr_id] = label
-            self._level_values.setdefault(level, []).append(attr_id)
-            # Rows arrive top-down, so the parent's table already exists.
-            self._ancestor_table[attr_id] = \
-                (attr_id,) + self._ancestor_table[parent]
-            self._children[parent].append(attr_id)
-            self._child_by_label[(parent, label)] = attr_id
+            # Rows arrive top-down, so the parent is already linked.
+            self._link(attr_id, level, label, parent)
             counter = ids_mod.counter_of(attr_id)
             if counter >= self._allocator.allocated_count(level):
                 self._allocator._next[level] = counter + 1

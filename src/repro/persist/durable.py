@@ -123,9 +123,19 @@ class DurableWarehouse:
     def create(cls, directory, warehouse, faults=None):
         """Start a durable session over a fresh (or bulk-loaded)
         warehouse: write its initial checkpoint, then log from LSN 1.
+
+        Raises :class:`StorageError` when ``directory`` already holds a
+        session (its log would be replayed onto the new warehouse);
+        resume one with :meth:`open`.
         """
         _require_dc_tree(warehouse)
         directory = os.fspath(directory)
+        for path in (cls.checkpoint_path(directory), cls.wal_path(directory)):
+            if os.path.exists(path):
+                raise StorageError(
+                    "%s already exists; open the session or remove it"
+                    % path
+                )
         os.makedirs(directory, exist_ok=True)
         save_warehouse(
             warehouse, cls.checkpoint_path(directory),

@@ -10,7 +10,7 @@ reads through the shared tracker/buffer machinery).
 from __future__ import annotations
 
 from ..cube.aggregation import StreamingAggregator
-from ..errors import QueryError, RecordNotFoundError
+from ..errors import RecordNotFoundError
 from ..storage import page as page_mod
 from ..storage.tracker import StorageTracker
 from ..core import mds as mds_mod
@@ -109,11 +109,7 @@ class FlatTable:
         return list(self._scan(range_mds))
 
     def _scan(self, range_mds):
-        if range_mds.n_dimensions != self.schema.n_dimensions:
-            raise QueryError(
-                "query has %d dimensions, cube has %d"
-                % (range_mds.n_dimensions, self.schema.n_dimensions)
-            )
+        mds_mod.check_query_mds(range_mds, self.hierarchies)
         n_dims = self.schema.n_dimensions
         for index, record in enumerate(self._records):
             self._charge_page(index)

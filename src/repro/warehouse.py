@@ -221,20 +221,6 @@ class Warehouse:
             summary.add_value(record.measures[measure_index])
         return summary
 
-    def estimate(self, where=None, max_depth=1):
-        """Cheap cardinality estimate for ``where``.
-
-        The DC-tree estimates from its directory without reading data
-        nodes; the baselines have no directory statistics and fall back
-        to the exact count.
-        """
-        range_query = query_from_labels(self.schema, where or {})
-        if self.backend == "dc-tree":
-            return self.index.estimate_count(
-                range_query.mds, max_depth=max_depth
-            )
-        return float(self.count(where=where))
-
     def group_by(self, dim_name, level_name, op="sum", measure=0,
                  where=None, explain=False):
         """Roll up one dimension: ``{label: aggregate}`` per value.

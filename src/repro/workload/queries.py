@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from ..core.mds import MDS, covers_record
+from ..core.mds import MDS, check_query_mds, covers_record
 from ..errors import QueryError
 from ..xtree.mbr import MBR
 
@@ -28,16 +28,10 @@ class RangeQuery:
     """One executable range query in both MDS and MBR form."""
 
     def __init__(self, schema, mds):
-        if mds.n_dimensions != schema.n_dimensions:
-            raise QueryError(
-                "query MDS has %d dimensions, schema has %d"
-                % (mds.n_dimensions, schema.n_dimensions)
-            )
-        if mds.is_empty():
-            raise QueryError("query MDS has an empty dimension")
+        self._hierarchies = tuple(d.hierarchy for d in schema.dimensions)
+        check_query_mds(mds, self._hierarchies)
         self.schema = schema
         self.mds = mds
-        self._hierarchies = tuple(d.hierarchy for d in schema.dimensions)
 
     def to_mbr(self):
         """The query as a range MBR over the flattened space (§5.2).

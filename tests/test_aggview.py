@@ -83,6 +83,18 @@ class TestQueries:
         with pytest.raises(QueryError):
             view.range_query(MDS([{1}], [1]))
 
+    def test_level_above_all_rejected(self, toy_view):
+        """A level above ALL describes no range (the view used to count
+        every cell)."""
+        schema, _records, view = toy_view
+        hierarchies = [d.hierarchy for d in schema.dimensions]
+        levels = [h.top_level for h in hierarchies]
+        levels[0] += 1
+        with pytest.raises(QueryError, match="query level"):
+            view.range_query(
+                MDS([{h.all_id} for h in hierarchies], levels), op="count"
+            )
+
     def test_bad_measure_rejected(self, toy_view):
         schema, _records, view = toy_view
         query = query_from_labels(schema, {})

@@ -195,8 +195,6 @@ class TestSql:
 
 class TestDurability:
     def _durable_dir(self, tmp_path):
-        import os
-
         from repro import DurableWarehouse, Warehouse
         from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
 

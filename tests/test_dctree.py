@@ -157,6 +157,42 @@ class TestSplitsAndGrowth:
 
         walk(tree.root)
 
+    def test_split_refines_grandchildren_of_a_coarse_child(self, toy_schema):
+        """A directory split that deepens a child to the City level must
+        deepen that child's own Country-level children too.  This stream
+        (shrunk from a stateful-machine failure) left a City-level node
+        over Country-level leaves, and ``check_invariants`` raised "child
+        level 1 exceeds parent level 0"; an int step deletes the oldest
+        live record."""
+        steps = [
+            ("DE", "A", "red"), ("DE", "A", "red"), ("DE", "A", "red"),
+            ("DE", "A", "blue"), ("DE", "A", "blue"), 0, 0,
+            ("FR", "A", "blue"), ("FR", "D", "green"), ("US", "A", "blue"),
+            ("US", "D", "green"), 0, 0, 0,
+            ("FR", "B", "green"), ("FR", "C", "red"), ("US", "A", "red"),
+            ("US", "C", "red"), ("DE", "A", "green"), ("FR", "C", "blue"),
+            ("DE", "A", "green"), ("DE", "B", "red"), ("DE", "D", "green"),
+            ("US", "C", "blue"), ("DE", "D", "blue"), ("DE", "B", "red", 1.0),
+            ("DE", "B", "blue"), ("FR", "D", "green"),
+            ("FR", "D", "blue", 5.0), ("DE", "A", "red"), ("DE", "A", "red"),
+            ("DE", "B", "blue"), ("DE", "B", "green"), ("DE", "B", "green"),
+            ("FR", "A", "green"), ("FR", "A", "green"), ("FR", "A", "green"),
+        ]
+        tree = DCTree(
+            toy_schema, config=DCTreeConfig(dir_capacity=4, leaf_capacity=4)
+        )
+        live = []
+        for step in steps:
+            if step == 0:
+                tree.delete(live.pop(0))
+            else:
+                row = step if len(step) == 4 else step + (0.0,)
+                record = toy_record(toy_schema, *row)
+                tree.insert(record)
+                live.append(record)
+            tree.check_invariants()
+        assert len(tree) == len(live)
+
 
 class TestRangeQuery:
     def test_sum_by_country(self):
@@ -237,8 +273,7 @@ class TestRangeQuery:
         lambda tree, mds: tree.range_query(mds, op="count"),
         lambda tree, mds: tree.group_by(0, 1, range_mds=mds),
         lambda tree, mds: tree.range_records(mds),
-        lambda tree, mds: tree.estimate_count(mds),
-    ], ids=["range_query", "group_by", "range_records", "estimate_count"])
+    ], ids=["range_query", "group_by", "range_records"])
     @pytest.mark.parametrize("dim", [0, 1])
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_out_of_range_query_level_rejected(self, entry, dim, side):

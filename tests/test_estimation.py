@@ -1,11 +1,11 @@
-"""Tests for range summaries and directory-based cardinality estimation."""
+"""Tests for range summaries."""
 
 
 import pytest
 
-from repro import DCTree, TPCDGenerator, make_tpcd_schema
+from repro import DCTree
 from repro.errors import QueryError
-from repro.workload.queries import QueryGenerator, query_from_labels
+from repro.workload.queries import query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
 
 
@@ -14,16 +14,6 @@ def build_toy_tree():
     tree = DCTree(schema)
     for row in TOY_ROWS:
         tree.insert(toy_record(schema, *row))
-    return schema, tree
-
-
-@pytest.fixture(scope="module")
-def tpcd_tree():
-    schema = make_tpcd_schema()
-    generator = TPCDGenerator(schema, seed=12, scale_records=2000)
-    tree = DCTree(schema)
-    for record in generator.records(2000):
-        tree.insert(record)
     return schema, tree
 
 
@@ -63,65 +53,3 @@ class TestRangeSummary:
 
         with pytest.raises(QueryError):
             tree.range_summary(MDS([{1}], [0]))
-
-
-class TestEstimateCount:
-    def test_exact_on_contained_subtrees(self, tpcd_tree):
-        schema, tree = tpcd_tree
-        query = query_from_labels(schema, {})  # ALL: everything contained
-        assert tree.estimate_count(query.mds) == len(tree)
-
-    def test_reasonable_accuracy_at_depth_one(self, tpcd_tree):
-        """The estimate correlates with the truth across random queries."""
-        schema, tree = tpcd_tree
-        ratios = []
-        for query in QueryGenerator(schema, 0.25, seed=3).queries(30):
-            exact = tree.range_count(query.mds)
-            estimate = tree.estimate_count(query.mds, max_depth=1)
-            if exact >= 3:
-                ratios.append(estimate / exact)
-        assert ratios, "no query matched enough records"
-        mean_ratio = sum(ratios) / len(ratios)
-        assert 0.2 < mean_ratio < 5.0
-
-    def test_deeper_budget_is_more_accurate(self, tpcd_tree):
-        schema, tree = tpcd_tree
-        queries = [
-            q for q in QueryGenerator(schema, 0.25, seed=5).queries(20)
-            if tree.range_count(q.mds) >= 3
-        ]
-        assert queries
-
-        def total_error(depth):
-            error = 0.0
-            for query in queries:
-                exact = tree.range_count(query.mds)
-                estimate = tree.estimate_count(query.mds, max_depth=depth)
-                error += abs(estimate - exact) / exact
-            return error
-
-        assert total_error(3) <= total_error(0) + 1e-9
-
-    def test_estimate_cheaper_than_exact(self, tpcd_tree):
-        schema, tree = tpcd_tree
-        query = QueryGenerator(schema, 0.25, seed=9).query()
-        tree.tracker.reset(clear_buffer=True)
-        tree.estimate_count(query.mds, max_depth=0)
-        estimate_cost = tree.tracker.snapshot().node_accesses
-        tree.tracker.reset(clear_buffer=True)
-        tree.range_count(query.mds)
-        exact_cost = tree.tracker.snapshot().node_accesses
-        assert estimate_cost <= exact_cost
-
-    def test_zero_for_disjoint_range(self):
-        schema, tree = build_toy_tree()
-        toy_record(schema, "JP", "Tokyo", "red", 0.0)  # label only
-        query = query_from_labels(schema, {"Geo": ("Country", ["JP"])})
-        assert tree.estimate_count(query.mds) == 0.0
-
-    def test_validates_query(self, tpcd_tree):
-        _schema, tree = tpcd_tree
-        from repro.core.mds import MDS
-
-        with pytest.raises(QueryError):
-            tree.estimate_count(MDS([{1}], [0]))

@@ -162,9 +162,6 @@ class TestNavigation:
         after = self.h.descendants_at_level(self.de[0], 0)
         assert len(after) == len(before) + 1
 
-    def test_count_descendants(self):
-        assert self.h.count_descendants_at_level(self.h.all_id, 1) == 3
-
     def test_values_at_level_in_allocation_order(self):
         nations = self.h.values_at_level(1)
         assert list(nations) == sorted(nations)

@@ -334,6 +334,26 @@ def test_closed_session_refuses_mutations(tmp_path, call):
     assert (len(session), tree.tree_version) == (n_records, version)
 
 
+@pytest.mark.parametrize("leftover", ["checkpoint", "wal"])
+def test_create_refuses_a_directory_holding_a_session(tmp_path, leftover):
+    """A second ``create`` must not adopt the first session's log: its
+    checkpoint says ``wal_lsn 0``, so recovery would replay the old
+    records onto the new warehouse."""
+    directory = str(tmp_path / "taken")
+    first = DurableWarehouse.create(directory, _toy_warehouse())
+    first.insert_many([(((country, city), (color,)), (sales,))
+                       for country, city, color, sales in TOY_ROWS])
+    first.close()
+    if leftover == "wal":
+        os.remove(DurableWarehouse.checkpoint_path(directory))
+    with pytest.raises(StorageError, match="already exists"):
+        DurableWarehouse.create(directory, _toy_warehouse())
+    if leftover == "checkpoint":
+        reopened = DurableWarehouse.open(directory)
+        assert len(reopened) == len(TOY_ROWS)
+        reopened.close()
+
+
 def test_unreadable_checkpoint_reports_not_raises(tmp_path):
     directory = str(tmp_path / "corrupt")
     _run_workload(directory, plan=None)

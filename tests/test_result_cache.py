@@ -18,7 +18,6 @@ from repro.config import DCTreeConfig
 from repro.core.bulkload import bulk_load
 from repro.core.mds import MDS
 from repro.core.result_cache import ResultCache
-from repro.core.stats import collect_cache_stats
 from repro.core.tree import DCTree
 from repro.errors import SchemaError
 from repro.maintenance.batch import BatchWarehouse
@@ -67,7 +66,6 @@ class TestResultCacheUnit:
     def test_config_gate_disables_cache(self, toy_schema):
         tree = DCTree(toy_schema, config=DCTreeConfig(use_result_cache=False))
         assert tree.result_cache is None
-        assert collect_cache_stats(tree) is None
 
     def test_hit_and_miss_counters(self):
         schema, tree, _records = build_tree(use_cache=True)
@@ -75,7 +73,7 @@ class TestResultCacheUnit:
         first = tree.range_query(mds)
         second = tree.range_query(mds)
         assert first == second == 35.0
-        stats = collect_cache_stats(tree)
+        stats = tree.result_cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
         assert stats.lookups == 2
         assert stats.hit_rate == 0.5
@@ -88,7 +86,7 @@ class TestResultCacheUnit:
         )
         assert tree.range_query(query.mds, op="avg") is None
         assert tree.range_query(query.mds, op="avg") is None
-        stats = collect_cache_stats(tree)
+        stats = tree.result_cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
 
 
@@ -97,7 +95,7 @@ class TestLRUEviction:
         schema, tree, _records = build_tree(use_cache=True, capacity=2)
         for country in COUNTRIES:
             tree.range_query(country_mds(schema, [country]))
-        stats = collect_cache_stats(tree)
+        stats = tree.result_cache.stats()
         assert stats.size == 2
         assert stats.evictions == 1
         assert len(tree.result_cache) == 2
@@ -110,7 +108,7 @@ class TestLRUEviction:
         tree.range_query(country_mds(schema, ["US"]))  # miss: evicts FR
         tree.range_query(country_mds(schema, ["DE"]))  # still cached
         tree.range_query(country_mds(schema, ["FR"]))  # evicted: miss again
-        stats = collect_cache_stats(tree)
+        stats = tree.result_cache.stats()
         assert (stats.hits, stats.misses) == (2, 4)
         assert stats.evictions == 2
 
@@ -124,7 +122,7 @@ class TestInvalidation:
         assert tree.range_query(mds) == 35.0
         tree.insert(toy_record(schema, "DE", "Bonn", "red", 7.0))
         assert tree.range_query(mds) == 42.0
-        assert collect_cache_stats(tree).invalidations == 1
+        assert tree.result_cache.stats().invalidations == 1
 
     def test_delete_invalidates(self):
         schema, tree, records = build_tree(use_cache=True)
@@ -132,7 +130,7 @@ class TestInvalidation:
         assert tree.range_query(mds) == 35.0
         tree.delete(records[0])  # Munich red, 10.0
         assert tree.range_query(mds) == 25.0
-        assert collect_cache_stats(tree).invalidations == 1
+        assert tree.result_cache.stats().invalidations == 1
 
     def test_group_by_never_stale(self):
         schema, tree, _records = build_tree(use_cache=True)
@@ -297,9 +295,9 @@ class TestEquivalence:
         tree.tracker.reset(clear_buffer=True)
         first = run_sequence(tree, schema, queries)
         first_cost = counter_tuple(tree)
-        before = collect_cache_stats(tree)
+        before = tree.result_cache.stats()
         second = run_sequence(tree, schema, queries)
-        after = collect_cache_stats(tree)
+        after = tree.result_cache.stats()
         assert first == second
         assert after.hits - before.hits == len(first)
         second_cost = tuple(

@@ -82,6 +82,21 @@ class TestQueries:
         with pytest.raises(QueryError):
             table.range_query(MDS([{1}], [0]))
 
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_out_of_range_level_rejected(self, side):
+        """The scan checks an MDS handed to it directly as the DC-tree
+        does (it used to crash below 0 and count every record above
+        ALL)."""
+        from repro.core.mds import MDS
+
+        schema, table, _records = build_table()
+        hierarchies = [d.hierarchy for d in schema.dimensions]
+        levels = [h.top_level for h in hierarchies]
+        levels[0] = -1 if side == "below" else levels[0] + 1
+        mds = MDS([{h.all_id} for h in hierarchies], levels)
+        with pytest.raises(QueryError, match="query level"):
+            table.range_query(mds, op="count")
+
     def test_scan_touches_every_page(self):
         schema, table, _records = build_table()
         table.tracker.reset(clear_buffer=True)

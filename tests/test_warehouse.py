@@ -150,10 +150,3 @@ class TestSummaryAndEstimate:
         populate(warehouse)
         summary = warehouse.summary()
         assert summary.aggregate("count") == len(warehouse)
-
-    def test_estimate_positive_for_matching_range(self, backend):
-        warehouse = Warehouse(build_toy_schema(), backend)
-        populate(warehouse)
-        estimate = warehouse.estimate(where={"Geo": ("Country", ["DE"])})
-        assert estimate > 0
-        assert estimate <= len(warehouse)

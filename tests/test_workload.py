@@ -217,3 +217,21 @@ def test_empty_label_list_rejected_on_every_backend(backend):
         warehouse.query("sum", where={"Geo": ("Country", [])})
     with pytest.raises(QueryError):
         RangeQuery(schema, MDS([set(), {1}], [1, 0]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_out_of_range_level_rejected_on_every_backend(backend, side):
+    """A level below 0 or above ALL describes no range: every backend
+    refuses it with the DC-tree's QueryError instead of its own answer
+    (the X-tree and the scan used to count every record above ALL) or
+    crash."""
+    schema = build_toy_schema()
+    warehouse = Warehouse(schema, backend)
+    warehouse.insert_records([toy_record(schema, *row) for row in TOY_ROWS])
+    hierarchies = [d.hierarchy for d in schema.dimensions]
+    levels = [h.top_level for h in hierarchies]
+    levels[0] = -1 if side == "below" else levels[0] + 1
+    mds = MDS([{h.all_id} for h in hierarchies], levels)
+    with pytest.raises(QueryError, match="query level"):
+        warehouse.execute(RangeQuery(schema, mds), op="count")
