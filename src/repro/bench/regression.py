@@ -22,8 +22,8 @@ One dataset is generated per run and feeds four passes:
   pass's.  Plain and logged insert phases run back to back in
   ``WAL_PAIRS`` pairs, alternating which goes first, and the median
   logged/plain ratio may be at most ``MAX_WAL_OVERHEAD``;
-* the *observed* pass repeats the serial workload with spans and metrics
-  on.  Answers and counters must not move.
+* the *observed* pass repeats the serial workload with the metrics
+  registry on.  Answers and counters must not move.
 
 The re-asks price the result cache: hits replay the recorded tracker
 charges, so the counters match a recomputation exactly and only
@@ -240,7 +240,7 @@ def run_workload(schema, records, n_queries, n_repeats=0, seed=0,
 
     metrics = None
     if observability:
-        registry = tree.observability.registry
+        registry = tree.observability
         observe_dctree(registry, tree)
         metrics = registry.snapshot()
     return WorkloadPass(phases, digest.hexdigest(), inserted, structure,
@@ -362,14 +362,14 @@ def run_benchmark(profile="full", seed=0):
         "durability": measure_wal_overhead(schema, records, serial),
     }
     observed = run_workload(*workload, observability=True)
-    spans = observed.metrics.get("repro_spans_total", {"samples": []})
+    inserts = observed.metrics["dctree_inserts_total"]["samples"][0]
     entry["observability"] = {
         "digest_identical": observed.digest == serial.digest,
         "counters_identical": (
             _phase_counters(observed.phases)
             == _phase_counters(serial.phases)
         ),
-        "spans": sum(sample["value"] for sample in spans["samples"]),
+        "inserts": inserts["value"],
     }
     return entry, observed.metrics
 
@@ -500,9 +500,9 @@ def _format_summary(entry):
     )
     observability = entry["observability"]
     lines.append(
-        "observability: %d span(s) recorded; digest identical: %s, "
+        "observability: %d insert(s) counted; digest identical: %s, "
         "deterministic counters identical: %s"
-        % (observability["spans"], observability["digest_identical"],
+        % (observability["inserts"], observability["digest_identical"],
            observability["counters_identical"])
     )
     return "\n".join(lines)

@@ -50,13 +50,13 @@ class DCTreeConfig:
         syncing to the OS.  Irrelevant until a durability sink is
         attached to the tree.
     observability:
-        When True the tree carries a :class:`repro.obs.Observability`
-        bundle: structured spans around every mutator/query/WAL/recovery
-        operation plus a metrics registry fed from the deterministic
-        counters.  Telemetry is observational only — deterministic
-        counters, query answers and ``tree_version`` are bit-identical
-        with it on or off (enforced by the invariance tests and the
-        observed pass of every ``repro.bench regression`` run).
+        When True the tree carries a :class:`repro.obs.MetricsRegistry`
+        that its inserts, deletes, batches, splits and EXPLAINs, its
+        write-ahead log, checkpoints and recovery count into.
+        Telemetry is observational only — deterministic counters, query
+        answers and ``tree_version`` are bit-identical with it on or
+        off (enforced by the invariance tests and the observed pass of
+        every ``repro.bench regression`` run).
         ``None`` (the default) defers to the ``REPRO_OBSERVABILITY``
         environment variable (truthy values: ``1``/``true``/``yes``/
         ``on``), which CI uses to force the whole suite through the

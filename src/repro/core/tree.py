@@ -17,8 +17,6 @@ Public operations:
 
 from __future__ import annotations
 
-import functools
-import inspect
 import time
 
 from ..config import DCTreeConfig
@@ -28,7 +26,7 @@ from ..cube.aggregation import (
     check_aggregate,
 )
 from ..errors import QueryError, RecordNotFoundError, TreeError
-from ..obs import ExplainResult, Observability, ProfileSession, QueryProfile
+from ..obs import ExplainResult, MetricsRegistry, ProfileSession, QueryProfile
 from ..storage.tracker import StorageTracker
 from . import mds as mds_mod
 from . import split as split_mod
@@ -36,103 +34,6 @@ from .mds import MDS
 from .node import DCDataNode, DCDirNode
 from .result_cache import ResultCache
 from .stats import TreeFootprint
-
-
-def _observed(span, start=None, done=None):
-    """Wrap a :class:`DCTree` method in its telemetry.
-
-    With observability off the method runs bare.  With it on, the call
-    runs inside a span named ``span``: ``start(a)`` returns the span's
-    opening attributes and ``done(obs, span, a, result)`` sets its
-    closing attributes and feeds metrics, where ``a`` maps each
-    parameter name (``self`` included, defaults filled in) to the call's
-    argument.  Spans and metrics read the tracker but never charge it,
-    so every deterministic counter is identical with observability on
-    or off.
-    """
-
-    def decorate(method):
-        parameters = inspect.signature(method).parameters
-        names = tuple(parameters)
-        defaults = {
-            name: parameter.default
-            for name, parameter in parameters.items()
-            if parameter.default is not parameter.empty
-        }
-
-        @functools.wraps(method)
-        def observed(self, *args, **kwargs):
-            obs = self._obs
-            if obs is None:
-                return method(self, *args, **kwargs)
-            a = dict(defaults)
-            a.update(zip(names, (self,) + args))
-            a.update(kwargs)
-            with obs.span(span, **(start(a) if start else {})) as current:
-                result = method(self, *args, **kwargs)
-                if done is not None:
-                    done(obs, current, a, result)
-            return result
-
-        return observed
-
-    return decorate
-
-
-def _mutated(counter, help_text):
-    """``done`` hook of a single-record mutator."""
-
-    def done(obs, span, a, result):
-        tree = a["self"]
-        span.set(tree_version=tree.tree_version, records=len(tree))
-        obs.counter(counter, help_text).inc()
-
-    return done
-
-
-def _batch_done(obs, span, a, pages_written):
-    n_records = len(a["records"])
-    span.set(tree_version=a["self"].tree_version, pages_written=pages_written)
-    obs.counter("dctree_batch_inserts_total", "Batches inserted.").inc()
-    obs.counter(
-        "dctree_batch_records_total", "Records inserted through batches."
-    ).inc(n_records)
-    obs.registry.histogram(
-        "dctree_batch_pages_per_record",
-        "Amortized pages written per batched record.",
-    ).observe(pages_written / n_records)
-
-
-def _split_start(a):
-    node = a["node"]
-    return {"node": node.page_id, "kind": "leaf" if node.is_leaf else "dir",
-            "entries": node.entry_count, "mds": node.mds.digest()[:12]}
-
-
-def _split_done(obs, span, a, pair):
-    kind = span.attributes["kind"]
-    if pair is None:
-        span.set(outcome="supernode", n_blocks=a["node"].n_blocks)
-        obs.counter(
-            "dctree_supernode_growths_total",
-            "Overfull nodes that grew a block instead of splitting.",
-            kind=kind,
-        ).inc()
-    else:
-        span.set(outcome="split", sizes=[n.entry_count for n in pair])
-        obs.counter(
-            "dctree_splits_total", "Successful node splits.", kind=kind,
-        ).inc()
-
-
-def _answered(obs, span, a, result):
-    """``done`` hook of the two query entry points (EXPLAIN counted)."""
-    span.set(tree_version=a["self"].tree_version)
-    if a["explain"]:
-        obs.counter(
-            "dctree_explains_total", "Profiled (EXPLAIN) queries by kind.",
-            kind=span.name,
-        ).inc()
 
 
 def _copy_groups(groups):
@@ -214,8 +115,10 @@ class DCTree(TreeFootprint):
             ResultCache(self.config.result_cache_capacity)
             if self.config.use_result_cache else None
         )
-        # Telemetry is strictly observational (see _observed).
-        self._obs = Observability() if self.config.observability else None
+        # Telemetry is strictly observational (see _count).
+        self._metrics = (
+            MetricsRegistry() if self.config.observability else None
+        )
         self._profile = None
 
     # ------------------------------------------------------------------
@@ -248,8 +151,19 @@ class DCTree(TreeFootprint):
 
     @property
     def observability(self):
-        """The attached :class:`~repro.obs.Observability` (None when off)."""
-        return self._obs
+        """The tree's :class:`~repro.obs.MetricsRegistry` (None when
+        ``DCTreeConfig.observability`` is off)."""
+        return self._metrics
+
+    def _count(self, name, help_text, amount=1, **labels):
+        """Add ``amount`` to one telemetry counter, when telemetry is on.
+
+        Every event counter of the tree goes through here, after the
+        event succeeded; it never touches the tracker, so deterministic
+        counters are identical with observability on or off.
+        """
+        if self._metrics is not None:
+            self._metrics.counter(name, help_text, **labels).inc(amount)
 
     def note_mutation(self):
         """Bump :attr:`tree_version` (call after any structural change)."""
@@ -302,8 +216,6 @@ class DCTree(TreeFootprint):
     # insertion (Fig. 4)
     # ------------------------------------------------------------------
 
-    @_observed("insert", done=_mutated("dctree_inserts_total",
-                                       "Records inserted."))
     def insert(self, record):
         """Insert one data record, keeping the index fully up to date.
 
@@ -318,6 +230,7 @@ class DCTree(TreeFootprint):
         self._n_records += 1
         if self._mutation_sink is not None:
             self._mutation_sink.record_insert(record)
+        self._count("dctree_inserts_total", "Records inserted.")
 
     def _place(self, record):
         """Route one record down from the root, growing the root on split."""
@@ -362,13 +275,6 @@ class DCTree(TreeFootprint):
             return 0
         if self._batch is not None:
             raise TreeError("insert_batch cannot be nested")
-        self._apply_batch(records)
-        return len(records)
-
-    @_observed("insert_batch", start=lambda a: {"records": len(a["records"])},
-               done=_batch_done)
-    def _apply_batch(self, records):
-        """Insert a non-empty batch; returns the pages its flush wrote."""
         # One version bump acknowledges the whole batch: the result
         # cache (keyed on tree_version) flushes exactly once, and
         # readers observe the batch atomically.
@@ -383,7 +289,12 @@ class DCTree(TreeFootprint):
             self._batch = None
         if self._mutation_sink is not None:
             self._mutation_sink.record_insert_batch(records)
-        return pages_written
+        self._count("dctree_batch_inserts_total", "Batches inserted.")
+        self._count("dctree_batch_records_total",
+                    "Records inserted through batches.", len(records))
+        self._count("dctree_batch_pages_written_total",
+                    "Pages written by batch flushes.", pages_written)
+        return len(records)
 
     def _flush_batch(self, batch):
         """Charge the batch's coalesced folds and page writes.
@@ -443,14 +354,6 @@ class DCTree(TreeFootprint):
                 return self._split_or_grow(node)
         return None
 
-    @_observed(
-        "choose_subtree",
-        start=lambda a: {"node": a["node"].page_id,
-                         "fanout": len(a["node"].children)},
-        done=lambda obs, span, a, result: span.set(
-            child=result[0].page_id, position=result[1]
-        ),
-    )
     def _choose_subtree(self, node, record):
         """Pick the son the record descends into; returns (child, position).
 
@@ -539,7 +442,6 @@ class DCTree(TreeFootprint):
     # splitting (Fig. 5) and supernode management
     # ------------------------------------------------------------------
 
-    @_observed("hierarchy_split", start=_split_start, done=_split_done)
     def _split_or_grow(self, node):
         """Split the overfull node or grow it into/as a supernode.
 
@@ -547,9 +449,11 @@ class DCTree(TreeFootprint):
         became (or stays) a supernode.
         """
         if node.is_leaf:
+            kind = "leaf"
             adapt = self._make_record_adapter(node.records)
             n_entries = len(node.records)
         else:
+            kind = "dir"
             adapt = self._make_entry_adapter(node.children)
             n_entries = len(node.children)
         plan = split_mod.plan_node_split(
@@ -557,10 +461,17 @@ class DCTree(TreeFootprint):
         )
         if plan is None:
             node.n_blocks += 1
+            self._count(
+                "dctree_supernode_growths_total",
+                "Overfull nodes that grew a block instead of splitting.",
+                kind=kind,
+            )
             return None
         self.tracker.cpu(plan.cpu_units)
         pair = self._materialize_split(node, plan)
         self._free_node(node.page_id, node.n_blocks)
+        self._count("dctree_splits_total", "Successful node splits.",
+                    kind=kind)
         return pair
 
     def _make_record_adapter(self, records):
@@ -771,12 +682,12 @@ class DCTree(TreeFootprint):
                 session.finish()
                 profile.after = self.tracker.snapshot()
                 profile.wall_seconds = time.perf_counter() - started
-        return value if profile is None else ExplainResult(value, profile)
+        if profile is None:
+            return value
+        self._count("dctree_explains_total",
+                    "Profiled (EXPLAIN) queries by kind.", kind=kind)
+        return ExplainResult(value, profile)
 
-    @_observed("range_query",
-               start=lambda a: {"op": a["op"],
-                                "mds": a["range_mds"].digest()[:12]},
-               done=_answered)
     def range_query(self, range_mds, op="sum", measure=0, explain=False):
         """Aggregate ``op`` of one measure over the cells in ``range_mds``.
 
@@ -930,10 +841,6 @@ class DCTree(TreeFootprint):
         }
         return ExplainResult(finished, profile) if explain else finished
 
-    @_observed("group_by",
-               start=lambda a: {"dim": a["dim_index"], "level": a["level"],
-                                "op": a["op"]},
-               done=_answered)
     def group_by_aggregators(self, dim_index, level, op="sum", measure=0,
                              range_mds=None, explain=False):
         """Like :meth:`group_by` but returns the live aggregators.
@@ -1024,8 +931,6 @@ class DCTree(TreeFootprint):
     # deletion (the 'fully dynamic' complement of insert)
     # ------------------------------------------------------------------
 
-    @_observed("delete", done=_mutated("dctree_deletes_total",
-                                       "Records deleted."))
     def delete(self, record):
         """Remove one record (by value); raise if it is not indexed.
 
@@ -1048,6 +953,7 @@ class DCTree(TreeFootprint):
             self._place(orphan)
         if self._mutation_sink is not None:
             self._mutation_sink.record_delete(record)
+        self._count("dctree_deletes_total", "Records deleted.")
 
     def _collapse_root(self):
         root = self._root

@@ -1,4 +1,4 @@
-"""A zero-dependency metrics registry: counters, gauges, histograms.
+"""A zero-dependency metrics registry: counters and gauges.
 
 The registry unifies the package's previously scattered statistics
 surfaces — :class:`~repro.storage.tracker.StorageTracker` counters,
@@ -9,22 +9,15 @@ plain JSON (:meth:`MetricsRegistry.snapshot`) and as Prometheus text
 exposition (:meth:`MetricsRegistry.render_prometheus`, with the escaping
 rules of the format).
 
-Like the tracer, metrics are observational only: they are fed *from*
-the deterministic counters and never feed back into them, so the
-simulated cost model is bit-identical with the registry attached or not.
+Metrics are observational only: they are fed *from* the deterministic
+counters and never feed back into them, so the simulated cost model is
+bit-identical with the registry attached or not.
 """
 
 from __future__ import annotations
 
 import json
 import math
-
-
-#: Default histogram bucket bounds (seconds; spans are sub-second).
-DEFAULT_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
-
-#: Quantiles reported in snapshots (bench reports embed these).
-SNAPSHOT_QUANTILES = (0.5, 0.9, 0.99)
 
 
 class Counter:
@@ -60,81 +53,6 @@ class Gauge:
 
     def snapshot_value(self):
         return self.value
-
-
-class Histogram:
-    """Fixed-bucket distribution with count/sum/min/max and quantiles.
-
-    Buckets hold cumulative-style counts at exposition time; quantiles
-    are estimated by linear interpolation inside the covering bucket —
-    coarse but dependency-free, and plenty for "where did span time go".
-    """
-
-    __slots__ = ("bounds", "bucket_counts", "count", "sum", "min", "max")
-
-    def __init__(self, bounds=DEFAULT_BUCKETS):
-        self.bounds = tuple(bounds)
-        if any(b <= a for a, b in zip(self.bounds, self.bounds[1:])):
-            raise ValueError("histogram bounds must be strictly increasing")
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.min = None
-        self.max = None
-
-    def observe(self, value):
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    def quantile(self, q):
-        """Estimated q-quantile (0 < q <= 1); None when empty."""
-        if self.count == 0:
-            return None
-        target = q * self.count
-        cumulative = 0
-        lower = self.min if self.min is not None else 0.0
-        for index, bucket_count in enumerate(self.bucket_counts):
-            if bucket_count == 0:
-                continue
-            upper = (
-                self.bounds[index] if index < len(self.bounds)
-                else (self.max if self.max is not None else lower)
-            )
-            if cumulative + bucket_count >= target:
-                fraction = (target - cumulative) / bucket_count
-                low = max(lower, self.min) if index == 0 else lower
-                return low + fraction * max(0.0, upper - low)
-            cumulative += bucket_count
-            lower = upper
-        return self.max
-
-    def snapshot_value(self):
-        cumulative = 0
-        buckets = {}
-        for index, bound in enumerate(self.bounds):
-            cumulative += self.bucket_counts[index]
-            buckets["%g" % bound] = cumulative
-        buckets["+Inf"] = self.count
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "buckets": buckets,
-            "quantiles": {
-                "p%g" % (100 * q): self.quantile(q)
-                for q in SNAPSHOT_QUANTILES
-            },
-        }
 
 
 class _Family:
@@ -205,20 +123,13 @@ class MetricsRegistry:
         return child
 
     # ``name``/``help_text`` are positional-only so that ``name=...`` (a
-    # very natural label, e.g. span names) lands in ``**labels``.
+    # very natural label) lands in ``**labels``.
 
     def counter(self, name, help_text="", /, **labels):
         return self._child(name, "counter", help_text, labels, Counter)
 
     def gauge(self, name, help_text="", /, **labels):
         return self._child(name, "gauge", help_text, labels, Gauge)
-
-    def histogram(self, name, help_text="", /, *, buckets=None, **labels):
-        bounds = DEFAULT_BUCKETS if buckets is None else tuple(buckets)
-        return self._child(
-            name, "histogram", help_text, labels,
-            lambda: Histogram(bounds),
-        )
 
     def get(self, name, /, **labels):
         """The existing child metric, or None (no registration side effect)."""
@@ -272,39 +183,10 @@ class MetricsRegistry:
                     '%s="%s"' % (label, _escape_label_value(value))
                     for label, value in key
                 )
-                if family.kind == "histogram":
-                    cumulative = 0
-                    for index, bound in enumerate(metric.bounds):
-                        cumulative += metric.bucket_counts[index]
-                        bucket_labels = key + (("le", "%g" % bound),)
-                        lines.append('%s_bucket{%s} %d' % (
-                            name,
-                            ",".join('%s="%s"'
-                                     % (label, _escape_label_value(value))
-                                     for label, value in bucket_labels),
-                            cumulative,
-                        ))
-                    inf_labels = key + (("le", "+Inf"),)
-                    lines.append('%s_bucket{%s} %d' % (
-                        name,
-                        ",".join('%s="%s"'
-                                 % (label, _escape_label_value(value))
-                                 for label, value in inf_labels),
-                        metric.count,
-                    ))
-                    suffix = "{%s}" % label_text if label_text else ""
-                    lines.append("%s_sum%s %s" % (
-                        name, suffix, _format_number(metric.sum)
-                    ))
-                    lines.append("%s_count%s %d" % (
-                        name, suffix, metric.count
-                    ))
-                else:
-                    suffix = "{%s}" % label_text if label_text else ""
-                    lines.append("%s%s %s" % (
-                        name, suffix,
-                        _format_number(metric.snapshot_value()),
-                    ))
+                suffix = "{%s}" % label_text if label_text else ""
+                lines.append("%s%s %s" % (
+                    name, suffix, _format_number(metric.snapshot_value()),
+                ))
         text = "\n".join(lines)
         if stream is not None and text:
             stream.write(text + "\n")
@@ -317,17 +199,6 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 # bridges from the package's existing stat surfaces
 # ----------------------------------------------------------------------
-
-
-def observe_tracker(registry, tracker, prefix="storage"):
-    """Export a tracker's counters as gauges (delegates to the tracker)."""
-    tracker.publish_metrics(registry, prefix=prefix)
-
-
-def observe_result_cache(registry, cache, prefix="result_cache"):
-    """Export a result cache's counters as gauges (or no-op on None)."""
-    if cache is not None:
-        cache.publish_metrics(registry, prefix=prefix)
 
 
 def observe_tree_structure(registry, tree, prefix="dctree"):
@@ -363,8 +234,9 @@ def observe_tree_structure(registry, tree, prefix="dctree"):
 
 def observe_dctree(registry, tree):
     """Refresh every tree-derived gauge family: tracker, cache, structure."""
-    observe_tracker(registry, tree.tracker)
-    observe_result_cache(registry, getattr(tree, "result_cache", None))
+    tree.tracker.publish_metrics(registry)
+    if tree.result_cache is not None:
+        tree.result_cache.publish_metrics(registry)
     observe_tree_structure(registry, tree)
     registry.gauge("dctree_tree_version",
                    "Monotone mutation counter.").set(tree.tree_version)
@@ -373,18 +245,18 @@ def observe_dctree(registry, tree):
 def warehouse_registry(warehouse):
     """The registry describing a warehouse right now.
 
-    Reuses the index's live :class:`~repro.obs.Observability` registry
-    when one is attached (so span counters appear alongside), otherwise
-    builds a fresh one; either way the tracker/cache/structure gauges
-    are refreshed before returning.
+    Reuses the index's live registry when telemetry is on (so its event
+    counters appear alongside), otherwise builds a fresh one; either way
+    the tracker/cache/structure gauges are refreshed before returning.
     """
-    obs = getattr(warehouse, "observability", None)
-    registry = obs.registry if obs is not None else MetricsRegistry()
+    registry = warehouse.observability
+    if registry is None:
+        registry = MetricsRegistry()
     index = warehouse.index
     if warehouse.backend == "dc-tree":
         observe_dctree(registry, index)
     else:
-        observe_tracker(registry, index.tracker)
+        index.tracker.publish_metrics(registry)
         if warehouse.backend == "x-tree":
             observe_tree_structure(registry, index, prefix="xtree")
     return registry

@@ -145,7 +145,7 @@ class DurableWarehouse:
             cls.wal_path(directory),
             fsync_interval=warehouse.index.config.wal_fsync_interval,
             start_lsn=0, faults=faults,
-            observability=warehouse.index.observability,
+            metrics=warehouse.index.observability,
         )
         return cls(directory, warehouse, wal, faults=faults)
 
@@ -186,7 +186,7 @@ class DurableWarehouse:
             wal_file,
             fsync_interval=warehouse.index.config.wal_fsync_interval,
             start_lsn=report.last_lsn, faults=faults,
-            observability=warehouse.index.observability,
+            metrics=warehouse.index.observability,
         )
         wal.truncate()
         return cls(directory, warehouse, wal, faults=faults, report=report)
@@ -232,22 +232,16 @@ class DurableWarehouse:
     def checkpoint(self):
         """Fold the WAL into a fresh atomic checkpoint and truncate it."""
         self._require_open()
-        obs = self.warehouse.index.observability
-        if obs is None:
-            return self._checkpoint_impl()
-        with obs.span("checkpoint", directory=self.directory) as span:
-            self._checkpoint_impl()
-            span.set(wal_lsn=self.wal.last_lsn)
-        obs.counter("checkpoints_total",
-                    "Atomic checkpoints written by the session.").inc()
-
-    def _checkpoint_impl(self):
         self.wal.sync()
         save_warehouse(
             self.warehouse, self.checkpoint_path(self.directory),
             extra_meta={"wal_lsn": self.wal.last_lsn}, faults=self.faults,
         )
         self.wal.truncate()
+        metrics = self.warehouse.index.observability
+        if metrics is not None:
+            metrics.counter("checkpoints_total",
+                            "Atomic checkpoints written by the session.").inc()
 
     def _checkpoint_after_rebase(self):
         # A root swap invalidates record-level replay; only a checkpoint

@@ -58,10 +58,6 @@ class RecoveryReport:
         """Did recovery produce a validated warehouse?"""
         return self.checkpoint_ok and self.validated
 
-    @property
-    def applied_total(self):
-        return self.applied_inserts + self.applied_deletes
-
     def publish_metrics(self, registry, prefix="recovery"):
         """Export the audit as gauges into a metrics registry.
 
@@ -275,17 +271,8 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
     except OSError:
         report.checkpoint_age_seconds = None
 
-    obs = None
     if wal_path is not None:
-        obs = getattr(warehouse.index, "observability", None)
-        if obs is not None:
-            with obs.span("recovery.replay", wal=str(wal_path)) as span:
-                _replay_wal(warehouse, wal_path, report, faults)
-                span.set(applied=report.applied_total,
-                         bytes_scanned=report.wal_bytes_scanned,
-                         torn_tail=report.torn_tail)
-        else:
-            _replay_wal(warehouse, wal_path, report, faults)
+        _replay_wal(warehouse, wal_path, report, faults)
 
     try:
         _audit(warehouse, report)
@@ -294,6 +281,7 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
         report.validation_error = str(error)
     report.n_records = len(warehouse)
     # Published last, so the gauges describe the finished recovery.
-    if obs is not None:
-        report.publish_metrics(obs.registry)
+    metrics = warehouse.observability
+    if metrics is not None:
+        report.publish_metrics(metrics)
     return warehouse, report

@@ -82,22 +82,21 @@ class WriteAheadLog:
     faults:
         Optional :class:`~repro.storage.faults.FaultInjector` through
         which every write/fsync/truncate is routed.
-    observability:
-        Optional :class:`~repro.obs.Observability` bundle (normally the
-        owning tree's): every append opens a ``wal.append`` span and
-        feeds append/byte/fsync/truncate counters.  Purely
-        observational — the byte stream and sync schedule are identical
-        with it attached or not.
+    metrics:
+        Optional :class:`~repro.obs.MetricsRegistry` (normally the
+        owning tree's) that appends, bytes, fsyncs and truncates are
+        counted into.  Purely observational — the byte stream and sync
+        schedule are identical with it attached or not.
     """
 
     def __init__(self, path, fsync_interval=1, start_lsn=0, faults=None,
-                 observability=None):
+                 metrics=None):
         if fsync_interval < 0:
             raise StorageError("fsync_interval must be >= 0")
         self.path = os.fspath(path)
         self.fsync_interval = fsync_interval
         self.faults = faults
-        self.observability = observability
+        self.metrics = metrics
         self._lsn = start_lsn
         self._since_sync = 0
         self._handle = open(self.path, "ab", buffering=0)
@@ -120,29 +119,18 @@ class WriteAheadLog:
         fsynced per the batching policy) — appending *before* the caller
         acknowledges the mutation is what makes the mutation durable.
         """
-        obs = self.observability
-        if obs is None:
-            return self._append_impl(op, data)
-        with obs.span("wal.append", op=op) as span:
-            lsn = self._append_impl(op, data)
-            span.set(lsn=lsn)
-        obs.counter("wal_appends_total", "WAL records appended by op.",
-                    op=op).inc()
-        return lsn
-
-    def _append_impl(self, op, data):
         lsn = self._lsn + 1
         record = encode_record(lsn, op, data)
         faults_mod.write_through(self.faults, self._handle, "wal.append",
                                  record)
-        if self.observability is not None:
-            self.observability.counter(
-                "wal_bytes_written_total", "Bytes appended to the WAL."
-            ).inc(len(record))
+        self._count("wal_bytes_written_total", "Bytes appended to the WAL.",
+                    len(record))
         self._lsn = lsn
         self._since_sync += 1
         if self.fsync_interval and self._since_sync >= self.fsync_interval:
             self.sync()
+        self._count("wal_appends_total", "WAL records appended by op.",
+                    op=op)
         return lsn
 
     def sync(self):
@@ -150,24 +138,28 @@ class WriteAheadLog:
         faults_mod.op_through(self.faults, "wal.fsync")
         os.fsync(self._handle.fileno())
         self._since_sync = 0
-        if self.observability is not None:
-            self.observability.counter(
-                "wal_fsyncs_total", "Explicit WAL fsyncs."
-            ).inc()
+        self._count("wal_fsyncs_total", "Explicit WAL fsyncs.")
 
     def truncate(self):
-        """Drop every record (header stays) — called after a checkpoint.
+        """Drop every record and rewrite the header — called after a
+        checkpoint and when a session opens.
 
         A crash *before* the truncate leaves stale records behind; their
-        LSNs are at most the new checkpoint's, so replay skips them.
+        LSNs are at most the new checkpoint's, so replay skips them.  The
+        header is written afresh, so a header torn by an earlier crash
+        (inside ``create``, or inside this very call) never sits in front
+        of records a later session acknowledges.
         """
         faults_mod.op_through(self.faults, "wal.truncate")
-        self._handle.truncate(len(WAL_HEADER))
+        self._handle.truncate(0)
+        faults_mod.write_through(self.faults, self._handle, "wal.header",
+                                 WAL_HEADER)
         self._since_sync = 0
-        if self.observability is not None:
-            self.observability.counter(
-                "wal_truncates_total", "Post-checkpoint WAL truncations."
-            ).inc()
+        self._count("wal_truncates_total", "Post-checkpoint WAL truncations.")
+
+    def _count(self, name, help_text, amount=1, **labels):
+        if self.metrics is not None:
+            self.metrics.counter(name, help_text, **labels).inc(amount)
 
     def close(self):
         if self._handle is not None:

@@ -306,8 +306,8 @@ class Warehouse:
 
     @property
     def observability(self):
-        """The backend's telemetry bundle (None unless a DC-tree has
-        ``DCTreeConfig.observability`` on)."""
+        """The backend's :class:`~repro.obs.MetricsRegistry` (None
+        unless a DC-tree has ``DCTreeConfig.observability`` on)."""
         return getattr(self.index, "observability", None)
 
     def byte_size(self):

@@ -274,8 +274,9 @@ class TestRegressionHarness:
         assert observability["digest_identical"] is True
         assert observability["counters_identical"] is True
         assert "metrics" not in observability  # only --report carries it
-        assert observability["spans"] > 200  # at least one per insert
-        assert "repro_spans_total" in metrics
+        # the observed pass counted every insert of the serial workload
+        assert observability["inserts"] == 200
+        assert metrics["dctree_inserts_total"]["samples"][0]["value"] == 200
         assert "dctree_records" in metrics
         batch = entry["batch_insert"]
         assert batch["reads_identical"] and batch["cpu_not_worse"]
@@ -381,7 +382,7 @@ class TestRegressionHarness:
         measured = {"entry": _fake_entry(profile="smoke")}
         monkeypatch.setattr(
             regression, "run_benchmark",
-            lambda profile: (measured["entry"], {"repro_spans_total": {}}),
+            lambda profile: (measured["entry"], {"dctree_inserts_total": {}}),
         )
         path = str(tmp_path / "bench.json")
         args = ["--smoke", "--output", path]
@@ -440,7 +441,7 @@ def _fake_entry(**overrides):
         },
         "observability": {
             "digest_identical": True, "counters_identical": True,
-            "spans": 100,
+            "inserts": 100,
         },
     }
     entry.update(overrides)

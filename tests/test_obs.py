@@ -2,10 +2,10 @@
 
 Four contracts:
 
-* spans nest correctly, carry attributes and export both machine- and
-  human-readable forms;
 * the metrics registry snapshots and renders valid Prometheus text
   exposition (including its escaping rules);
+* the tree, the WAL, checkpoints and recovery count their events into
+  the tree's registry, and nothing else (no spans, no histograms);
 * EXPLAIN per-level totals reconcile *exactly* with the StorageTracker
   delta of the profiled query, on cold runs and cache hits alike;
 * observability is strictly observational — deterministic counters,
@@ -28,8 +28,6 @@ from repro.errors import QueryError
 from repro.obs import (
     ExplainResult,
     MetricsRegistry,
-    Observability,
-    Tracer,
     describe_result_cache,
     observe_dctree,
     warehouse_registry,
@@ -41,17 +39,6 @@ from repro.workload.queries import QueryGenerator, query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
 from tests.differential import assert_same_run, counter_tuple
 from tests.hypothesis_settings import TREE_SETTINGS
-
-
-class FakeClock:
-    """Deterministic, manually advanced timestamp source."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        self.now += 0.25
-        return self.now
 
 
 def build_tree(observability=True, rows=TOY_ROWS, **config_kwargs):
@@ -69,112 +56,6 @@ def build_tree(observability=True, rows=TOY_ROWS, **config_kwargs):
 
 
 # ----------------------------------------------------------------------
-# spans
-# ----------------------------------------------------------------------
-
-
-class TestTracer:
-    def test_nesting_and_parent_ids(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("outer", op="sum") as outer:
-            with tracer.span("inner") as inner:
-                inner.set(node=7)
-        assert len(tracer.roots) == 1
-        root = tracer.roots[0]
-        assert root is outer
-        assert root.parent_id is None
-        assert root.children == [inner]
-        assert inner.parent_id == root.span_id
-        assert inner.attributes == {"node": 7}
-        assert root.attributes == {"op": "sum"}
-
-    def test_walk_yields_depths(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("a"):
-            with tracer.span("b"):
-                with tracer.span("c"):
-                    pass
-            with tracer.span("d"):
-                pass
-        walked = [(s.name, depth) for s, depth in tracer.roots[0].walk()]
-        assert walked == [("a", 0), ("b", 1), ("c", 2), ("d", 1)]
-
-    def test_durations_from_clock(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("timed") as span:
-            assert span.duration == 0.0  # still open
-        # clock ticks 0.25 per call: start and end are one tick apart
-        # for a leaf span with no children.
-        assert span.duration == pytest.approx(0.25)
-
-    def test_bounded_ring_drops_oldest(self):
-        tracer = Tracer(max_roots=2, clock=FakeClock())
-        for index in range(5):
-            with tracer.span("op", index=index):
-                pass
-        assert len(tracer.roots) == 2
-        assert [s.attributes["index"] for s in tracer.roots] == [3, 4]
-        assert tracer.dropped_roots == 3
-        assert tracer.span_counts == {"op": 5}
-
-    def test_on_finish_sees_children_before_roots(self):
-        finished = []
-        tracer = Tracer(clock=FakeClock(),
-                        on_finish=lambda s: finished.append(s.name))
-        with tracer.span("root"):
-            with tracer.span("child"):
-                pass
-        assert finished == ["child", "root"]
-
-    def test_export_jsonl_round_trips(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("query", mds="abc"):
-            with tracer.span("visit"):
-                pass
-        lines = [json.loads(line)
-                 for line in tracer.export_jsonl().splitlines()]
-        assert [line["name"] for line in lines] == ["query", "visit"]
-        assert lines[0]["parent"] is None
-        assert lines[1]["parent"] == lines[0]["id"]
-        assert lines[0]["attributes"] == {"mds": "abc"}
-
-    def test_render_indents_and_reports_drops(self):
-        tracer = Tracer(max_roots=1, clock=FakeClock())
-        with tracer.span("first"):
-            pass
-        with tracer.span("second", op="sum"):
-            with tracer.span("nested"):
-                pass
-        text = tracer.render()
-        assert "1 earlier trace(s) dropped" in text
-        assert "second" in text and "\n  nested" in text
-        assert "{op=sum}" in text
-
-    def test_clear_resets_retention(self):
-        tracer = Tracer(max_roots=1, clock=FakeClock())
-        for _ in range(3):
-            with tracer.span("op"):
-                pass
-        tracer.clear()
-        assert len(tracer.roots) == 0
-        assert tracer.dropped_roots == 0
-        assert tracer.span_counts == {}
-
-
-class TestObservability:
-    def test_finished_spans_feed_registry(self):
-        obs = Observability(clock=FakeClock())
-        with obs.span("insert"):
-            pass
-        with obs.span("insert"):
-            pass
-        counter = obs.registry.get("repro_spans_total", name="insert")
-        assert counter.snapshot_value() == 2
-        histogram = obs.registry.get("repro_span_seconds", name="insert")
-        assert histogram.snapshot_value()["count"] == 2
-
-
-# ----------------------------------------------------------------------
 # metrics registry
 # ----------------------------------------------------------------------
 
@@ -185,11 +66,11 @@ class TestMetricsRegistry:
         registry.counter("ops_total").inc()
         registry.counter("ops_total").inc(4)
         registry.gauge("depth").set(3)
-        registry.histogram("lat", buckets=(0.1, 1.0)).observe(0.05)
         snap = registry.snapshot()
         assert snap["ops_total"]["samples"][0]["value"] == 5
         assert snap["depth"]["samples"][0]["value"] == 3
-        assert snap["lat"]["samples"][0]["value"]["count"] == 1
+        # Counters and gauges are the only kinds; histograms are gone.
+        assert not hasattr(registry, "histogram")
 
     def test_counters_never_decrease(self):
         registry = MetricsRegistry()
@@ -215,7 +96,7 @@ class TestMetricsRegistry:
 
     def test_name_is_a_legal_label(self):
         # ``name=`` must land in **labels, not collide with the
-        # positional metric name (the span bridge depends on this).
+        # positional metric name.
         registry = MetricsRegistry()
         registry.counter("spans_total", name="insert").inc()
         assert registry.get("spans_total", name="insert") is not None
@@ -231,18 +112,6 @@ class TestMetricsRegistry:
                 "and newline") in text
         assert 'path="va\\"l\\\\ue\\nx"' in text
         assert "# TYPE weird_total counter" in text
-
-    def test_prometheus_histogram_buckets_cumulative(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat", buckets=(0.1, 1.0))
-        histogram.observe(0.05)
-        histogram.observe(0.5)
-        histogram.observe(99.0)
-        text = registry.render_prometheus()
-        assert 'lat_bucket{le="0.1"} 1' in text
-        assert 'lat_bucket{le="1"} 2' in text
-        assert 'lat_bucket{le="+Inf"} 3' in text
-        assert "lat_count 3" in text
 
     def test_snapshot_json_is_valid(self):
         registry = MetricsRegistry()
@@ -453,18 +322,24 @@ class TestBridgesAndDurability:
         for row in TOY_ROWS:
             warehouse.insert_record(toy_record(warehouse.schema, *row))
         registry = warehouse_registry(warehouse)
-        assert registry is warehouse.observability.registry
+        assert registry is warehouse.observability
         snap = registry.snapshot()
-        assert "repro_spans_total" in snap  # insert spans landed here
+        # the inserts counted themselves here
+        assert snap["dctree_inserts_total"]["samples"][0]["value"] \
+            == len(TOY_ROWS)
         assert "dctree_records" in snap
 
     def test_tree_spans_and_counters(self):
         schema, tree = build_tree()
-        counts = tree.observability.tracer.span_counts
-        assert counts["insert"] == len(TOY_ROWS)
-        assert counts.get("choose_subtree", 0) > 0
-        inserts = tree.observability.registry.get("dctree_inserts_total")
+        registry = tree.observability
+        inserts = registry.get("dctree_inserts_total")
         assert inserts.snapshot_value() == len(TOY_ROWS)
+        # 7 rows at leaf capacity 4 split at least one leaf
+        assert registry.get("dctree_splits_total", kind="leaf") is not None
+        # counters only: no span families are recorded any more
+        assert not any(
+            name.startswith("repro_span") for name in registry.snapshot()
+        )
 
     def test_wal_checkpoint_recovery_telemetry(self, tmp_path):
         directory = tmp_path / "dw"
@@ -480,13 +355,10 @@ class TestBridgesAndDurability:
                 session.insert_record(toy_record(warehouse.schema, *row))
         finally:
             session.close()
-        registry = warehouse.observability.registry
+        registry = warehouse.observability
         appends = registry.get("wal_appends_total", op="insert")
         assert appends.snapshot_value() == 5
         assert registry.get("checkpoints_total").snapshot_value() == 1
-        counts = warehouse.observability.tracer.span_counts
-        assert counts["wal.append"] == 5
-        assert counts["checkpoint"] == 1
 
         # recover (2 uncheckpointed inserts replay) with telemetry on
         recovered = DurableWarehouse.open(
@@ -497,17 +369,16 @@ class TestBridgesAndDurability:
             assert report.applied_inserts == 2
             assert report.wal_bytes_scanned > 0
             assert report.checkpoint_age_seconds is not None
-            obs = recovered.warehouse.observability
-            assert obs.tracer.span_counts["recovery.replay"] == 1
-            applied = obs.registry.get("recovery_applied_inserts")
+            registry = recovered.warehouse.observability
+            applied = registry.get("recovery_applied_inserts")
             assert applied.snapshot_value() == 2
-            scanned = obs.registry.get("recovery_wal_bytes_scanned")
+            scanned = registry.get("recovery_wal_bytes_scanned")
             assert scanned.snapshot_value() == report.wal_bytes_scanned
             # The gauges describe the finished recovery, audit included.
             assert report.validated and report.n_records == 5
-            validated = obs.registry.get("recovery_validated")
+            validated = registry.get("recovery_validated")
             assert validated.snapshot_value() == 1
-            n_records = obs.registry.get("recovery_n_records")
+            n_records = registry.get("recovery_n_records")
             assert n_records.snapshot_value() == 5
         finally:
             recovered.close()

@@ -59,8 +59,7 @@ def _snapshot(warehouse):
 
 
 def _attach(session, injector):
-    """Arm an injector on a session *after* create() — the matrix covers
-    steady-state operation, not construction."""
+    """Arm an injector on a live session (after ``create``)."""
     session.faults = injector
     session.wal.faults = injector
     session.warehouse.index.tracker.faults = injector
@@ -127,20 +126,23 @@ def _run_workload(directory, plan, steps_fn=_workload_steps,
                   rows=TOY_ROWS):
     """One scripted run under ``plan``; returns what recovery must honor.
 
-    Returns ``(committed, maybe, fault, injector)`` — the acknowledged
-    state, the state if the in-flight step also survives, and the fault
-    that fired (None on a clean run).
+    The injector is armed from ``create`` on, so the initial checkpoint
+    and the WAL header are fault sites too.  Returns ``(committed,
+    maybe, fault, injector)`` — the acknowledged state, the state if the
+    in-flight step also survives, and the fault that fired (None on a
+    clean run).
     """
     warehouse = _toy_warehouse()
     schema = warehouse.schema
     records = [toy_record(schema, *row) for row in rows]
-    session = DurableWarehouse.create(directory, warehouse)
     injector = FaultInjector(plan)
-    _attach(session, injector)
+    session = None
     state = Counter()
     maybe = Counter()
     fault = None
     try:
+        session = DurableWarehouse.create(directory, warehouse,
+                                          faults=injector)
         for step in steps_fn(records):
             maybe = _apply_expected(schema, Counter(state), step)
             kind, payload = step
@@ -156,7 +158,8 @@ def _run_workload(directory, plan, steps_fn=_workload_steps,
         session.close()
     except InjectedFault as exc:
         fault = exc
-        _drop_dead(session)
+        if session is not None:
+            _drop_dead(session)
     return state, maybe, fault, injector
 
 
@@ -170,67 +173,23 @@ def _recovered_snapshot(directory):
     return _snapshot(warehouse), report
 
 
-def test_crash_matrix_no_acknowledged_mutation_lost(tmp_path):
-    """Kill the workload at every I/O operation it performs; recovery
-    must always yield committed ⊆ recovered ⊆ committed + in-flight."""
+#: The insert a reopened session acknowledges after every matrix fault.
+_RESUME_ROW = ("IT", "Rome", "red", 9.0)
+
+
+def _crash_matrix(tmp_path, label, **workload):
+    """Fault the workload at every I/O operation it performs, from
+    ``create`` on; recovery must always yield committed ⊆ recovered ⊆
+    committed + in-flight.  The directory must then keep working: a
+    reopened session acknowledges one more insert, and the next reopen
+    holds it."""
     probe_dir = os.path.join(str(tmp_path), "probe")
-    state, _, fault, tracer = _run_workload(probe_dir, plan=None)
-    assert fault is None
-    trace = tracer.trace
-    assert trace, "fault tracer saw no I/O operations"
-    clean_snapshot, _ = _recovered_snapshot(probe_dir)
-    assert clean_snapshot == state
-
-    matrix = []
-    for index, (site, kind) in enumerate(trace, start=1):
-        matrix.append((index, site, "crash"))
-        if kind == "write":
-            matrix.append((index, site, "torn"))
-
-    for fail_at, site, mode in matrix:
-        directory = os.path.join(
-            str(tmp_path), "run-%d-%s" % (fail_at, mode)
-        )
-        committed, maybe, fault, _ = _run_workload(
-            directory, FaultPlan(fail_at=fail_at, mode=mode)
-        )
-        assert fault is not None, (
-            "plan (%d, %s) at site %s never fired" % (fail_at, mode, site)
-        )
-        recovered, report = _recovered_snapshot(directory)
-        assert recovered in (committed, maybe), (
-            "fault at op %d (%s, %s): recovered %r, acknowledged %r, "
-            "with in-flight %r"
-            % (fail_at, site, mode, dict(recovered), dict(committed),
-               dict(maybe))
-        )
-        # Reopening the directory must also work and self-compact.
-        session = DurableWarehouse.open(directory)
-        try:
-            assert _snapshot(session.warehouse) == recovered
-            assert session.report.ok
-        finally:
-            session.close()
-
-
-def test_batch_crash_matrix_is_all_or_nothing(tmp_path):
-    """Kill a batched workload at every traced I/O operation.  Because a
-    ``maybe`` state only ever differs from ``committed`` by one *whole*
-    batch, the membership assertion proves group-commit atomicity: the
-    recovered warehouse never holds a strict subset of a batch, and
-    never misses a batch that was acknowledged."""
-    probe_dir = os.path.join(str(tmp_path), "probe")
-    state, _, fault, tracer = _run_workload(
-        probe_dir, plan=None,
-        steps_fn=_batch_workload_steps, rows=_BATCH_ROWS,
-    )
+    state, _, fault, tracer = _run_workload(probe_dir, plan=None, **workload)
     assert fault is None
     trace = tracer.trace
     assert trace, "fault tracer saw no I/O operations"
     clean_snapshot, clean_report = _recovered_snapshot(probe_dir)
     assert clean_snapshot == state
-    # Both post-checkpoint batches replay, each as a single OP_BATCH.
-    assert clean_report.applied_batches == 2
 
     matrix = []
     for index, (site, kind) in enumerate(trace, start=1):
@@ -240,28 +199,80 @@ def test_batch_crash_matrix_is_all_or_nothing(tmp_path):
 
     for fail_at, site, mode in matrix:
         directory = os.path.join(
-            str(tmp_path), "batch-%d-%s" % (fail_at, mode)
+            str(tmp_path), "%s-%d-%s" % (label, fail_at, mode)
         )
         committed, maybe, fault, _ = _run_workload(
-            directory, FaultPlan(fail_at=fail_at, mode=mode),
-            steps_fn=_batch_workload_steps, rows=_BATCH_ROWS,
+            directory, FaultPlan(fail_at=fail_at, mode=mode), **workload
         )
         assert fault is not None, (
             "plan (%d, %s) at site %s never fired" % (fail_at, mode, site)
         )
-        recovered, report = _recovered_snapshot(directory)
-        assert recovered in (committed, maybe), (
-            "fault at op %d (%s, %s): recovered %r, acknowledged %r, "
-            "with in-flight batch %r"
-            % (fail_at, site, mode, dict(recovered), dict(committed),
-               dict(maybe))
-        )
+        where = "fault at op %d (%s, %s)" % (fail_at, site, mode)
+        if os.path.exists(DurableWarehouse.checkpoint_path(directory)):
+            recovered, _ = _recovered_snapshot(directory)
+            assert recovered in (committed, maybe), (
+                "%s: recovered %r, acknowledged %r, with in-flight %r"
+                % (where, dict(recovered), dict(committed), dict(maybe))
+            )
+            session = DurableWarehouse.open(directory)
+            assert _snapshot(session.warehouse) == recovered, where
+            assert session.report.ok, where
+        else:
+            # create's first checkpoint never landed: nothing was
+            # acknowledged and the directory holds no session yet.
+            assert not committed, where
+            recovered = Counter()
+            session = DurableWarehouse.create(directory, _toy_warehouse())
+        extra = toy_record(session.warehouse.schema, *_RESUME_ROW)
+        session.insert_record(extra)
+        session.close()
+        recovered[_key(session.warehouse.schema, extra)] += 1
         session = DurableWarehouse.open(directory)
         try:
-            assert _snapshot(session.warehouse) == recovered
-            assert session.report.ok
+            assert _snapshot(session.warehouse) == recovered, where
         finally:
             session.close()
+    return clean_report
+
+
+def test_crash_matrix_no_acknowledged_mutation_lost(tmp_path):
+    _crash_matrix(tmp_path, "run")
+
+
+def test_batch_crash_matrix_is_all_or_nothing(tmp_path):
+    """The crash matrix over a batched workload.  Because a ``maybe``
+    state only ever differs from ``committed`` by one *whole* batch, the
+    membership assertion proves group-commit atomicity: the recovered
+    warehouse never holds a strict subset of a batch, and never misses
+    a batch that was acknowledged."""
+    clean_report = _crash_matrix(
+        tmp_path, "batch", steps_fn=_batch_workload_steps, rows=_BATCH_ROWS,
+    )
+    # Both post-checkpoint batches replay, each as a single OP_BATCH.
+    assert clean_report.applied_batches == 2
+
+
+def test_torn_wal_header_at_create_keeps_later_writes(tmp_path):
+    """A crash that tears the WAL header inside ``create`` must not
+    cost the writes a later session acknowledges."""
+    directory = str(tmp_path / "torn-header")
+    with pytest.raises(InjectedFault):
+        DurableWarehouse.create(
+            directory, _toy_warehouse(),
+            faults=FaultInjector(FaultPlan(1, "torn", site="wal.header")),
+        )
+    session = DurableWarehouse.open(directory)
+    assert session.report.ok and len(session) == 0
+    rows = [(((country, city), (color,)), (sales,))
+            for country, city, color, sales in TOY_ROWS[:5]]
+    session.insert_many(rows)
+    session.close()
+    reopened = DurableWarehouse.open(directory)
+    try:
+        assert reopened.report.applied_inserts == 5
+        assert len(reopened) == 5
+    finally:
+        reopened.close()
 
 
 def test_batch_replay_counts_batches(tmp_path):
