@@ -7,8 +7,11 @@ in every directory entry so range queries can stop at contained entries.
 
 Public operations:
 
-* :meth:`DCTree.insert` / :meth:`DCTree.delete` — single-record dynamic
-  updates (the paper's motivation: no nightly bulk-update window).
+* :meth:`DCTree.apply` — the one mutator: a sequence of insert/delete
+  operations applied, logged and counted as a unit (the paper's
+  motivation: no nightly bulk-update window).  :meth:`DCTree.insert`,
+  :meth:`DCTree.insert_batch` and :meth:`DCTree.delete` are one-line
+  wrappers over it.
 * :meth:`DCTree.range_query` — aggregation (SUM/COUNT/AVG/MIN/MAX) over a
   range MDS, Fig. 7's algorithm.
 * :meth:`DCTree.range_records` — the matching records themselves.
@@ -36,20 +39,25 @@ from .result_cache import ResultCache
 from .stats import TreeFootprint
 
 
+#: The operation kinds of :meth:`DCTree.apply` (also the WAL's op tags).
+INSERT = "insert"
+DELETE = "delete"
+
+
 def _copy_groups(groups):
     """Independent aggregator copies (callers merge groups onwards)."""
     return {value: aggregator.copy() for value, aggregator in groups.items()}
 
 
 class _BatchState:
-    """Deferred charges of one open :meth:`DCTree.insert_batch`.
+    """Deferred charges of one multi-operation :meth:`DCTree.apply`.
 
     Tracks the pages the batch dirties — in first-touch order, keeping
     the widest write observed per page — plus which of them took a path
     MDS/aggregate fold, so the flush charges ``write_node`` once and the
     fold CPU once per touched node instead of once per record.  Pages
-    freed mid-batch (split sources) are dropped: a write-back buffer
-    never flushes a page that died before the flush point.
+    freed mid-batch (split sources, unlinked or condensed nodes) are
+    dropped: a write-back buffer never flushes a dead page.
     """
 
     __slots__ = ("pending",)
@@ -137,10 +145,10 @@ class DCTree(TreeFootprint):
     def tree_version(self):
         """Monotone counter bumped by every mutation of the tree.
 
-        The result cache keys memoized answers on it; *every* mutator
-        entry point — :meth:`insert`, :meth:`delete`, bulk loading, and
-        the maintenance paths built on them — must call
-        :meth:`note_mutation` so a stale answer can never be served.
+        The result cache keys memoized answers on it.  Every mutation
+        goes through :meth:`apply` (one bump per call, however many
+        operations) or :meth:`adopt_root` (one bump per root swap), so a
+        stale answer can never be served.
         """
         return self._tree_version
 
@@ -165,26 +173,17 @@ class DCTree(TreeFootprint):
         if self._metrics is not None:
             self._metrics.counter(name, help_text, **labels).inc(amount)
 
-    def note_mutation(self):
-        """Bump :attr:`tree_version` (call after any structural change)."""
-        self._tree_version += 1
-
-    @property
-    def mutation_sink(self):
-        """The attached durability sink (None when the tree is volatile)."""
-        return self._mutation_sink
-
     def set_mutation_sink(self, sink):
         """Attach a durability sink; pass ``None`` to detach.
 
         The sink rides next to the :attr:`tree_version` bump: every
-        *acknowledged* mutator notifies it before returning, after the
-        in-memory apply succeeds.  A sink implements all four methods:
-        ``record_insert(record)``, ``record_insert_batch(records)``
-        (once per non-empty :meth:`insert_batch`),
-        ``record_delete(record)`` and ``record_rebase(n_records)`` (a
-        wholesale root swap, :meth:`adopt_root`).  The write-ahead log's
-        :class:`repro.persist.durable.WalSink` is the intended sink.
+        *acknowledged* mutation notifies it before returning, after the
+        in-memory apply succeeds.  A sink implements two methods:
+        ``record_ops(ops)``, once per non-empty :meth:`apply` with its
+        ``(kind, record)`` pairs, and ``record_rebase(n_records)``, once
+        per wholesale root swap (:meth:`adopt_root`).  The write-ahead
+        log's :class:`repro.persist.durable.WalSink` is the intended
+        sink.
         """
         self._mutation_sink = sink
 
@@ -198,7 +197,7 @@ class DCTree(TreeFootprint):
         """
         self._root = root
         self._n_records = n_records
-        self.note_mutation()
+        self._tree_version += 1
         if self._mutation_sink is not None:
             self._mutation_sink.record_rebase(n_records)
 
@@ -217,20 +216,89 @@ class DCTree(TreeFootprint):
     # ------------------------------------------------------------------
 
     def insert(self, record):
-        """Insert one data record, keeping the index fully up to date.
+        """Insert one data record: a one-operation :meth:`apply`."""
+        self.apply(((INSERT, record),))
 
-        When a durability sink is attached, the mutation is logged after
-        the in-memory apply and before this method returns — returning
-        IS the acknowledgement, so an acknowledged insert is always
-        recoverable and a crash mid-insert loses only the unacknowledged
-        one.
+    def insert_batch(self, records):
+        """Insert many records as one :meth:`apply`; returns how many."""
+        return self.apply([(INSERT, record) for record in records])
+
+    def delete(self, record):
+        """Remove one record (by value): a one-operation :meth:`apply`;
+        raises :class:`RecordNotFoundError`, changing nothing, when it is
+        not indexed."""
+        self.apply(((DELETE, record),))
+
+    def apply(self, ops):
+        """Apply ``(kind, record)`` pairs in order, ``kind`` being
+        :data:`INSERT` or :data:`DELETE`; returns how many.
+
+        Each operation descends exactly as it would alone, so the tree
+        and every read counter do not depend on how operations are
+        grouped into calls.  A one-operation call charges write-through;
+        a longer one (a batch) defers each touched node's fold CPU and
+        page write to one flush at its end, so it writes at most (usually
+        far fewer) pages than its operations would one by one.  The
+        regime depends on the call alone, so replaying the call's WAL
+        record reproduces its charges.
+
+        :attr:`tree_version` bumps once per call, and the sink hears of
+        it once, via ``record_ops(ops)``, before the call returns:
+        returning IS the acknowledgement.  Deleting a record that is not
+        indexed raises :class:`RecordNotFoundError`; as the only
+        operation it changes nothing, after others those stay applied
+        but unlogged.
         """
-        self.note_mutation()
-        self._place(record)
-        self._n_records += 1
+        ops = list(ops)
+        if not ops:
+            return 0
+        if self._batch is not None:
+            raise TreeError("apply cannot be nested")
+        for kind, _record in ops:
+            if kind != INSERT and kind != DELETE:
+                raise TreeError("unknown operation %r" % (kind,))
+        batch = self._batch = _BatchState() if len(ops) > 1 else None
+        done = 0
+        missing = False
+        try:
+            for kind, record in ops:
+                if kind == INSERT:
+                    self._place(record)
+                    self._n_records += 1
+                elif not self._remove(record):
+                    missing = True
+                    raise RecordNotFoundError(
+                        "record not found: %r" % (record,)
+                    )
+                done += 1
+        finally:
+            self._batch = None
+            # Whatever ran may have changed the tree — except a lone
+            # missing delete, which changed nothing.
+            if done or not missing:
+                self._tree_version += 1
+        if batch is not None:
+            pages_written = self._flush_batch(batch)
         if self._mutation_sink is not None:
-            self._mutation_sink.record_insert(record)
-        self._count("dctree_inserts_total", "Records inserted.")
+            self._mutation_sink.record_ops(ops)
+        if batch is None:
+            if ops[0][0] == INSERT:
+                self._count("dctree_inserts_total", "Records inserted.")
+            else:
+                self._count("dctree_deletes_total", "Records deleted.")
+            return 1
+        n_deletes = sum(kind == DELETE for kind, _record in ops)
+        self._count("dctree_batch_inserts_total",
+                    "Multi-operation apply calls (batches).")
+        self._count("dctree_batch_records_total",
+                    "Records inserted through batches.",
+                    len(ops) - n_deletes)
+        if n_deletes:
+            self._count("dctree_batch_deletes_total",
+                        "Records deleted through batches.", n_deletes)
+        self._count("dctree_batch_pages_written_total",
+                    "Pages written by batch flushes.", pages_written)
+        return len(ops)
 
     def _place(self, record):
         """Route one record down from the root, growing the root on split."""
@@ -240,61 +308,6 @@ class DCTree(TreeFootprint):
         split_result = self._insert_into(self._root, record)
         if split_result is not None:
             self._grow_root(split_result)
-
-    def insert_batch(self, records):
-        """Insert many records, charging writes once per touched node.
-
-        The descent is record-by-record — the same node accesses, the
-        same choose-subtree decisions and the same split points as
-        serial :meth:`insert` — so the resulting tree is structurally
-        identical and every *read* counter matches bit-for-bit.  What a
-        batch amortizes is the write-through charging: the per-path-node
-        MDS/aggregate fold CPU and the ``write_node`` page write are
-        coalesced per touched node and charged once at the flush that
-        ends the batch, so batched page writes are at most (usually far
-        below) the serial count.  Splits and supernode growth still run
-        at their serial points; only their page writes join the flush.
-
-        Semantics the rest of the stack relies on (and tests pin down):
-
-        * :attr:`tree_version` bumps ONCE per batch, at batch start —
-          the result cache invalidates once, not per record.
-        * A durability sink is notified once, after the in-memory apply,
-          via ``record_insert_batch(records)`` (the WAL group-commits
-          the batch as one atomic record: one fsync per acknowledged
-          batch); the sink also implements ``record_insert``,
-          ``record_delete`` and ``record_rebase`` (see
-          :meth:`set_mutation_sink`).  An empty batch is not logged.
-          Returning IS the acknowledgement; a crash mid-batch loses the
-          whole unacknowledged batch and nothing else.
-
-        Returns the number of records inserted.
-        """
-        records = list(records)
-        if not records:
-            return 0
-        if self._batch is not None:
-            raise TreeError("insert_batch cannot be nested")
-        # One version bump acknowledges the whole batch: the result
-        # cache (keyed on tree_version) flushes exactly once, and
-        # readers observe the batch atomically.
-        self.note_mutation()
-        batch = self._batch = _BatchState()
-        try:
-            for record in records:
-                self._place(record)
-                self._n_records += 1
-            pages_written = self._flush_batch(batch)
-        finally:
-            self._batch = None
-        if self._mutation_sink is not None:
-            self._mutation_sink.record_insert_batch(records)
-        self._count("dctree_batch_inserts_total", "Batches inserted.")
-        self._count("dctree_batch_records_total",
-                    "Records inserted through batches.", len(records))
-        self._count("dctree_batch_pages_written_total",
-                    "Pages written by batch flushes.", pages_written)
-        return len(records)
 
     def _flush_batch(self, batch):
         """Charge the batch's coalesced folds and page writes.
@@ -931,29 +944,24 @@ class DCTree(TreeFootprint):
     # deletion (the 'fully dynamic' complement of insert)
     # ------------------------------------------------------------------
 
-    def delete(self, record):
-        """Remove one record (by value); raise if it is not indexed.
+    def _remove(self, record):
+        """Remove one record (by value); False, having changed nothing,
+        when it is not indexed.
 
         Every node on the deletion path refolds its MDS and aggregate
-        vector from its remaining records or children (:meth:`_fold`),
-        bottom-up, so coverage, minimality and exact MIN/MAX keep
-        holding.  Empty nodes are unlinked, underflowing nodes are
-        condensed (their contents reinserted, as in the R-tree), shrunk
-        supernodes give blocks back, and a root directory left with a
-        single child is collapsed.  A record that is not found changes
-        nothing, so :attr:`tree_version` stays and cached answers stand.
+        vector (:meth:`_fold`) bottom-up.  Empty nodes are unlinked,
+        underflowing ones condensed (their contents reinserted, as in
+        the R-tree), shrunk supernodes give blocks back, and a root
+        directory left with a single child is collapsed.
         """
         orphans = []
         if not self._delete_from(self._root, record, orphans):
-            raise RecordNotFoundError("record not found: %r" % (record,))
-        self.note_mutation()
+            return False
         self._n_records -= 1
         self._collapse_root()
         for orphan in orphans:
             self._place(orphan)
-        if self._mutation_sink is not None:
-            self._mutation_sink.record_delete(record)
-        self._count("dctree_deletes_total", "Records deleted.")
+        return True
 
     def _collapse_root(self):
         root = self._root

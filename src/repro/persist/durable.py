@@ -8,7 +8,8 @@ warehouse.  The directory layout is::
 
 Every ``insert``/``delete`` that returns to the caller has already been
 appended (and, per the fsync policy, synced) to the WAL by the DC-tree's
-mutation sink; :meth:`checkpoint` folds the log into a fresh atomic
+mutation sink, one record per :meth:`~repro.core.tree.DCTree.apply`
+call; :meth:`checkpoint` folds the log into a fresh atomic
 checkpoint and truncates it.  Both files use the length+CRC32 frames
 of :mod:`repro.persist.format`.  After a crash, :meth:`open` replays
 checkpoint + WAL, validates the result, immediately re-checkpoints the
@@ -34,13 +35,12 @@ import os
 from ..errors import StorageError
 from .io import record_to_labels, save_warehouse
 from .recovery import recover_warehouse
-from .wal import OP_BATCH, OP_DELETE, OP_INSERT, OP_REBASE, WriteAheadLog
+from .wal import OP_APPLY, OP_REBASE, WriteAheadLog
 
 
 class WalSink:
     """Adapts a :class:`WriteAheadLog` to the DC-tree mutation-sink
-    protocol (``record_insert`` / ``record_delete`` /
-    ``record_insert_batch`` / ``record_rebase``).
+    protocol (``record_ops`` / ``record_rebase``).
 
     Records are logged as *label* paths (see
     :func:`~repro.persist.io.record_to_labels`): hierarchy IDs interned
@@ -53,21 +53,15 @@ class WalSink:
         self.schema = schema
         self._on_rebase = on_rebase
 
-    def record_insert(self, record):
-        self.wal.append(OP_INSERT, record_to_labels(self.schema, record))
-
-    def record_insert_batch(self, records):
-        """Group-commit one acknowledged batch: a single atomic WAL
-        record carrying every label path, hence one append — and at
-        ``fsync_interval=1`` exactly one fsync — per batch.  A torn tail
-        drops the whole batch, never a prefix of it."""
+    def record_ops(self, ops):
+        """Group-commit one acknowledged ``apply`` call as one atomic
+        WAL record: one append (one fsync at ``fsync_interval=1``) per
+        call, and a torn tail drops the whole call, never a prefix."""
         self.wal.append(
-            OP_BATCH,
-            [record_to_labels(self.schema, record) for record in records],
+            OP_APPLY,
+            [[kind, record_to_labels(self.schema, record)]
+             for kind, record in ops],
         )
-
-    def record_delete(self, record):
-        self.wal.append(OP_DELETE, record_to_labels(self.schema, record))
 
     def record_rebase(self, n_records):
         self.wal.append(OP_REBASE, n_records)
@@ -155,8 +149,9 @@ class DurableWarehouse:
 
         Replays checkpoint + WAL, validates, re-checkpoints the
         recovered state and truncates the log, so each open starts from
-        a compact, trustworthy base.  Raises :class:`StorageError` when
-        the checkpoint is unreadable or validation fails.
+        a compact, trustworthy base.  Raises :class:`StorageError`, and
+        changes no file, when the checkpoint is unreadable, the WAL is of
+        another format version or validation fails.
         """
         directory = os.fspath(directory)
         checkpoint = cls.checkpoint_path(directory)
@@ -188,7 +183,11 @@ class DurableWarehouse:
             start_lsn=report.last_lsn, faults=faults,
             metrics=warehouse.index.observability,
         )
-        wal.truncate()
+        try:
+            wal.truncate()
+        except BaseException:
+            wal.close()
+            raise
         return cls(directory, warehouse, wal, faults=faults, report=report)
 
     # ------------------------------------------------------------------

@@ -10,9 +10,9 @@ structured :class:`RecoveryReport` (surfaced by ``python -m repro
 recover`` and ``inspect``).
 
 Replay is deterministic: the same checkpoint and WAL always produce the
-same tree *and* the same tracker counters — recovery is just a sequence
-of ordinary inserts/deletes, so nothing about the durability layer
-perturbs the simulated cost model.
+same tree *and* the same tracker counters — each WAL record replays as
+the one :meth:`~repro.core.tree.DCTree.apply` call that logged it, so
+nothing about the durability layer perturbs the simulated cost model.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import os
 import time
 
+from ..core.tree import DELETE
 from ..errors import RecordNotFoundError, ReproError, StorageError
 from ..workload.queries import query_from_labels
 from . import wal as wal_mod
@@ -77,7 +78,7 @@ class RecoveryReport:
             ("applied_inserts", self.applied_inserts,
              "Inserts replayed onto the checkpoint (batched included)."),
             ("applied_batches", self.applied_batches,
-             "Group-committed insert batches replayed."),
+             "Group-committed multi-operation records replayed."),
             ("applied_deletes", self.applied_deletes,
              "Deletes replayed onto the checkpoint."),
             ("skipped_stale", self.skipped_stale,
@@ -127,7 +128,7 @@ class RecoveryReport:
         if self.applied_batches:
             lines.append(
                 "wal: %d group-committed batch(es) among the replayed "
-                "inserts" % self.applied_batches
+                "operations" % self.applied_batches
             )
         if self.torn_tail:
             lines.append(
@@ -193,14 +194,13 @@ def _audit(warehouse, report):
 
 
 def _replay_wal(warehouse, wal_path, report, faults):
-    """Scan + replay the WAL onto the loaded checkpoint (report-driven)."""
-    try:
-        scan = wal_mod.read_wal(wal_path, faults=faults)
-    except StorageError as error:
-        scan = wal_mod.WalScan([], True, str(error), 0)
+    """Scan + replay the WAL onto the loaded checkpoint (report-driven):
+    each record replays as the one ``apply`` call that logged it."""
+    scan = wal_mod.read_wal(wal_path, faults=faults)
     report.torn_tail = scan.torn_tail
     report.wal_error = scan.error
     report.wal_bytes_scanned = scan.bytes_scanned
+    schema = warehouse.schema
     for lsn, op, payload in scan.records:
         report.wal_records_seen += 1
         report.last_lsn = max(report.last_lsn, int(lsn))
@@ -210,33 +210,20 @@ def _replay_wal(warehouse, wal_path, report, faults):
         if op == wal_mod.OP_REBASE:
             report.stopped_at_rebase = True
             break
-        if op == wal_mod.OP_INSERT:
-            warehouse.index.insert(
-                record_from_labels(warehouse.schema, payload)
-            )
-            report.applied_inserts += 1
-        elif op == wal_mod.OP_BATCH:
-            # One atomic group commit: the record either survived the
-            # crash whole (every insert replays, batched so the replayed
-            # tracker charges match the original run) or was torn away
-            # whole — read_wal never yields a prefix of it.
-            records = warehouse.insert_records(
-                record_from_labels(warehouse.schema, labels)
-                for labels in payload
-            )
-            report.applied_inserts += len(records)
-            report.applied_batches += 1
-        elif op == wal_mod.OP_DELETE:
-            try:
-                warehouse.index.delete(
-                    record_from_labels(warehouse.schema, payload)
-                )
-                report.applied_deletes += 1
-            except RecordNotFoundError:
-                report.failed_deletes += 1
-        else:
+        if op != wal_mod.OP_APPLY:
             report.wal_error = "unknown WAL op %r at LSN %d" % (op, lsn)
             break
+        ops = [(kind, record_from_labels(schema, labels))
+               for kind, labels in payload]
+        try:
+            warehouse.index.apply(ops)
+        except RecordNotFoundError:
+            report.failed_deletes += 1
+            continue
+        n_deletes = sum(kind == DELETE for kind, _record in ops)
+        report.applied_deletes += n_deletes
+        report.applied_inserts += len(ops) - n_deletes
+        report.applied_batches += len(ops) > 1
 
 
 def recover_warehouse(checkpoint_path, wal_path=None, config=None,
@@ -248,7 +235,9 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
     when the checkpoint itself is unreadable (``report.checkpoint_error``
     says why).  WAL damage is never fatal: a torn tail or unreadable
     record ends replay at the last trustworthy mutation — precisely the
-    acknowledged-durable prefix.
+    acknowledged-durable prefix.  A WAL that cannot be read or is of
+    another format version is not damage; it raises
+    :class:`StorageError`.
     """
     report = RecoveryReport(checkpoint_path, wal_path)
     try:

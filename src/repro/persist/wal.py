@@ -1,11 +1,11 @@
 """Write-ahead log for acknowledged warehouse mutations.
 
 The checkpoint file makes a warehouse durable *up to the last save*; the
-WAL makes every acknowledged ``insert``/``delete`` since then durable as
-well.  The DC-tree's mutation sink (see
+WAL makes every mutation acknowledged since then durable as well.  The
+DC-tree's mutation sink (see
 :meth:`~repro.core.tree.DCTree.set_mutation_sink`) appends one record
-per acknowledged mutation; recovery replays the log on top of the last
-good checkpoint.
+per acknowledged :meth:`~repro.core.tree.DCTree.apply` call; recovery
+replays each record on top of the last good checkpoint as one ``apply``.
 
 On-disk format
 --------------
@@ -13,16 +13,17 @@ On-disk format
 ::
 
     file   := header record*
-    header := b"DCWAL01\\n"                      (8 bytes)
+    header := b"DCWAL02\\n"                      (8 bytes)
     record := frame(UTF-8 JSON [lsn, op, data])
 
 ``lsn`` is a monotone log sequence number (checkpoints remember the last
 LSN they contain, so replay skips records a newer checkpoint already
-covers).  ``op`` is ``"insert"``, ``"delete"``, ``"insert_batch"`` (one
-group-committed batch of inserts in a single atomic record) or
-``"rebase"`` (a root swap — bulk load — that a record-level log cannot
-replay; recovery stops there and demands the checkpoint that the rebase
-triggered).
+covers).  ``op`` is ``"apply"`` (one group-committed call, atomic on
+disk: ``data`` lists its ``[kind, labels]`` operations, ``kind`` being
+``"insert"`` or ``"delete"``) or ``"rebase"`` (a root swap — bulk load
+— that a record-level log cannot replay; recovery stops there and
+demands the checkpoint that the rebase triggered).  A log of another
+header version is refused, so checkpoint a session before upgrading.
 
 Each record is one length-prefixed, CRC-checksummed frame of the codec
 the checkpoint shares (:mod:`repro.persist.format`), so a torn tail —
@@ -40,6 +41,7 @@ window on power failure — process death alone loses nothing).
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 
@@ -47,19 +49,12 @@ from ..errors import StorageError
 from ..storage import faults as faults_mod
 from . import format as fmt
 
-#: File magic; 8 bytes so records start aligned.
-WAL_HEADER = b"DCWAL01\n"
+#: File magic and format version; 8 bytes so records start aligned.
+WAL_HEADER = b"DCWAL02\n"
 
-#: Operations a WAL record may carry.
-OP_INSERT = "insert"
-OP_DELETE = "delete"
+#: The two kinds of WAL record (see the module docstring).
+OP_APPLY = "apply"
 OP_REBASE = "rebase"
-#: One group-committed insert batch: the data is the *list* of the
-#: batch's label paths inside a single length-prefixed, checksummed
-#: record, so the batch is atomic on disk — a torn tail discards all of
-#: it, never a prefix — and costs one append (hence one fsync at
-#: ``fsync_interval=1``) per acknowledged batch.
-OP_BATCH = "insert_batch"
 
 
 def encode_record(lsn, op, data):
@@ -101,9 +96,13 @@ class WriteAheadLog:
         self._since_sync = 0
         self._handle = open(self.path, "ab", buffering=0)
         if self._handle.tell() == 0:
-            faults_mod.write_through(
-                faults, self._handle, "wal.header", WAL_HEADER
-            )
+            try:
+                faults_mod.write_through(
+                    faults, self._handle, "wal.header", WAL_HEADER
+                )
+            except BaseException:
+                self._handle.close()
+                raise
 
     # ------------------------------------------------------------------
 
@@ -175,16 +174,10 @@ class WriteAheadLog:
         self.close()
 
 
-class WalScan:
-    """Result of :func:`read_wal`: the readable records plus diagnostics."""
-
-    __slots__ = ("records", "torn_tail", "error", "bytes_scanned")
-
-    def __init__(self, records, torn_tail, error, bytes_scanned):
-        self.records = records
-        self.torn_tail = torn_tail
-        self.error = error
-        self.bytes_scanned = bytes_scanned
+#: Result of :func:`read_wal`: the readable records plus diagnostics.
+WalScan = collections.namedtuple(
+    "WalScan", ("records", "torn_tail", "error", "bytes_scanned")
+)
 
 
 def read_wal(path, faults=None):
@@ -193,7 +186,10 @@ def read_wal(path, faults=None):
     Stops at the first incomplete or checksum-failing record (torn tail
     after a crash, or bit-rot) — everything before it is trustworthy,
     nothing after it is reachable.  A missing file scans as empty: a
-    checkpoint with no log simply has nothing to replay.
+    checkpoint with no log simply has nothing to replay; so does a file
+    holding a prefix of the header, with a torn tail.  Raises
+    :class:`StorageError` when the file starts with any other header —
+    another format version, or not a WAL at all.
     """
     try:
         with open(path, "rb") as handle:
@@ -204,9 +200,13 @@ def read_wal(path, faults=None):
         raise StorageError("cannot read WAL %s: %s" % (path, error))
     if not raw:
         return WalScan([], False, None, 0)
+    if len(raw) < len(WAL_HEADER) and WAL_HEADER.startswith(raw):
+        return WalScan([], True, "torn header %r" % raw, 0)
     if raw[:len(WAL_HEADER)] != WAL_HEADER:
         raise StorageError(
-            "%s is not a WAL file (bad header %r)" % (path, raw[:8])
+            "%s is not a WAL file of this version (header %r, expected "
+            "%r; checkpoint before upgrading)"
+            % (path, raw[:len(WAL_HEADER)], WAL_HEADER)
         )
     records = []
     try:

@@ -20,6 +20,9 @@ example may build a whole tree):
 - ``GEOMETRY_SETTINGS``: 60 — X-tree split properties over random boxes;
 - ``STATE_MACHINE_SETTINGS``: 25 programs of up to 30 steps — the
   DC-tree state machine;
+- ``DURABLE_MACHINE_SETTINGS``: 10 programs of up to 12 steps — the
+  durable-session machine, whose every reopen re-checkpoints and audits
+  a warehouse on disk;
 - ``FILTER_SETTINGS``: 300 — the leaf record filter against the
   one-record coverage test: a pure function, so examples are cheap and
   every level of every hierarchy should be drawn often.
@@ -44,6 +47,10 @@ GEOMETRY_SETTINGS = settings(
 )
 STATE_MACHINE_SETTINGS = settings(
     max_examples=25, stateful_step_count=30, deadline=None
+)
+DURABLE_MACHINE_SETTINGS = settings(
+    max_examples=10, stateful_step_count=12, deadline=None,
+    suppress_health_check=_SLOW_OK,
 )
 FILTER_SETTINGS = settings(
     max_examples=300, deadline=None, suppress_health_check=_SLOW_OK

@@ -233,11 +233,8 @@ class TestBatchSemantics:
         calls = []
 
         class Sink:
-            def record_insert(self, record):
-                calls.append(("insert", record))
-
-            def record_insert_batch(self, records):
-                calls.append(("batch", list(records)))
+            def record_ops(self, ops):
+                calls.append(("batch", [record for _kind, record in ops]))
 
         tree = self._tree(toy_schema)
         tree.set_mutation_sink(Sink())

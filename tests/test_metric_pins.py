@@ -145,9 +145,8 @@ PINNED_SESSION = {
     "storage_page_ios": {"": 100},
     "storage_page_writes": {"": 74},
     "storage_simulated_seconds": {"": 1.001884},
-    "wal_appends_total": {"op=delete": 3, "op=insert": 16,
-                          "op=insert_batch": 2},
-    "wal_bytes_written_total": {"": 1747},
+    "wal_appends_total": {"op=apply": 21},
+    "wal_bytes_written_total": {"": 2148},
     "wal_fsyncs_total": {"": 22},
     "wal_truncates_total": {"": 1},
 }
@@ -182,7 +181,7 @@ PINNED_REOPEN = {
     "recovery_stopped_at_rebase": {"": 0},
     "recovery_torn_tail": {"": 0},
     "recovery_validated": {"": 1},
-    "recovery_wal_bytes_scanned": {"": 437},
+    "recovery_wal_bytes_scanned": {"": 528},
     "recovery_wal_records_seen": {"": 7},
     "result_cache_capacity": {"": 128},
     "result_cache_evictions": {"": 0},

@@ -356,7 +356,7 @@ class TestBridgesAndDurability:
         finally:
             session.close()
         registry = warehouse.observability
-        appends = registry.get("wal_appends_total", op="insert")
+        appends = registry.get("wal_appends_total", op="apply")
         assert appends.snapshot_value() == 5
         assert registry.get("checkpoints_total").snapshot_value() == 1
 

@@ -27,6 +27,16 @@ from repro.persist.format import (
 from repro.workload.queries import QueryGenerator, query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
+
+
+def _read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
 
 def build_warehouse(backend):
     warehouse = Warehouse(build_toy_schema(), backend)
@@ -37,7 +47,7 @@ def build_warehouse(backend):
 
 def _frames(path):
     """``(section, start, end)`` of every frame in a saved file."""
-    raw = open(path, "rb").read()
+    raw = _read_bytes(path)
     frames = []
     for name, (start, payload) in zip(
         SECTIONS, scan_frames(raw, len(CHECKPOINT_MAGIC))
@@ -252,7 +262,7 @@ class TestDurableSave:
         save_warehouse(warehouse, path)
         frames = _frames(path)
         assert [name for name, _start, _end in frames] == list(SECTIONS)
-        raw = open(path, "rb").read()
+        raw = _read_bytes(path)
         assert frames[-1][2] == len(raw)
         expected = warehouse_to_dict(warehouse)
         for name, start, end in frames:
@@ -281,7 +291,7 @@ class TestDurableSave:
     def test_truncated_file_reports_path_and_offset(self, tmp_path):
         path = str(tmp_path / "wh.json")
         save_warehouse(build_warehouse("dc-tree"), path)
-        raw = open(path, "rb").read()
+        raw = _read_bytes(path)
         with open(path, "wb") as handle:
             handle.write(raw[:len(raw) // 2])
         with pytest.raises(StorageError) as excinfo:
@@ -296,7 +306,7 @@ class TestDurableSave:
     def test_bit_rot_detected_by_section_checksum(self, tmp_path):
         path = str(tmp_path / "wh.json")
         save_warehouse(build_warehouse("dc-tree"), path)
-        raw = open(path, "rb").read()
+        raw = _read_bytes(path)
         for name, start, end in _frames(path):
             middle = (start + FRAME_PREFIX.size + end) // 2
             _write(path, raw[:middle] + bytes([raw[middle] ^ 0x01])
@@ -306,7 +316,7 @@ class TestDurableSave:
     def test_damaged_frame_prefix_detected(self, tmp_path):
         path = str(tmp_path / "wh.json")
         save_warehouse(build_warehouse("dc-tree"), path)
-        raw = open(path, "rb").read()
+        raw = _read_bytes(path)
         for name, start, _end in _frames(path):
             # Low and high byte of the length, then of the CRC.
             for position in (start + 3, start, start + 7, start + 4):
@@ -318,7 +328,7 @@ class TestDurableSave:
     def test_truncation_at_frame_boundaries_detected(self, tmp_path):
         path = str(tmp_path / "wh.json")
         save_warehouse(build_warehouse("dc-tree"), path)
-        raw = open(path, "rb").read()
+        raw = _read_bytes(path)
         frames = _frames(path)
         ends = [end for _name, _start, end in frames]
         for boundary in [start for _name, start, _end in frames] + ends:

@@ -37,6 +37,11 @@ from repro.persist.io import (
 )
 from repro.workload.queries import query_from_labels
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
+
 _CONFIG = dict(leaf_capacity=4, dir_capacity=4)
 
 
@@ -248,7 +253,7 @@ def test_batch_crash_matrix_is_all_or_nothing(tmp_path):
     clean_report = _crash_matrix(
         tmp_path, "batch", steps_fn=_batch_workload_steps, rows=_BATCH_ROWS,
     )
-    # Both post-checkpoint batches replay, each as a single OP_BATCH.
+    # Both post-checkpoint batches replay, each as a single WAL record.
     assert clean_report.applied_batches == 2
 
 
@@ -275,8 +280,56 @@ def test_torn_wal_header_at_create_keeps_later_writes(tmp_path):
         reopened.close()
 
 
+@pytest.mark.parametrize("header", [b"DCWAL00\n", b"DCWAL01\n"])
+def test_foreign_wal_header_is_refused_not_truncated(tmp_path, header):
+    """A complete header of another format version is not a torn tail:
+    replaying nothing and re-checkpointing would silently drop every
+    acknowledged record behind it.  ``open`` and ``recover_warehouse``
+    raise instead, and the log keeps its bytes."""
+    directory = str(tmp_path / "foreign")
+    warehouse = _toy_warehouse()
+    session = DurableWarehouse.create(directory, warehouse)
+    for row in TOY_ROWS[:3]:
+        session.insert_record(toy_record(warehouse.schema, *row))
+    session.close()
+    path = DurableWarehouse.wal_path(directory)
+    with open(path, "r+b") as handle:
+        handle.write(header)
+    with open(path, "rb") as handle:
+        before = handle.read()
+    with pytest.raises(StorageError, match="checkpoint before upgrading"):
+        DurableWarehouse.open(directory)
+    with pytest.raises(StorageError, match="checkpoint before upgrading"):
+        recover_warehouse(DurableWarehouse.checkpoint_path(directory), path)
+    with open(path, "rb") as handle:
+        assert handle.read() == before
+
+
+@pytest.mark.parametrize("call, site", [
+    ("create", "wal.header"),
+    ("open", "wal.truncate"),
+    ("open", "wal.header"),
+])
+def test_failed_log_setup_closes_the_log(tmp_path, call, site):
+    """``create`` and ``open`` close the log they opened when its
+    header write or its truncate raises (the module turns the
+    ResourceWarning of a leaked handle into a failure)."""
+    directory = str(tmp_path / "leak")
+    faults = FaultInjector(FaultPlan(1, "crash", site=site))
+    if call == "open":
+        DurableWarehouse.create(directory, _toy_warehouse()).close()
+    with pytest.raises(InjectedFault):
+        if call == "create":
+            DurableWarehouse.create(directory, _toy_warehouse(),
+                                    faults=faults)
+        else:
+            DurableWarehouse.open(directory, faults=faults)
+    DurableWarehouse.open(directory).close()
+
+
 def test_batch_replay_counts_batches(tmp_path):
-    """An acknowledged batch survives a crash as one OP_BATCH replay."""
+    """An acknowledged batch survives a crash as one WAL record's
+    replay."""
     directory = str(tmp_path / "batchcount")
     warehouse = _toy_warehouse()
     schema = warehouse.schema
