@@ -70,14 +70,13 @@ class MDS:
     @classmethod
     def for_record(cls, record, levels, hierarchies):
         """MDS describing a single record at the given relevant levels."""
-        sets = []
-        for dim, level in enumerate(levels):
-            hierarchy = hierarchies[dim]
-            if level >= hierarchy.top_level:
-                sets.append({hierarchy.all_id})
-            else:
-                sets.append({record.value_at_level(dim, level)})
-        return cls(sets, levels)
+        return cls(
+            [{path[-1 - level] if level < hierarchy.top_level
+              else hierarchy.all_id}
+             for path, level, hierarchy
+             in zip(record.paths, levels, hierarchies)],
+            levels,
+        )
 
     @classmethod
     def cover_of(cls, mdss, hierarchies):
@@ -138,7 +137,7 @@ class MDS:
 
     def size(self):
         """``size(M) = sum_i |M_i|`` (Definition 4)."""
-        return sum(len(s) for s in self._sets)
+        return sum(map(len, self._sets))
 
     def volume(self):
         """``volume(M) = prod_i |M_i|`` (Definition 4)."""
@@ -146,29 +145,6 @@ class MDS:
         for s in self._sets:
             product *= len(s)
         return product
-
-    def enlargement(self, values_by_level, max_growth):
-        """``(growth, volume)`` of this MDS if it absorbed one record.
-
-        ``values_by_level[dim][level]`` is the record's value at ``level``
-        in ``dim``.  ``growth`` counts the dimensions whose value set would
-        gain the record's value and ``volume`` is the grown
-        :meth:`volume`.  Returns None as soon as ``growth`` would exceed
-        ``max_growth`` (the caller has a better candidate already).
-        """
-        growth = 0
-        volume = 1
-        for values, level, record_values in zip(
-            self._sets, self._levels, values_by_level
-        ):
-            if record_values[level] in values:
-                volume *= len(values)
-            elif growth < max_growth:
-                growth += 1
-                volume *= len(values) + 1
-            else:
-                return None
-        return growth, volume
 
     def is_empty(self):
         """True when any dimension has no values (describes nothing)."""
@@ -212,14 +188,17 @@ class MDS:
             self._adapt_cache.clear()
 
     def add_record(self, record, hierarchies):
-        """Extend the MDS to cover ``record`` at the current levels."""
+        """Extend the MDS to cover ``record`` at the current levels.
+
+        The record's value at level ``l`` is read from its stored path,
+        at index ``-1 - l``; a dimension at the top level holds ALL.
+        """
         self._touch()
-        for dim, level in enumerate(self._levels):
-            hierarchy = hierarchies[dim]
-            if level >= hierarchy.top_level:
-                self._sets[dim].add(hierarchy.all_id)
-            else:
-                self._sets[dim].add(record.value_at_level(dim, level))
+        for values, level, path, hierarchy in zip(
+            self._sets, self._levels, record.paths, hierarchies
+        ):
+            values.add(path[-1 - level] if level < hierarchy.top_level
+                       else hierarchy.all_id)
 
     def add_mds(self, other, hierarchies):
         """Extend the MDS to cover ``other`` (levels must be <= ours)."""
@@ -299,14 +278,6 @@ class MDS:
             )
             self._adapt_cache[key] = cached
         return cached
-
-    def adapted_to(self, levels, hierarchies):
-        """A copy of this MDS with every dimension lifted to ``levels``."""
-        sets = [
-            self.adapted_set(dim, level, hierarchies[dim])
-            for dim, level in enumerate(levels)
-        ]
-        return MDS(sets, levels)
 
     # ------------------------------------------------------------------
     # value semantics

@@ -228,17 +228,41 @@ def hierarchy_split(mdss, split_dim, hierarchies, min_group=2):
     a group that needs all of them to reach ``min_group``.
 
     Each round picks the first remaining entry whose enlargements of the
-    two groups differ most; an entry's difference cannot exceed its own
-    cardinality, so the scan stops at the first one whose difference
-    equals the largest remaining cardinality.  The round is charged the
-    full scan, two units per remaining split-dimension value.
+    two groups differ most.  An entry's enlargement of a group is the
+    number of split-dimension values it would add to it; the difference
+    of the two is kept per entry as an integer and moved by one whenever
+    a group gains one of the entry's values, so a round reads integers
+    instead of taking set differences.  The round is charged the full
+    scan, two units per remaining split-dimension value.
     """
     seed_a, seed_b, cpu_units = choose_seeds(mdss, hierarchies)
     group_a, group_b = [seed_a], [seed_b]
-    mds_a = mdss[seed_a].copy()
-    mds_b = mdss[seed_b].copy()
-    candidates = [m.value_set(split_dim) for m in mdss]
-    cards = [len(values) for values in candidates]
+    cards = [m.cardinality(split_dim) for m in mdss]
+    # holders[value]: the entries whose split-dimension set holds value.
+    holders = {}
+    for idx, m in enumerate(mdss):
+        for value in m.value_set(split_dim):
+            holders.setdefault(value, []).append(idx)
+    # gap[i] = enlargement of group a − enlargement of group b by entry
+    # i, and spread[i] its absolute value.  Both groups start empty
+    # (gap 0) and absorb their seeds.
+    gap = [0] * len(mdss)
+    spread = [0] * len(mdss)
+
+    def absorb(group, idx, step):
+        # Every value new to the group lowers that group's enlargement
+        # by each entry holding it: step -1 for group a, +1 for b.
+        entry = mdss[idx]
+        for value in entry.value_set(split_dim) - group.value_set(split_dim):
+            for holder in holders[value]:
+                gap[holder] += step
+                spread[holder] = abs(gap[holder])
+        group.add_mds(entry, hierarchies)
+
+    mds_a = MDS.empty(mdss[seed_a].levels)
+    mds_b = MDS.empty(mdss[seed_b].levels)
+    absorb(mds_a, seed_a, -1)
+    absorb(mds_b, seed_b, 1)
     remaining = [i for i in range(len(mdss)) if i not in (seed_a, seed_b)]
     remaining_cards = sum(cards[i] for i in remaining)
 
@@ -250,72 +274,70 @@ def hierarchy_split(mdss, split_dim, hierarchies, min_group=2):
             group_b.extend(remaining)
             break
         cpu_units += 2 * remaining_cards
-        set_a = mds_a.value_set(split_dim)
-        set_b = mds_b.value_set(split_dim)
-        top = max(map(cards.__getitem__, remaining))
-        chosen_pos = None
-        chosen_diff = -1
-        for pos, idx in enumerate(remaining):
-            candidate = candidates[idx]
-            diff = abs(len(candidate - set_a) - len(candidate - set_b))
-            if diff > chosen_diff:
-                chosen_diff = diff
-                chosen_pos = pos
-                if diff == top:
-                    break
-        idx = remaining.pop(chosen_pos)
+        idx = max(remaining, key=spread.__getitem__)
+        remaining.remove(idx)
         remaining_cards -= cards[idx]
         target_a = _prefer_group_a(
-            mds_a, mds_b, mdss[idx], group_a, group_b, split_dim, hierarchies
+            mds_a, mds_b, mdss[idx], gap[idx], group_a, group_b
         )
         cpu_units += mds_mod.operation_cost(mds_a, mds_b)
         if target_a:
             group_a.append(idx)
-            mds_a.add_mds(mdss[idx], hierarchies)
+            absorb(mds_a, idx, -1)
         else:
             group_b.append(idx)
-            mds_b.add_mds(mdss[idx], hierarchies)
+            absorb(mds_b, idx, 1)
     return (group_a, group_b), cpu_units
 
 
-def _prefer_group_a(mds_a, mds_b, candidate, group_a, group_b, split_dim,
-                    hierarchies):
+def _prefer_group_a(mds_a, mds_b, candidate, gap, group_a, group_b):
     """Fig. 6's insertion criterion.
 
     §4.3: the algorithm "selects a group such that the new MDS and the MDS
     of the group share as many attribute values as possible in the split
     dimension" — that is the primary criterion and what drives the groups
-    towards disjoint split-dimension value sets.  Remaining ties fall to
-    the least resulting inter-group overlap, then extension sum, volume
-    sum, and finally the smaller group (balance).
+    towards disjoint split-dimension value sets.  Sharing the most values
+    is adding the fewest, so the sign of ``gap`` decides: the number of
+    split-dimension values the candidate would add to group ``a`` minus
+    the number it would add to group ``b``.  Remaining ties fall to the
+    least resulting inter-group overlap, then extension sum, volume sum,
+    and finally the smaller group (balance).
+
+    The tie-breaks weigh both outcomes without building them.  All three
+    MDSs share their levels; per dimension, with ``new_x`` the
+    candidate's values missing from group ``x``, the grown group ``a``
+    meets ``b`` in ``|a ∩ b| + |new_a| − |new_a ∩ new_b|`` values (the
+    new values not in ``b`` are exactly those missing from both), and
+    grows by ``|new_a|`` values; symmetrically for ``b``.
     """
-    shared_a = len(
-        candidate.value_set(split_dim) & mds_a.value_set(split_dim)
-    )
-    shared_b = len(
-        candidate.value_set(split_dim) & mds_b.value_set(split_dim)
-    )
-    if shared_a != shared_b:
-        return shared_a > shared_b
-
-    enlarged_a = mds_a.copy()
-    enlarged_a.add_mds(candidate, hierarchies)
-    enlarged_b = mds_b.copy()
-    enlarged_b.add_mds(candidate, hierarchies)
-
-    overlap_if_a = mds_mod.overlap(enlarged_a, mds_b, hierarchies)
-    overlap_if_b = mds_mod.overlap(mds_a, enlarged_b, hierarchies)
+    if gap:
+        return gap < 0
+    overlap_if_a = overlap_if_b = 1
+    grown_a = grown_b = 0
+    volume_a = volume_b = volume_grown_a = volume_grown_b = 1
+    for dim in range(candidate.n_dimensions):
+        set_a = mds_a.value_set(dim)
+        set_b = mds_b.value_set(dim)
+        values = candidate.value_set(dim)
+        new_a = values - set_a
+        new_b = values - set_b
+        shared = len(set_a & set_b)
+        new_in_neither = len(new_a & new_b)
+        overlap_if_a *= shared + len(new_a) - new_in_neither
+        overlap_if_b *= shared + len(new_b) - new_in_neither
+        grown_a += len(new_a)
+        grown_b += len(new_b)
+        volume_a *= len(set_a)
+        volume_b *= len(set_b)
+        volume_grown_a *= len(set_a) + len(new_a)
+        volume_grown_b *= len(set_b) + len(new_b)
     if overlap_if_a != overlap_if_b:
         return overlap_if_a < overlap_if_b
-
-    extension_if_a = enlarged_a.size() + mds_b.size()
-    extension_if_b = mds_a.size() + enlarged_b.size()
-    if extension_if_a != extension_if_b:
-        return extension_if_a < extension_if_b
-
-    volume_if_a = enlarged_a.volume() + mds_b.volume()
-    volume_if_b = mds_a.volume() + enlarged_b.volume()
+    # The extension sums differ by the growth alone.
+    if grown_a != grown_b:
+        return grown_a < grown_b
+    volume_if_a = volume_grown_a + volume_b
+    volume_if_b = volume_a + volume_grown_b
     if volume_if_a != volume_if_b:
         return volume_if_a < volume_if_b
-
     return len(group_a) <= len(group_b)

@@ -371,10 +371,13 @@ class DCTree(TreeFootprint):
         """Pick the son the record descends into; returns (child, position).
 
         Criteria (in order): least growth of the child's MDS size, least
-        resulting volume, fewest entries.  A child that already covers the
-        record therefore always wins.  The record's value at each
-        (dimension, level) pair is resolved once per insert, not once per
-        child — siblings overwhelmingly share relevant levels.
+        resulting volume, fewest entries, first position.  A child that
+        already covers the record grows by nothing, so when one exists
+        the choice falls among the covering children, on volume and
+        entry count alone; the growth scan runs only when none covers.
+        The record's value at each (dimension, level) pair is resolved
+        once per insert, not once per child.  The charge is the full
+        comparison, one unit per child and dimension.
         """
         # The record's value at every level of each dimension, indexed by
         # level: its stored path read leaf-first, with ALL on top.
@@ -382,23 +385,53 @@ class DCTree(TreeFootprint):
             path[::-1] + (hierarchy.all_id,)
             for path, hierarchy in zip(record.paths, self.hierarchies)
         ]
+        children = node.children
         n_dimensions = self.schema.n_dimensions
-        best = None
-        best_position = 0
-        # (growth, volume, entry count) of the best child so far; the
-        # start key loses to any child.
+        self.tracker.cpu(len(children) * n_dimensions)
+        dims = range(n_dimensions)
+        # The hot loops read each child's value sets and levels directly
+        # (MDS internals, like mds.record_filter); most children fail on
+        # the first dimension.
+        best_position = None
+        best_key = None
+        for position, child in enumerate(children):
+            mds = child.mds
+            sets = mds._sets
+            levels = mds._levels
+            for dim in dims:
+                if by_level[dim][levels[dim]] not in sets[dim]:
+                    break
+            else:
+                key = (mds.volume(), child.entry_count)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_position = position
+        if best_position is not None:
+            return children[best_position], best_position
+        # No child covers the record: (growth, volume, entry count), where
+        # a child stops counting once its growth exceeds the best's.
         best_key = (n_dimensions + 1, 0, 0)
-        for position, child in enumerate(node.children):
-            key = child.mds.enlargement(by_level, best_key[0])
-            if key is None:
-                continue
-            key += (child.entry_count,)
-            if key < best_key:
-                best_key = key
-                best = child
-                best_position = position
-        self.tracker.cpu(len(node.children) * n_dimensions)
-        return best, best_position
+        for position, child in enumerate(children):
+            mds = child.mds
+            sets = mds._sets
+            levels = mds._levels
+            growth = 0
+            volume = 1
+            for dim in dims:
+                values = sets[dim]
+                if by_level[dim][levels[dim]] in values:
+                    volume *= len(values)
+                else:
+                    growth += 1
+                    if growth > best_key[0]:
+                        break
+                    volume *= len(values) + 1
+            else:
+                key = (growth, volume, child.entry_count)
+                if key < best_key:
+                    best_key = key
+                    best_position = position
+        return children[best_position], best_position
 
     def _grow_root(self, split_pair):
         """Install a new root above a split root (tree grows by one level)."""
@@ -520,10 +553,15 @@ class DCTree(TreeFootprint):
     def _values_at(self, node, dim, level):
         """The values at ``level`` in ``dim`` occurring under ``node``.
 
-        Lifted from the node's MDS when its level is at most ``level``,
-        otherwise collected from its subtree (see :meth:`_collect_values`).
+        The node's own value set when its level is ``level`` (live: the
+        caller must not mutate it), lifted from it when its level is
+        lower, otherwise collected from its subtree (see
+        :meth:`_collect_values`).
         """
-        if node.mds.level(dim) <= level:
+        own_level = node.mds.level(dim)
+        if own_level == level:
+            return node.mds.value_set(dim)
+        if own_level < level:
             return node.mds.adapted_set(dim, level, self.hierarchies[dim])
         return self._collect_values(node, dim, level)
 

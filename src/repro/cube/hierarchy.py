@@ -46,6 +46,8 @@ class ConceptHierarchy:
             )
         self.name = name
         self.level_names = tuple(level_names)
+        #: Hierarchy level of ALL (= number of functional attributes).
+        self.top_level = len(self.level_names)
         self._allocator = ids_mod.IdAllocator()
         self._parent = {}
         self._children = {}
@@ -64,11 +66,6 @@ class ConceptHierarchy:
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
-
-    @property
-    def top_level(self):
-        """Hierarchy level of ALL (= number of functional attributes)."""
-        return len(self.level_names)
 
     @property
     def n_attributes(self):

@@ -249,11 +249,17 @@ class DurableWarehouse:
         self.checkpoint()
 
     def _require_open(self):
-        # A closed session has no log to make a mutation durable, so it
-        # refuses every mutation and checkpoint instead of applying one
-        # in memory only.
+        # A closed session has no log to make a mutation durable, and a
+        # log that lost its header in a failed checkpoint cannot be
+        # replayed, so either refuses every mutation and checkpoint
+        # instead of applying one in memory only.
         if self.wal is None:
             raise StorageError("durable session %s is closed" % self.directory)
+        if not self.wal.intact:
+            raise StorageError(
+                "durable session %s lost its WAL header in a failed "
+                "checkpoint; reopen it" % self.directory
+            )
 
     def close(self):
         """Detach the sink and close the log (the WAL stays replayable).

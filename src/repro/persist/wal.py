@@ -94,6 +94,9 @@ class WriteAheadLog:
         self.metrics = metrics
         self._lsn = start_lsn
         self._since_sync = 0
+        #: False while the file lacks its header: inside :meth:`truncate`,
+        #: and for good once a header rewrite there raised.
+        self.intact = True
         self._handle = open(self.path, "ab", buffering=0)
         if self._handle.tell() == 0:
             try:
@@ -117,7 +120,12 @@ class WriteAheadLog:
         The record is on its way to the OS when this returns (and
         fsynced per the batching policy) — appending *before* the caller
         acknowledges the mutation is what makes the mutation durable.
+        Raises :class:`StorageError` once the log has lost its header
+        (:attr:`intact`): no reopen could read the record.
         """
+        if not self.intact:
+            raise StorageError("WAL %s lost its header; reopen the session"
+                               % self.path)
         lsn = self._lsn + 1
         record = encode_record(lsn, op, data)
         faults_mod.write_through(self.faults, self._handle, "wal.append",
@@ -147,12 +155,15 @@ class WriteAheadLog:
         LSNs are at most the new checkpoint's, so replay skips them.  The
         header is written afresh, so a header torn by an earlier crash
         (inside ``create``, or inside this very call) never sits in front
-        of records a later session acknowledges.
+        of records a later session acknowledges.  If the rewrite
+        raises, the log stays without a header and refuses appends.
         """
         faults_mod.op_through(self.faults, "wal.truncate")
+        self.intact = False
         self._handle.truncate(0)
         faults_mod.write_through(self.faults, self._handle, "wal.header",
                                  WAL_HEADER)
+        self.intact = True
         self._since_sync = 0
         self._count("wal_truncates_total", "Post-checkpoint WAL truncations.")
 
@@ -202,11 +213,14 @@ def read_wal(path, faults=None):
         return WalScan([], False, None, 0)
     if len(raw) < len(WAL_HEADER) and WAL_HEADER.startswith(raw):
         return WalScan([], True, "torn header %r" % raw, 0)
-    if raw[:len(WAL_HEADER)] != WAL_HEADER:
+    header = raw[:len(WAL_HEADER)]
+    if not header.startswith(b"DCWAL"):
+        raise StorageError("%s is not a WAL file (it starts with %r)"
+                           % (path, header))
+    if header != WAL_HEADER:
         raise StorageError(
-            "%s is not a WAL file of this version (header %r, expected "
-            "%r; checkpoint before upgrading)"
-            % (path, raw[:len(WAL_HEADER)], WAL_HEADER)
+            "%s is a WAL file of another version (header %r, expected "
+            "%r; checkpoint before upgrading)" % (path, header, WAL_HEADER)
         )
     records = []
     try:

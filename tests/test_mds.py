@@ -44,6 +44,12 @@ def hset(schema):
     return tuple(d.hierarchy for d in schema.dimensions)
 
 
+def lift(mds, levels, hierarchies):
+    """A copy of ``mds`` with every dimension lifted to ``levels``."""
+    return MDS([mds.adapted_set(dim, level, hierarchies[dim])
+                for dim, level in enumerate(levels)], levels)
+
+
 class TestConstruction:
     def test_all_mds(self, populated):
         schema, _records = populated
@@ -153,13 +159,13 @@ class TestAdaptation:
         with pytest.raises(MdsError):
             mds.adapted_set(0, 0, hierarchies[0])
 
-    def test_adapted_to_produces_new_levels(self, populated):
+    def test_adapt_to_top_level_gives_all(self, populated):
         schema, records = populated
         hierarchies = hset(schema)
         mds = MDS.for_record(records[0], (0, 0), hierarchies)
-        lifted = mds.adapted_to((2, 1), hierarchies)
-        assert lifted.levels == (2, 1)
-        assert lifted.value_set(0) == {hierarchies[0].all_id}
+        for dim, hierarchy in enumerate(hierarchies):
+            assert mds.adapted_set(dim, hierarchy.top_level, hierarchy) \
+                == {hierarchy.all_id}
 
     def test_adaptation_merges_values(self, populated):
         schema, records = populated
@@ -216,7 +222,7 @@ class TestDefinition4Operations:
 
     def test_overlap_adapts_levels(self, pair):
         schema, hierarchies, de, fr = pair
-        country_level = de.adapted_to((1, 0), hierarchies)
+        country_level = lift(de, (1, 0), hierarchies)
         # At country level DE vs FR city-level MDS: adaptation lifts FR to
         # country level; countries differ => no overlap.
         assert mds_mod.overlap(country_level, fr, hierarchies) == 0
@@ -228,7 +234,7 @@ class TestDefinition4Operations:
         munich.add_record(records[0], hierarchies)
         berlin = MDS.empty((0, 0))
         berlin.add_record(records[3], hierarchies)
-        de_level = munich.adapted_to((1, 0), hierarchies)
+        de_level = lift(munich, (1, 0), hierarchies)
         # Munich-at-country-level vs Berlin overlaps (both DE) even though
         # the city sets are disjoint - the documented may-overlap effect.
         assert mds_mod.overlaps(de_level, berlin, hierarchies)

@@ -35,6 +35,7 @@ from repro.persist.io import (
     save_warehouse,
     warehouse_to_dict,
 )
+from repro.persist.wal import OP_APPLY, encode_record, read_wal
 from repro.workload.queries import query_from_labels
 
 pytestmark = pytest.mark.filterwarnings(
@@ -325,6 +326,62 @@ def test_failed_log_setup_closes_the_log(tmp_path, call, site):
         else:
             DurableWarehouse.open(directory, faults=faults)
     DurableWarehouse.open(directory).close()
+
+
+@pytest.mark.parametrize("mode", ["crash", "torn"])
+def test_lost_wal_header_refuses_later_writes(tmp_path, mode):
+    """A checkpoint whose header rewrite raises leaves the log without a
+    header.  The session then refuses every mutation and checkpoint,
+    before the tree is touched, instead of acknowledging writes that
+    no reopen could replay; a reopen holds every acknowledged record."""
+    directory = str(tmp_path / "headerless")
+    warehouse = _toy_warehouse()
+    schema = warehouse.schema
+    session = DurableWarehouse.create(directory, warehouse)
+    stored = session.insert_many(
+        [(((country, city), (color,)), (sales,))
+         for country, city, color, sales in TOY_ROWS[:4]]
+    )
+    acknowledged = _snapshot(warehouse)
+    session.wal.faults = FaultInjector(FaultPlan(1, mode, site="wal.header"))
+    with pytest.raises(InjectedFault):
+        session.checkpoint()
+    country, city, color, sales = TOY_ROWS[4]
+    record = toy_record(schema, country, city, color, sales)
+    row = (((country, city), (color,)), (sales,))
+    tree = warehouse.index
+    state = (len(session), tree.tree_version)
+    for call, args in [
+        ("insert", row), ("insert_record", (record,)),
+        ("insert_many", ([row],)), ("insert_records", ([record],)),
+        ("delete", (stored[0],)), ("checkpoint", ()),
+    ]:
+        with pytest.raises(StorageError, match="header"):
+            getattr(session, call)(*args)
+        assert (len(session), tree.tree_version) == state
+    with pytest.raises(StorageError, match="header"):
+        session.wal.append(OP_APPLY, [])
+    session.close()
+    reopened = DurableWarehouse.open(directory)
+    try:
+        assert _snapshot(reopened.warehouse) == acknowledged
+        reopened.insert_record(toy_record(reopened.warehouse.schema,
+                                          country, city, color, sales))
+    finally:
+        reopened.close()
+    recovered, _report = _recovered_snapshot(directory)
+    assert sum(recovered.values()) == sum(acknowledged.values()) + 1
+
+
+def test_headerless_log_is_not_called_another_version(tmp_path):
+    """Records with no header in front are not an older format: the
+    refusal must not suggest checkpointing before an upgrade."""
+    path = str(tmp_path / "wal.log")
+    with open(path, "wb") as handle:
+        handle.write(encode_record(1, OP_APPLY, []))
+    with pytest.raises(StorageError, match="not a WAL") as info:
+        read_wal(path)
+    assert "upgrading" not in str(info.value)
 
 
 def test_batch_replay_counts_batches(tmp_path):

@@ -14,6 +14,12 @@ def hset(schema):
     return tuple(d.hierarchy for d in schema.dimensions)
 
 
+def lift(mds, levels, hierarchies):
+    """A copy of ``mds`` with every dimension lifted to ``levels``."""
+    return MDS([mds.adapted_set(dim, level, hierarchies[dim])
+                for dim, level in enumerate(levels)], levels)
+
+
 @pytest.fixture
 def city_mdss():
     """Eight single-record MDSs at city level, 2 countries x 4 cities."""
@@ -74,7 +80,7 @@ class TestHierarchySplit:
 
     def test_split_by_country_separates_countries(self, city_mdss):
         schema, hierarchies, _records, mdss = city_mdss
-        lifted = [m.adapted_to((1, 0), hierarchies) for m in mdss]
+        lifted = [lift(m, (1, 0), hierarchies) for m in mdss]
         (group_a, group_b), _cost = split_mod.hierarchy_split(
             lifted, 0, hierarchies, min_group=2
         )
@@ -112,7 +118,7 @@ class TestSplitPreconditions:
 
     def test_entries_not_at_common_levels(self, city_mdss):
         _schema, hierarchies, _records, mdss = city_mdss
-        mixed = [mdss[0], mdss[1].adapted_to((1, 0), hierarchies), mdss[2]]
+        mixed = [mdss[0], lift(mdss[1], (1, 0), hierarchies), mdss[2]]
         with pytest.raises(MdsError, match="common levels"):
             split_mod.choose_seeds(mixed, hierarchies)
         with pytest.raises(MdsError, match="common levels"):
@@ -155,13 +161,13 @@ class TestAdaptationAttempts:
 class TestPlanNodeSplit:
     def _plan(self, mdss, node_levels, hierarchies, config=None):
         node_mds = split_mod.compute_group_mds(
-            [m.adapted_to(node_levels, hierarchies) for m in mdss],
+            [lift(m, node_levels, hierarchies) for m in mdss],
             node_levels,
             hierarchies,
         )
 
         def adapt(levels):
-            return [m.adapted_to(levels, hierarchies) for m in mdss]
+            return [lift(m, levels, hierarchies) for m in mdss]
 
         return split_mod.plan_node_split(
             node_mds,
@@ -182,7 +188,7 @@ class TestPlanNodeSplit:
     def test_plan_separates_in_split_dimension(self, city_mdss):
         _schema, hierarchies, _records, mdss = city_mdss
         plan = self._plan(mdss, (1, 0), hierarchies)
-        adapted = [m.adapted_to(plan.levels, hierarchies) for m in mdss]
+        adapted = [lift(m, plan.levels, hierarchies) for m in mdss]
         set_a = set()
         for i in plan.groups[0]:
             set_a.update(adapted[i].value_set(plan.split_dimension))
