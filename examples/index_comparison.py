@@ -11,7 +11,7 @@ Run with:  python examples/index_comparison.py [n_records]
 import sys
 import time
 
-from repro import BACKENDS, CostModel, TPCDGenerator, Warehouse, make_tpcd_schema
+from repro import BACKENDS, TPCDGenerator, Warehouse, make_tpcd_schema
 from repro.storage.buffer import BufferPool
 from repro.workload.queries import QueryGenerator
 
@@ -34,7 +34,6 @@ def main(n_records=4000, n_queries=25):
 
     # The paper's control: every backend gets the memory the DC-tree uses.
     buffer_pages = max(16, backends["dc-tree"].index.page_count() // 4)
-    model = CostModel()
 
     print("\nbuffer budget: %d pages (25%% of the DC-tree)\n" % buffer_pages)
     header = "%-10s %10s %12s %12s %12s %14s" % (
@@ -61,7 +60,7 @@ def main(n_records=4000, n_queries=25):
                     build_seconds[name],
                     warehouse.index.page_count(),
                     stats.buffer_misses / n_queries,
-                    stats.simulated_seconds(model) / n_queries,
+                    stats.simulated_seconds() / n_queries,
                     wall * 1e3,
                 )
             )

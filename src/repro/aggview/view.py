@@ -22,6 +22,7 @@ The `aggview` bench measures both limitations against the DC-tree.
 
 from __future__ import annotations
 
+from ..config import PAGE_SIZE
 from ..core.mds import check_query_mds
 from ..cube.aggregation import AggregateVector, StreamingAggregator
 from ..errors import QueryError, StorageError
@@ -50,7 +51,7 @@ class MaterializedAggregateView:
         cube).  Use a dimension's ``top_level`` to roll it up entirely.
     """
 
-    def __init__(self, schema, levels, tracker=None, storage_config=None):
+    def __init__(self, schema, levels, storage_config=None):
         if len(levels) != schema.n_dimensions:
             raise QueryError(
                 "view needs one level per dimension: got %d for %d dims"
@@ -66,10 +67,7 @@ class MaterializedAggregateView:
         self.schema = schema
         self.levels = tuple(levels)
         self.hierarchies = tuple(d.hierarchy for d in schema.dimensions)
-        if tracker is not None:
-            self.tracker = tracker
-        else:
-            self.tracker = StorageTracker(storage_config)
+        self.tracker = StorageTracker(storage_config)
         self._cells = {}
         self._stale = False
         self._built = False
@@ -193,9 +191,7 @@ class MaterializedAggregateView:
         return len(self._cells) * (key_bytes + cell_bytes)
 
     def page_count(self):
-        return page_mod.pages_for(
-            self.byte_size(), self.tracker.config.page_size
-        )
+        return page_mod.pages_for(self.byte_size(), PAGE_SIZE)
 
     def __repr__(self):
         return (

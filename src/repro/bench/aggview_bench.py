@@ -10,7 +10,6 @@ introduction describes.
 from __future__ import annotations
 
 from ..aggview.view import MaterializedAggregateView
-from ..config import CostModel
 from ..core.tree import DCTree
 from ..tpcd.generator import TPCDGenerator
 from ..tpcd.schema import make_tpcd_schema
@@ -26,7 +25,6 @@ def run_aggview(n_records=5000, n_queries=100, selectivity=0.25, seed=0):
     schema = make_tpcd_schema()
     generator = TPCDGenerator(schema, seed=seed, scale_records=n_records)
     records = generator.generate(n_records)
-    model = CostModel()
 
     tree = DCTree(schema)
     for record in records:
@@ -66,25 +64,25 @@ def run_aggview(n_records=5000, n_queries=100, selectivity=0.25, seed=0):
     extra = generator.record()
     tree.tracker.reset()
     tree.insert(extra)
-    tree_update = tree.tracker.snapshot().simulated_seconds(model)
+    tree_update = tree.tracker.snapshot().simulated_seconds()
 
     view.mark_stale()
     view.tracker.reset(clear_buffer=True)
     view.build(records + [extra])
-    view_update = view.tracker.snapshot().simulated_seconds(model)
+    view_update = view.tracker.snapshot().simulated_seconds()
 
     n_answerable = max(1, len(answerable))
     return [
         (
             "dc-tree",
             "100%",
-            tree_stats.simulated_seconds(model) / n_answerable,
+            tree_stats.simulated_seconds() / n_answerable,
             tree_update,
         ),
         (
             "materialized view",
             "%.0f%%" % (100.0 * coverage),
-            view_stats.simulated_seconds(model) / n_answerable,
+            view_stats.simulated_seconds() / n_answerable,
             view_update,
         ),
     ]

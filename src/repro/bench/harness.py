@@ -104,7 +104,6 @@ def run_combined_sweep(
     """Run the paper's full measurement protocol; return a
     :class:`SweepResult`."""
     sizes = sorted(sizes)
-    model = CostModel()
     note = progress if progress is not None else (lambda message: None)
 
     schema = make_tpcd_schema()
@@ -142,7 +141,7 @@ def run_combined_sweep(
         point = Checkpoint(checkpoint_size)
         for name in BACKENDS:
             point.insert_seconds[name] = insert_wall[name]
-            point.insert_simulated[name] = model.simulated_seconds(
+            point.insert_simulated[name] = CostModel.simulated_seconds(
                 insert_ios[name], insert_cpu[name]
             )
             point.per_record_seconds[name] = (
@@ -164,13 +163,13 @@ def run_combined_sweep(
             )
             for name in BACKENDS:
                 point.queries[(name, selectivity)] = _measure_queries(
-                    warehouses[name], queries, buffer_pages, model
+                    warehouses[name], queries, buffer_pages
                 )
         result.checkpoints.append(point)
     return result
 
 
-def _measure_queries(warehouse, queries, buffer_pages, model):
+def _measure_queries(warehouse, queries, buffer_pages):
     """Run one query batch; return per-query averages."""
     tracker = warehouse.tracker
     tracker.buffer = BufferPool(buffer_pages)
@@ -186,7 +185,7 @@ def _measure_queries(warehouse, queries, buffer_pages, model):
         node_accesses=stats.node_accesses / n,
         buffer_misses=stats.buffer_misses / n,
         cpu_units=stats.cpu_units / n,
-        simulated_seconds=stats.simulated_seconds(model) / n,
+        simulated_seconds=stats.simulated_seconds() / n,
     )
 
 

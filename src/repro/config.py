@@ -1,10 +1,11 @@
-"""Tunable parameters for the index structures and the cost model.
+"""Parameters of the index structures and the cost model.
 
-All knobs live here so tests, benchmarks and applications can vary them
-without touching algorithm code.  Defaults follow the paper where it gives
-numbers and common X-tree/R*-tree practice where it does not.  A knob stays
-only while some caller sets it; the split (Fig. 6), the use of materialized
-aggregates and the entry-count capacity rule are fixed behaviour.
+A setting stays settable only while some caller sets it: node
+capacities, the WAL's fsync batching, telemetry and the buffer-pool
+size.  Everything else the paper fixes is a constant here — the X-tree
+split thresholds both trees share, the cost model's weights and the
+page size — as are the split (Fig. 6), the use of materialized
+aggregates, the result cache and the entry-count capacity rule.
 """
 
 from __future__ import annotations
@@ -12,6 +13,26 @@ from __future__ import annotations
 import os
 
 from .errors import SchemaError
+
+#: A split is "too unbalanced" when the smaller group would hold less
+#: than this fraction of the entries (X-tree heritage; the X-tree paper
+#: uses 35 %).
+MIN_FANOUT_FRACTION = 0.35
+
+#: A split is rejected when its groups overlap by more than this
+#: fraction of the smaller group ("overlap is not too high", Fig. 5; the
+#: X-tree paper found 20 % to be a good threshold).  The DC-tree measures
+#: the overlap in the split dimension, the X-tree as MBR volume.
+MAX_OVERLAP_FRACTION = 0.20
+
+#: Block size in bytes: reports the trees' footprints and sizes the
+#: scan's heap pages.
+PAGE_SIZE = 4096
+
+
+def min_group_size(n_entries):
+    """Smallest acceptable split group of ``n_entries`` (at least 2)."""
+    return max(2, int(MIN_FANOUT_FRACTION * n_entries))
 
 
 class DCTreeConfig:
@@ -26,23 +47,6 @@ class DCTreeConfig:
         the supernode is exceeded").
     leaf_capacity:
         Maximum number of data records in a regular data node.
-    min_fanout_fraction:
-        A split is "too unbalanced" when the smaller group would hold less
-        than this fraction of the entries (X-tree heritage; the X-tree paper
-        uses 35 %).
-    max_overlap_fraction:
-        A split is rejected when ``overlap(G1, G2) / min(volume(G1),
-        volume(G2))`` exceeds this bound ("overlap is not too high",
-        Fig. 5); the X-tree paper found 20 % to be a good threshold.
-    use_result_cache:
-        When True (default) full ``range_query`` / ``group_by`` answers
-        are memoized in a per-tree LRU keyed on (query digest, tree
-        version); every insert/delete/bulk-load bumps the version, so a
-        stale answer can never be served.  Cache hits replay the recorded
-        tracker charges, keeping deterministic counters identical with the
-        cache on or off (see docs/cost_model.md).
-    result_cache_capacity:
-        Maximum number of memoized answers held per tree (LRU-bounded).
     wal_fsync_interval:
         Fsync batching of an attached write-ahead log (see
         :mod:`repro.persist.wal`): 1 syncs every append (strongest
@@ -62,47 +66,30 @@ class DCTreeConfig:
         ``on``), which CI uses to force the whole suite through the
         instrumented paths.
 
-    Instances have ``__slots__``, so assigning a knob that does not exist
-    raises :class:`AttributeError` instead of being silently ignored.
+    Instances have ``__slots__``, so assigning a setting that does not
+    exist raises :class:`AttributeError` instead of being silently
+    ignored.
     """
 
     __slots__ = (
-        "dir_capacity", "leaf_capacity", "min_fanout_fraction",
-        "max_overlap_fraction", "use_result_cache", "result_cache_capacity",
-        "wal_fsync_interval", "observability",
+        "dir_capacity", "leaf_capacity", "wal_fsync_interval",
+        "observability",
     )
 
     def __init__(
         self,
         dir_capacity=16,
         leaf_capacity=64,
-        min_fanout_fraction=0.35,
-        max_overlap_fraction=0.20,
-        use_result_cache=True,
-        result_cache_capacity=128,
         wal_fsync_interval=1,
         observability=None,
     ):
-        if dir_capacity < 4:
-            raise SchemaError("dir_capacity must be at least 4")
-        if leaf_capacity < 4:
-            raise SchemaError("leaf_capacity must be at least 4")
-        if not 0.0 < min_fanout_fraction <= 0.5:
-            raise SchemaError("min_fanout_fraction must be in (0, 0.5]")
-        if max_overlap_fraction < 0.0:
-            raise SchemaError("max_overlap_fraction must be non-negative")
-        if result_cache_capacity < 1:
-            raise SchemaError("result_cache_capacity must be at least 1")
+        _check_capacities(dir_capacity, leaf_capacity)
         if not isinstance(wal_fsync_interval, int) or wal_fsync_interval < 0:
             raise SchemaError(
                 "wal_fsync_interval must be a non-negative integer"
             )
         self.dir_capacity = dir_capacity
         self.leaf_capacity = leaf_capacity
-        self.min_fanout_fraction = min_fanout_fraction
-        self.max_overlap_fraction = max_overlap_fraction
-        self.use_result_cache = bool(use_result_cache)
-        self.result_cache_capacity = result_cache_capacity
         self.wal_fsync_interval = wal_fsync_interval
         if observability is None:
             env = os.environ.get("REPRO_OBSERVABILITY", "")
@@ -111,84 +98,79 @@ class DCTreeConfig:
 
     def min_dir_fanout(self):
         """Smallest acceptable group size when splitting a directory node."""
-        return max(2, int(self.dir_capacity * self.min_fanout_fraction))
+        return min_group_size(self.dir_capacity)
 
     def min_leaf_fanout(self):
         """Smallest acceptable group size when splitting a data node."""
-        return max(2, int(self.leaf_capacity * self.min_fanout_fraction))
+        return min_group_size(self.leaf_capacity)
 
 
 class XTreeConfig:
     """Parameters of the X-tree baseline.
 
-    ``max_overlap_fraction`` triggers the fallback from the topological
-    (R*-style) split to the overlap-minimal split, and
-    ``min_fanout_fraction`` decides when the overlap-minimal split is too
-    unbalanced and a supernode must be created — both straight from the
-    X-tree paper (Berchtold/Keim/Kriegel, VLDB 1996).
+    :data:`MAX_OVERLAP_FRACTION` triggers the fallback from the
+    topological (R*-style) split to the overlap-minimal split, and
+    :data:`MIN_FANOUT_FRACTION` decides when the overlap-minimal split is
+    too unbalanced and a supernode must be created — both straight from
+    the X-tree paper (Berchtold/Keim/Kriegel, VLDB 1996).  Slotted like
+    :class:`DCTreeConfig`.
     """
 
-    def __init__(
-        self,
-        dir_capacity=32,
-        leaf_capacity=64,
-        min_fanout_fraction=0.35,
-        max_overlap_fraction=0.20,
-    ):
-        if dir_capacity < 4:
-            raise SchemaError("dir_capacity must be at least 4")
-        if leaf_capacity < 4:
-            raise SchemaError("leaf_capacity must be at least 4")
-        if not 0.0 < min_fanout_fraction <= 0.5:
-            raise SchemaError("min_fanout_fraction must be in (0, 0.5]")
-        if max_overlap_fraction < 0.0:
-            raise SchemaError("max_overlap_fraction must be non-negative")
+    __slots__ = ("dir_capacity", "leaf_capacity")
+
+    def __init__(self, dir_capacity=32, leaf_capacity=64):
+        _check_capacities(dir_capacity, leaf_capacity)
         self.dir_capacity = dir_capacity
         self.leaf_capacity = leaf_capacity
-        self.min_fanout_fraction = min_fanout_fraction
-        self.max_overlap_fraction = max_overlap_fraction
 
     def min_dir_fanout(self):
-        return max(2, int(self.dir_capacity * self.min_fanout_fraction))
+        return min_group_size(self.dir_capacity)
 
     def min_leaf_fanout(self):
-        return max(2, int(self.leaf_capacity * self.min_fanout_fraction))
+        return min_group_size(self.leaf_capacity)
+
+
+def _check_capacities(dir_capacity, leaf_capacity):
+    if dir_capacity < 4:
+        raise SchemaError("dir_capacity must be at least 4")
+    if leaf_capacity < 4:
+        raise SchemaError("leaf_capacity must be at least 4")
 
 
 class CostModel:
     """Converts counted events into a simulated elapsed time.
 
     The paper measured wall-clock seconds on 1999 hardware with
-    disk-resident trees; we count buffer misses (random page I/Os) and CPU
-    work units (one unit ≈ one MDS/MBR set operation on one attribute
-    value) and weight them.  Defaults model a 10 ms random I/O against a
-    1 µs work unit — the classic four-orders-of-magnitude gap that makes
-    page accesses dominate, as they did in the paper's setting.
+    disk-resident trees; we count page I/Os and CPU work units (one unit
+    ≈ one MDS/MBR set operation on one attribute value) and weight them.
+    The weights model a 10 ms random I/O against a 1 µs work unit — the
+    classic four-orders-of-magnitude gap that makes page accesses
+    dominate, as they did in the paper's setting.
     """
 
-    def __init__(self, t_io=10e-3, t_cpu=1e-6):
-        if t_io <= 0 or t_cpu <= 0:
-            raise SchemaError("cost-model times must be positive")
-        self.t_io = t_io
-        self.t_cpu = t_cpu
+    __slots__ = ()
 
-    def simulated_seconds(self, page_misses, cpu_units):
+    #: Seconds per page I/O.
+    T_IO = 10e-3
+    #: Seconds per CPU work unit.
+    T_CPU = 1e-6
+
+    @staticmethod
+    def simulated_seconds(page_ios, cpu_units):
         """Simulated elapsed time for the counted events."""
-        return page_misses * self.t_io + cpu_units * self.t_cpu
+        return page_ios * CostModel.T_IO + cpu_units * CostModel.T_CPU
 
 
 class StorageConfig:
     """Parameters of the simulated paged store.
 
-    ``page_size`` is the block size in bytes (only used for reporting the
-    trees' footprints and matching the buffer budgets of compared indexes);
     ``buffer_pages`` is the LRU buffer-pool capacity in pages.  A
     non-positive ``buffer_pages`` means "everything fits in memory" (every
-    access after the first is a hit).
+    access after the first is a hit).  The page size is the constant
+    :data:`PAGE_SIZE`.
     """
 
-    def __init__(self, page_size=4096, buffer_pages=64):
-        if page_size < 256:
-            raise SchemaError("page_size must be at least 256 bytes")
-        self.page_size = page_size
+    __slots__ = ("buffer_pages",)
+
+    def __init__(self, buffer_pages=64):
         self.buffer_pages = buffer_pages

@@ -15,7 +15,6 @@ from .result_cache import ResultCache, ResultCacheStats
 from .split import (
     SplitPlan,
     choose_seeds,
-    compute_group_mds,
     hierarchy_split,
     plan_node_split,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "TreeStats",
     "choose_seeds",
     "collect_stats",
-    "compute_group_mds",
     "contains",
     "covers_record",
     "extension",

@@ -23,15 +23,13 @@ from __future__ import annotations
 from .tree import DCTree
 
 
-def bulk_load(schema, records, config=None, tracker=None,
-              storage_config=None):
+def bulk_load(schema, records, config=None, storage_config=None):
     """Build a :class:`DCTree` over ``records`` in one bottom-up pass.
 
     Returns a fully consistent, dynamic tree.  ``records`` may be any
     iterable; it is materialized once.
     """
-    tree = DCTree(schema, config=config, tracker=tracker,
-                  storage_config=storage_config)
+    tree = DCTree(schema, config=config, storage_config=storage_config)
     records = list(records)
     if not records:
         return tree

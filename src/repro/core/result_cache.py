@@ -18,12 +18,12 @@ The cache is **counter-invisible**: a hit replays the page-access trace
 and CPU units recorded when the answer was first computed (see
 :meth:`~repro.storage.tracker.StorageTracker.replay`), so the simulated
 cost model, the buffer-pool evolution and every deterministic tracker
-counter are bit-identical with the cache on or off.  Only wall-clock time
+counter are bit-identical to recomputing the answer.  Only wall-clock time
 changes — which is what ``python -m repro.bench regression`` prices with
 its repeated-query (Zipfian re-ask) phase.
 
-Entries are LRU-bounded (``DCTreeConfig.result_cache_capacity``); the
-whole layer is gated by ``DCTreeConfig.use_result_cache``.
+Entries are LRU-bounded (128 answers); every DC-tree builds its own
+cache.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ Splitting a DC-tree node proceeds in two stages:
 
 from __future__ import annotations
 
+from ..config import MAX_OVERLAP_FRACTION, min_group_size
 from ..errors import MdsError
 from . import mds as mds_mod
 from .mds import MDS
@@ -46,7 +47,7 @@ class SplitPlan:
         self.cpu_units = cpu_units
 
 
-def plan_node_split(node_mds, n_entries, adapt_entries, config, hierarchies):
+def plan_node_split(node_mds, n_entries, adapt_entries, hierarchies):
     """Try to split a node's entries; return a :class:`SplitPlan` or None.
 
     ``adapt_entries(levels)`` must return the node's entry MDSs adapted to
@@ -57,7 +58,7 @@ def plan_node_split(node_mds, n_entries, adapt_entries, config, hierarchies):
     ``None`` means no dimension admitted a balanced, low-overlap split and
     the node must become a supernode (Fig. 5, last line).
     """
-    min_group = max(2, int(config.min_fanout_fraction * n_entries))
+    min_group = min_group_size(n_entries)
     cpu_units = 0
     for dim in _dimension_order(node_mds):
         for target_levels in _adaptation_attempts(node_mds, dim):
@@ -69,8 +70,7 @@ def plan_node_split(node_mds, n_entries, adapt_entries, config, hierarchies):
             cpu_units += work
             if min(len(groups[0]), len(groups[1])) < min_group:
                 continue
-            if not _overlap_acceptable(groups, adapted, dim, config,
-                                       hierarchies):
+            if not _overlap_acceptable(groups, adapted, dim):
                 continue
             return SplitPlan(groups, target_levels, dim, cpu_units)
     return None
@@ -113,7 +113,7 @@ def _adaptation_attempts(node_mds, split_dim):
     return attempts
 
 
-def _overlap_acceptable(groups, adapted, split_dim, config, hierarchies):
+def _overlap_acceptable(groups, adapted, split_dim):
     """Fig. 5's "overlap is not too high" test on the two groups.
 
     The hierarchy split works "to obtain two groups with disjunct
@@ -123,27 +123,18 @@ def _overlap_acceptable(groups, adapted, split_dim, config, hierarchies):
     product-form overlap of Definition 4 is useless as a criterion in a
     warehouse: sibling subtrees legitimately share most values of the
     non-split dimensions, which drives the product ratio to ~1 for every
-    conceivable split.)
+    conceivable split.)  The adapted entries share their levels, so a
+    group's split-dimension set is the union of its entries' sets.
     """
-    mds_a = compute_group_mds((adapted[i] for i in groups[0]),
-                              adapted[groups[0][0]].levels, hierarchies)
-    mds_b = compute_group_mds((adapted[i] for i in groups[1]),
-                              adapted[groups[1][0]].levels, hierarchies)
-    set_a = mds_a.value_set(split_dim)
-    set_b = mds_b.value_set(split_dim)
+    set_a, set_b = (
+        set().union(*(adapted[i].value_set(split_dim) for i in group))
+        for group in groups
+    )
     shared = len(set_a & set_b)
     if shared == 0:
         return True
     smaller = min(len(set_a), len(set_b))
-    return shared <= config.max_overlap_fraction * smaller
-
-
-def compute_group_mds(mdss, levels, hierarchies):
-    """Cover of ``mdss`` at exactly ``levels`` (levels must dominate)."""
-    group = MDS.empty(levels)
-    for m in mdss:
-        group.add_mds(m, hierarchies)
-    return group
+    return shared <= MAX_OVERLAP_FRACTION * smaller
 
 
 # ----------------------------------------------------------------------

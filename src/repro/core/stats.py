@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from ..config import PAGE_SIZE
 from ..storage import page as page_mod
 
 
@@ -119,9 +120,8 @@ class TreeFootprint:
 
     def page_count(self):
         """Pages occupied at the configured page size."""
-        page_size = self.tracker.config.page_size
         return sum(
-            page_mod.pages_for(size, page_size) for size in self._node_bytes()
+            page_mod.pages_for(size, PAGE_SIZE) for size in self._node_bytes()
         )
 
     def _node_bytes(self):

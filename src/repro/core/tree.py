@@ -97,19 +97,16 @@ class DCTree(TreeFootprint):
         The cube schema; its concept hierarchies are shared with the tree.
     config:
         A :class:`~repro.config.DCTreeConfig` (defaults apply otherwise).
-    tracker:
-        Optional externally owned :class:`StorageTracker` (lets experiments
-        share a buffer pool); the tree creates a private one by default.
+    storage_config:
+        A :class:`~repro.config.StorageConfig` for the tree's own
+        :class:`StorageTracker` (defaults apply otherwise).
     """
 
-    def __init__(self, schema, config=None, tracker=None, storage_config=None):
+    def __init__(self, schema, config=None, storage_config=None):
         self.schema = schema
         self.config = config if config is not None else DCTreeConfig()
         self.hierarchies = tuple(d.hierarchy for d in schema.dimensions)
-        if tracker is not None:
-            self.tracker = tracker
-        else:
-            self.tracker = StorageTracker(storage_config)
+        self.tracker = StorageTracker(storage_config)
         self._n_records = 0
         self._root = DCDataNode(
             MDS.all_mds(self.hierarchies),
@@ -119,10 +116,7 @@ class DCTree(TreeFootprint):
         self._tree_version = 0
         self._batch = None
         self._mutation_sink = None
-        self._result_cache = (
-            ResultCache(self.config.result_cache_capacity)
-            if self.config.use_result_cache else None
-        )
+        self._result_cache = ResultCache()
         # Telemetry is strictly observational (see _count).
         self._metrics = (
             MetricsRegistry() if self.config.observability else None
@@ -154,7 +148,7 @@ class DCTree(TreeFootprint):
 
     @property
     def result_cache(self):
-        """The attached :class:`ResultCache` (None when disabled)."""
+        """The tree's :class:`ResultCache`."""
         return self._result_cache
 
     @property
@@ -503,7 +497,7 @@ class DCTree(TreeFootprint):
             adapt = self._make_entry_adapter(node.children)
             n_entries = len(node.children)
         plan = split_mod.plan_node_split(
-            node.mds, n_entries, adapt, self.config, self.hierarchies
+            node.mds, n_entries, adapt, self.hierarchies
         )
         if plan is None:
             node.n_blocks += 1
@@ -701,9 +695,7 @@ class DCTree(TreeFootprint):
         profile = None
         if explain:
             profile = QueryProfile(kind, op, measure_index, version)
-            if cache is None:
-                profile.cache_outcome = "disabled"
-            elif cache.peek(key, version) is not None:
+            if cache.peek(key, version) is not None:
                 profile.cache_outcome = "hit"
                 cache = None
             else:
@@ -711,7 +703,7 @@ class DCTree(TreeFootprint):
             started = time.perf_counter()
             profile.before = self.tracker.snapshot()
             session = self._profile = ProfileSession(profile, self.tracker)
-        elif cache is not None:
+        else:
             entry = cache.fetch(key, version, self.tracker)
             if entry is not None:
                 return entry.value if copy is None else copy(entry.value)

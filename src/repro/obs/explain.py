@@ -78,7 +78,7 @@ class QueryProfile:
         self.measure_index = measure_index
         self.tree_version = tree_version
         self.description = description
-        self.cache_outcome = "disabled"
+        self.cache_outcome = None
         self.levels = []
         self.before = None
         self.after = None
@@ -106,9 +106,9 @@ class QueryProfile:
     def total_cpu_units(self):
         return self._level_total("cpu_units")
 
-    def simulated_seconds(self, cost_model=None):
+    def simulated_seconds(self):
         """Simulated elapsed time of the query's charges."""
-        return self.delta.simulated_seconds(cost_model)
+        return self.delta.simulated_seconds()
 
     def reconciles(self):
         """Do the per-level totals equal the tracker delta exactly?"""

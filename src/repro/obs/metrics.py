@@ -235,8 +235,7 @@ def observe_tree_structure(registry, tree, prefix="dctree"):
 def observe_dctree(registry, tree):
     """Refresh every tree-derived gauge family: tracker, cache, structure."""
     tree.tracker.publish_metrics(registry)
-    if tree.result_cache is not None:
-        tree.result_cache.publish_metrics(registry)
+    tree.result_cache.publish_metrics(registry)
     observe_tree_structure(registry, tree)
     registry.gauge("dctree_tree_version",
                    "Monotone mutation counter.").set(tree.tree_version)
@@ -266,13 +265,9 @@ def describe_result_cache(tree):
     """One-line result-cache summary of a DC-tree (debug/CLI aid).
 
     Returns e.g. ``"result-cache: 3 hits / 5 misses (37.5% hit rate), 5
-    entries of 128, 1 eviction(s), 2 invalidation(s)"`` — or a disabled
-    notice for trees without a cache.
+    entries of 128, 1 eviction(s), 2 invalidation(s)"``.
     """
-    cache = getattr(tree, "result_cache", None)
-    if cache is None:
-        return "result-cache: disabled"
-    stats = cache.stats()
+    stats = tree.result_cache.stats()
     return (
         "result-cache: %d hits / %d misses (%.1f%% hit rate), "
         "%d entries of %d, %d eviction(s), %d invalidation(s)"

@@ -38,8 +38,9 @@ bit-for-bit query-equivalent to the saved one — a property the test
 suite checks).  IDs are plain integers (the level tag lives inside the
 integer, §3.1).  The magic carries the format version; files of an
 older version (1: one JSON document; 2: full-path leaf records; 3: a
-DC-tree config with the retired split, aggregate and capacity knobs) are
-refused, not migrated.
+DC-tree config with the retired split, aggregate and capacity knobs; 4:
+configs with the split thresholds and, for the DC-tree, the result-cache
+switch and capacity, all now constants) are refused, not migrated.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import zlib
 from ..errors import StorageError
 
 #: Current format version; bumped on breaking changes.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: Checkpoint file magic; 8 bytes, like the WAL header.
 CHECKPOINT_MAGIC = b"DCWH%03d\n" % FORMAT_VERSION

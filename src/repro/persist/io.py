@@ -263,10 +263,6 @@ def _dc_config_to_dict(config):
     return {
         "dir_capacity": config.dir_capacity,
         "leaf_capacity": config.leaf_capacity,
-        "min_fanout_fraction": config.min_fanout_fraction,
-        "max_overlap_fraction": config.max_overlap_fraction,
-        "use_result_cache": config.use_result_cache,
-        "result_cache_capacity": config.result_cache_capacity,
         "wal_fsync_interval": config.wal_fsync_interval,
     }
 
@@ -347,8 +343,6 @@ def _x_config_to_dict(config):
     return {
         "dir_capacity": config.dir_capacity,
         "leaf_capacity": config.leaf_capacity,
-        "min_fanout_fraction": config.min_fanout_fraction,
-        "max_overlap_fraction": config.max_overlap_fraction,
     }
 
 

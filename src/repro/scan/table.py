@@ -9,6 +9,7 @@ reads through the shared tracker/buffer machinery).
 
 from __future__ import annotations
 
+from ..config import PAGE_SIZE
 from ..cube.aggregation import StreamingAggregator
 from ..errors import RecordNotFoundError
 from ..storage import page as page_mod
@@ -19,20 +20,15 @@ from ..core import mds as mds_mod
 class FlatTable:
     """An unindexed record store answering range queries by full scans."""
 
-    def __init__(self, schema, tracker=None, storage_config=None):
+    def __init__(self, schema, storage_config=None):
         self.schema = schema
         self.hierarchies = tuple(d.hierarchy for d in schema.dimensions)
-        if tracker is not None:
-            self.tracker = tracker
-        else:
-            self.tracker = StorageTracker(storage_config)
+        self.tracker = StorageTracker(storage_config)
         self._records = []
         self._record_bytes = page_mod.dc_record_bytes(
             schema.n_flat_attributes, schema.n_measures
         )
-        self._records_per_page = max(
-            1, self.tracker.config.page_size // self._record_bytes
-        )
+        self._records_per_page = max(1, PAGE_SIZE // self._record_bytes)
         self._base_page = self.tracker.new_page_id()
 
     def __len__(self):
@@ -86,9 +82,7 @@ class FlatTable:
         return len(self._records) * self._record_bytes
 
     def page_count(self):
-        return page_mod.pages_for(
-            self.byte_size(), self.tracker.config.page_size
-        )
+        return page_mod.pages_for(self.byte_size(), PAGE_SIZE)
 
     # ------------------------------------------------------------------
     # queries

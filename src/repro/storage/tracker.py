@@ -43,10 +43,9 @@ class AccessStats:
         """Total page I/Os: read misses plus write-backs."""
         return self.buffer_misses + self.page_writes
 
-    def simulated_seconds(self, cost_model=None):
+    def simulated_seconds(self):
         """Simulated elapsed time of the counted events."""
-        model = cost_model if cost_model is not None else CostModel()
-        return model.simulated_seconds(self.page_ios, self.cpu_units)
+        return CostModel.simulated_seconds(self.page_ios, self.cpu_units)
 
     def __repr__(self):
         return (
@@ -59,19 +58,19 @@ class AccessStats:
 class StorageTracker:
     """Counts node accesses and CPU units behind an LRU buffer pool."""
 
-    def __init__(self, storage_config=None, faults=None):
+    def __init__(self, storage_config=None):
         config = storage_config if storage_config is not None else StorageConfig()
-        self.config = config
         self.buffer = BufferPool(config.buffer_pages)
         self.node_accesses = 0
         self.page_writes = 0
         self.cpu_units = 0
         self._next_page_id = 0
         self._access_log = None
-        # Optional FaultInjector (see repro.storage.faults): when set,
-        # every node access/write counts as an injectable I/O site, so
-        # crash tests can kill an insert between any two page touches.
-        self.faults = faults
+        # Optional FaultInjector (see repro.storage.faults), set by a
+        # DurableWarehouse opened with one: every node access/write then
+        # counts as an injectable I/O site, so crash tests can kill an
+        # insert between any two page touches.
+        self.faults = None
 
     # -- page lifecycle -------------------------------------------------
 
@@ -141,7 +140,7 @@ class StorageTracker:
         This is the cache-hit charging policy (see docs/cost_model.md):
         a memoized answer is charged exactly what recomputing it would
         cost, page by page, so deterministic counters and buffer-pool
-        state are identical with the result cache on or off.
+        state come out as if the query had run again.
         """
         for page_id, n_blocks in trace:
             self.access_node(page_id, n_blocks)
@@ -174,7 +173,7 @@ class StorageTracker:
                        "CPU work units (attribute-value set operations)."
                        ).set(stats.cpu_units)
         registry.gauge(prefix + "_simulated_seconds",
-                       "Counters priced through the default cost model."
+                       "Counters priced through the cost model."
                        ).set(stats.simulated_seconds())
 
     def snapshot(self):

@@ -14,7 +14,7 @@ keeps all backends returning identical answers).
 
 from __future__ import annotations
 
-from ..config import XTreeConfig
+from ..config import MAX_OVERLAP_FRACTION, XTreeConfig, min_group_size
 from ..core.stats import TreeFootprint
 from ..cube.aggregation import StreamingAggregator
 from ..errors import QueryError, RecordNotFoundError, TreeError
@@ -27,13 +27,10 @@ from .node import XDataNode, XDirNode
 class XTree(TreeFootprint):
     """An X-tree over the flattened attribute space of a cube schema."""
 
-    def __init__(self, schema, config=None, tracker=None, storage_config=None):
+    def __init__(self, schema, config=None, storage_config=None):
         self.schema = schema
         self.config = config if config is not None else XTreeConfig()
-        if tracker is not None:
-            self.tracker = tracker
-        else:
-            self.tracker = StorageTracker(storage_config)
+        self.tracker = StorageTracker(storage_config)
         self.n_flat = schema.n_flat_attributes
         self._n_records = 0
         self._root = XDataNode(
@@ -165,14 +162,14 @@ class XTree(TreeFootprint):
         else:
             mbrs = [child.mbr for child in node.children]
         n = len(mbrs)
-        min_group = max(2, int(self.config.min_fanout_fraction * n))
+        min_group = min_group_size(n)
         self.tracker.cpu(n * self.n_flat * 4)
 
         plan = split_mod.topological_split(mbrs, min_group)
         left_mbr = MBR.cover_of(mbrs[i] for i in plan.groups[0])
         right_mbr = MBR.cover_of(mbrs[i] for i in plan.groups[1])
         ratio = split_mod.overlap_ratio(left_mbr, right_mbr)
-        if not node.is_leaf and ratio > self.config.max_overlap_fraction:
+        if not node.is_leaf and ratio > MAX_OVERLAP_FRACTION:
             plan = split_mod.overlap_minimal_split(node.children, min_group)
             if plan is None:
                 node.n_blocks += 1

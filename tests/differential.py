@@ -1,7 +1,8 @@
 """One differential check: two configurations, one operation sequence.
 
-A configuration that only changes *how* the index works — result cache
-on or off, telemetry on or off, serial or batched inserts — must not
+A configuration that only changes *how* the index works — answers served
+from the result cache or recomputed, telemetry on or off, serial or
+batched inserts — must not
 change what it answers, the tree it builds or the deterministic counters
 it charges.  :func:`assert_same_run` states that once for all of them.
 """

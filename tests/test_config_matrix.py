@@ -2,7 +2,9 @@
 
 The invariant "all backends return identical answers" must hold for any
 capacities and split thresholds — not just the defaults the other suites
-use.
+use.  The split thresholds are constants of :mod:`repro.config`; the
+threshold regimes patch them in every module that reads them, on tiny
+nodes, where they change the tree that 700 records build.
 """
 
 import math
@@ -19,21 +21,48 @@ from repro import (
     XTreeConfig,
     make_tpcd_schema,
 )
+from repro import config as config_mod
+from repro.core import split as dc_split
+from repro.core.debug import structure_digest
 from repro.workload.queries import QueryGenerator
+from repro.xtree import tree as xtree_mod
+
+#: Every module binding a split threshold, per constant.
+THRESHOLD_READERS = {
+    "MIN_FANOUT_FRACTION": (config_mod,),
+    "MAX_OVERLAP_FRACTION": (dc_split, xtree_mod),
+}
+
+
+@pytest.fixture
+def thresholds(monkeypatch):
+    """Set split thresholds for one test: ``thresholds(NAME=value, ...)``."""
+
+    def apply(**values):
+        for name, value in values.items():
+            for module in THRESHOLD_READERS[name]:
+                monkeypatch.setattr(module, name, value)
+
+    return apply
+
 
 DC_CONFIGS = [
-    pytest.param(DCTreeConfig(), id="dc-defaults"),
+    pytest.param(DCTreeConfig(), {}, id="dc-defaults"),
     pytest.param(
-        DCTreeConfig(dir_capacity=4, leaf_capacity=4), id="dc-tiny-nodes"
+        DCTreeConfig(dir_capacity=4, leaf_capacity=4), {}, id="dc-tiny-nodes"
     ),
     pytest.param(
-        DCTreeConfig(dir_capacity=64, leaf_capacity=256), id="dc-fat-nodes"
+        DCTreeConfig(dir_capacity=64, leaf_capacity=256), {},
+        id="dc-fat-nodes",
     ),
     pytest.param(
-        DCTreeConfig(max_overlap_fraction=0.0), id="dc-zero-overlap"
+        DCTreeConfig(dir_capacity=4, leaf_capacity=4),
+        {"MAX_OVERLAP_FRACTION": 0.0},
+        id="dc-zero-overlap",
     ),
     pytest.param(
-        DCTreeConfig(max_overlap_fraction=1.0, min_fanout_fraction=0.1),
+        DCTreeConfig(dir_capacity=4, leaf_capacity=4),
+        {"MAX_OVERLAP_FRACTION": 1.0, "MIN_FANOUT_FRACTION": 0.1},
         id="dc-loose-splits",
     ),
 ]
@@ -51,9 +80,10 @@ def dataset():
     return schema, records, oracle, queries
 
 
-@pytest.mark.parametrize("config", DC_CONFIGS)
-def test_dc_tree_correct_under_config(dataset, config):
+@pytest.mark.parametrize("config, regime", DC_CONFIGS)
+def test_dc_tree_correct_under_config(dataset, thresholds, config, regime):
     schema, records, oracle, queries = dataset
+    thresholds(**regime)
     tree = DCTree(schema, config=config)
     for record in records:
         tree.insert(record)
@@ -69,9 +99,10 @@ def test_dc_tree_correct_under_config(dataset, config):
         )
 
 
-@pytest.mark.parametrize("config", DC_CONFIGS[:3])
-def test_dc_tree_delete_mix_under_config(dataset, config):
+@pytest.mark.parametrize("config, regime", DC_CONFIGS[:3])
+def test_dc_tree_delete_mix_under_config(dataset, thresholds, config, regime):
     schema, records, _oracle, queries = dataset
+    thresholds(**regime)
     tree = DCTree(schema, config=config)
     live = []
     for i, record in enumerate(records[:300]):
@@ -87,22 +118,27 @@ def test_dc_tree_delete_mix_under_config(dataset, config):
 
 
 X_CONFIGS = [
-    pytest.param(XTreeConfig(), id="x-defaults"),
+    pytest.param(XTreeConfig(), {}, id="x-defaults"),
     pytest.param(
-        XTreeConfig(dir_capacity=4, leaf_capacity=4), id="x-tiny-nodes"
+        XTreeConfig(dir_capacity=4, leaf_capacity=4), {}, id="x-tiny-nodes"
     ),
     pytest.param(
-        XTreeConfig(max_overlap_fraction=0.0), id="x-always-minimal-split"
+        XTreeConfig(dir_capacity=4, leaf_capacity=4),
+        {"MAX_OVERLAP_FRACTION": 0.0},
+        id="x-always-minimal-split",
     ),
     pytest.param(
-        XTreeConfig(max_overlap_fraction=10.0), id="x-never-minimal-split"
+        XTreeConfig(dir_capacity=4, leaf_capacity=4),
+        {"MAX_OVERLAP_FRACTION": 10.0},
+        id="x-never-minimal-split",
     ),
 ]
 
 
-@pytest.mark.parametrize("config", X_CONFIGS)
-def test_x_tree_correct_under_config(dataset, config):
+@pytest.mark.parametrize("config, regime", X_CONFIGS)
+def test_x_tree_correct_under_config(dataset, thresholds, config, regime):
     schema, records, oracle, queries = dataset
+    thresholds(**regime)
     tree = XTree(schema, config=config)
     for record in records:
         tree.insert(record)
@@ -113,3 +149,25 @@ def test_x_tree_correct_under_config(dataset, config):
             oracle.range_query(query.mds),
             abs_tol=1e-4,
         )
+
+
+def _structure(schema, records, config):
+    tree_class = DCTree if isinstance(config, DCTreeConfig) else XTree
+    tree = tree_class(schema, config=config)
+    for record in records:
+        tree.insert(record)
+    return structure_digest(tree)
+
+
+@pytest.mark.parametrize(
+    "config, regime",
+    [param for param in DC_CONFIGS + X_CONFIGS if param.values[1]],
+)
+def test_threshold_regime_changes_the_tree(dataset, thresholds, config,
+                                           regime):
+    """Each threshold regime builds another tree than its capacities do
+    at the default thresholds, so its rows above test the thresholds."""
+    schema, records, _oracle, _queries = dataset
+    default = _structure(schema, records, config)
+    thresholds(**regime)
+    assert _structure(schema, records, config) != default

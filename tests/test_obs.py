@@ -41,14 +41,12 @@ from tests.differential import assert_same_run, counter_tuple
 from tests.hypothesis_settings import TREE_SETTINGS
 
 
-def build_tree(observability=True, rows=TOY_ROWS, **config_kwargs):
+def build_tree(observability=True, rows=TOY_ROWS):
     """Toy tree with tiny node capacities, so even the 7 toy rows build
     a directory level (EXPLAIN has entries to classify)."""
     schema = build_toy_schema()
-    config_kwargs.setdefault("dir_capacity", 4)
-    config_kwargs.setdefault("leaf_capacity", 4)
     tree = DCTree(schema, config=DCTreeConfig(
-        observability=observability, **config_kwargs
+        dir_capacity=4, leaf_capacity=4, observability=observability
     ))
     for row in rows:
         tree.insert(toy_record(schema, *row))
@@ -157,13 +155,6 @@ class TestExplain:
             == miss_profile.delta.node_accesses
         assert hit_profile.delta.cpu_units == miss_profile.delta.cpu_units
         assert counter_tuple(tree) != before  # it did charge
-
-    def test_cache_disabled_outcome(self):
-        schema, tree = build_tree(use_result_cache=False)
-        query = query_from_labels(schema, WHERE_DE)
-        _, profile = tree.range_query(query.mds, explain=True)
-        assert profile.cache_outcome == "disabled"
-        assert profile.reconciles()
 
     def test_group_by_explain_reconciles(self):
         schema, tree = build_tree()

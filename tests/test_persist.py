@@ -425,6 +425,19 @@ def _v3_file(data, columns):
         )
 
 
+def _v4_file(data, columns):
+    # Written under the version 4 magic below.  A v4 tree config still
+    # held the split thresholds and, for the DC-tree, the result-cache
+    # switch and capacity, which the current configs would reject with a
+    # bare TypeError.
+    data["meta"]["version"] = 4
+    if data["meta"]["backend"] != "scan":
+        config = data["index"]["config"]
+        config.update(min_fanout_fraction=0.35, max_overlap_fraction=0.2)
+        if data["meta"]["backend"] == "dc-tree":
+            config.update(use_result_cache=True, result_cache_capacity=128)
+
+
 _DAMAGE = {
     "short column": (_short_column, "holds 6 values, column 0 holds 7"),
     "extra column": (_extra_column, "record columns, expected"),
@@ -434,6 +447,7 @@ _DAMAGE = {
     "inner-level id": (_inner_level_id, "not a level-0 value"),
     "framed v2 file": (_v2_file, repr(CHECKPOINT_MAGIC)),
     "framed v3 file": (_v3_file, repr(CHECKPOINT_MAGIC)),
+    "framed v4 file": (_v4_file, repr(CHECKPOINT_MAGIC)),
 }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -28,7 +29,13 @@ from repro import (
     recover_warehouse,
 )
 from repro.core.bulkload import bulk_load
-from repro.persist.format import CHECKPOINT_MAGIC
+from repro.persist.format import (
+    CHECKPOINT_MAGIC,
+    FRAME_PREFIX,
+    SECTIONS,
+    encode_checkpoint,
+    scan_frames,
+)
 from repro.persist.io import (
     load_warehouse,
     record_to_labels,
@@ -497,7 +504,9 @@ def test_checkpoint_bit_rot_detected(tmp_path):
     path = DurableWarehouse.checkpoint_path(directory)
     with open(path, "rb") as handle:
         raw = handle.read()
-    middle = len(raw) // 2  # inside the index section, the largest
+    frames = dict(zip(SECTIONS, scan_frames(raw, len(CHECKPOINT_MAGIC))))
+    start, payload = frames["index"]
+    middle = start + FRAME_PREFIX.size + len(payload) // 2
     with open(path, "wb") as handle:
         handle.write(raw[:middle] + bytes([raw[middle] ^ 0x01])
                      + raw[middle + 1:])
@@ -523,6 +532,33 @@ def test_version_1_checkpoint_rejected(tmp_path):
     assert warehouse is None
     assert repr(CHECKPOINT_MAGIC) in report.checkpoint_error
     with pytest.raises(StorageError, match="expected magic"):
+        DurableWarehouse.open(directory)
+
+
+def test_version_4_checkpoint_rejected(tmp_path):
+    """A framed version 4 checkpoint, whose DC-tree config still held
+    the split thresholds and the result-cache settings, is refused by
+    load, recovery and open alike, naming the magic this build expects."""
+    directory = str(tmp_path / "v4")
+    _run_workload(directory, plan=None)
+    path = DurableWarehouse.checkpoint_path(directory)
+    data = warehouse_to_dict(load_warehouse(path))
+    data["meta"]["version"] = 4
+    data["index"]["config"].update(
+        min_fanout_fraction=0.35, max_overlap_fraction=0.2,
+        use_result_cache=True, result_cache_capacity=128,
+    )
+    raw = encode_checkpoint(data)
+    with open(path, "wb") as handle:
+        handle.write(b"DCWH004\n" + raw[len(CHECKPOINT_MAGIC):])
+    with pytest.raises(StorageError, match=re.escape(repr(CHECKPOINT_MAGIC))):
+        load_warehouse(path)
+    warehouse, report = recover_warehouse(
+        path, DurableWarehouse.wal_path(directory)
+    )
+    assert warehouse is None
+    assert repr(CHECKPOINT_MAGIC) in report.checkpoint_error
+    with pytest.raises(StorageError, match=re.escape(repr(CHECKPOINT_MAGIC))):
         DurableWarehouse.open(directory)
 
 

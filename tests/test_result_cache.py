@@ -1,9 +1,9 @@
 """Tests for the versioned query-result cache (``core/result_cache.py``).
 
 The cache must be *fully* invisible except for wall-clock time: answers,
-tracker counters and buffer-pool evolution are bit-identical with the
-cache on or off, and no mutation path may ever leave a stale answer
-servable.  These tests drive both properties, plus the LRU bound, the
+tracker counters and buffer-pool evolution are bit-identical to a run
+that clears the cache before every ask, and no mutation path may ever
+leave a stale answer servable.  These tests drive both properties, plus the LRU bound, the
 counter bookkeeping, and the canonical-digest guarantees the cache key
 relies on.
 """
@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.config import DCTreeConfig
 from repro.core.bulkload import bulk_load
 from repro.core.mds import MDS
 from repro.core.result_cache import ResultCache
 from repro.core.tree import DCTree
 from repro.errors import SchemaError
 from repro.maintenance.batch import BatchWarehouse
+from repro.storage.tracker import StorageTracker
 from repro.workload.queries import query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
 from tests.differential import assert_same_run, counter_tuple
@@ -36,13 +36,10 @@ EXTRA_ROWS = (
 )
 
 
-def build_tree(use_cache, capacity=128):
-    """Toy tree with the result cache on or off (hot-path caches fixed on)."""
+def build_tree():
+    """Toy tree over TOY_ROWS."""
     schema = build_toy_schema()
-    config = DCTreeConfig(
-        use_result_cache=use_cache, result_cache_capacity=capacity
-    )
-    tree = DCTree(schema, config=config)
+    tree = DCTree(schema)
     records = [toy_record(schema, *row) for row in TOY_ROWS]
     for record in records:
         tree.insert(record)
@@ -59,16 +56,13 @@ class TestResultCacheUnit:
         with pytest.raises(SchemaError):
             ResultCache(capacity=0)
 
-    def test_config_validates_capacity(self):
-        with pytest.raises(SchemaError):
-            DCTreeConfig(result_cache_capacity=0)
-
-    def test_config_gate_disables_cache(self, toy_schema):
-        tree = DCTree(toy_schema, config=DCTreeConfig(use_result_cache=False))
-        assert tree.result_cache is None
+    def test_every_tree_builds_its_own_cache(self, toy_schema):
+        one, two = DCTree(toy_schema), DCTree(toy_schema)
+        assert one.result_cache is not two.result_cache
+        assert one.result_cache.capacity == 128
 
     def test_hit_and_miss_counters(self):
-        schema, tree, _records = build_tree(use_cache=True)
+        schema, tree, _records = build_tree()
         mds = country_mds(schema, ["DE"])
         first = tree.range_query(mds)
         second = tree.range_query(mds)
@@ -79,7 +73,7 @@ class TestResultCacheUnit:
         assert stats.hit_rate == 0.5
 
     def test_cached_none_answer_is_a_hit(self):
-        schema, tree, _records = build_tree(use_cache=True)
+        schema, tree, _records = build_tree()
         query = query_from_labels(
             schema,
             {"Geo": ("Country", ["DE"]), "Color": ("Color", ["green"])},
@@ -90,25 +84,31 @@ class TestResultCacheUnit:
         assert (stats.hits, stats.misses) == (1, 1)
 
 
+def ask(cache, key):
+    """One lookup at tree version 0; a miss stores ``key`` as its answer."""
+    if cache.fetch(key, 0, StorageTracker()) is None:
+        cache.store(key, 0, key, [], 0)
+
+
 class TestLRUEviction:
     def test_capacity_is_enforced(self):
-        schema, tree, _records = build_tree(use_cache=True, capacity=2)
+        cache = ResultCache(capacity=2)
         for country in COUNTRIES:
-            tree.range_query(country_mds(schema, [country]))
-        stats = tree.result_cache.stats()
+            ask(cache, country)
+        stats = cache.stats()
         assert stats.size == 2
         assert stats.evictions == 1
-        assert len(tree.result_cache) == 2
+        assert len(cache) == 2
 
     def test_least_recently_used_goes_first(self):
-        schema, tree, _records = build_tree(use_cache=True, capacity=2)
-        tree.range_query(country_mds(schema, ["DE"]))  # miss
-        tree.range_query(country_mds(schema, ["FR"]))  # miss
-        tree.range_query(country_mds(schema, ["DE"]))  # hit: DE now MRU
-        tree.range_query(country_mds(schema, ["US"]))  # miss: evicts FR
-        tree.range_query(country_mds(schema, ["DE"]))  # still cached
-        tree.range_query(country_mds(schema, ["FR"]))  # evicted: miss again
-        stats = tree.result_cache.stats()
+        cache = ResultCache(capacity=2)
+        ask(cache, "DE")  # miss
+        ask(cache, "FR")  # miss
+        ask(cache, "DE")  # hit: DE now MRU
+        ask(cache, "US")  # miss: evicts FR
+        ask(cache, "DE")  # still cached
+        ask(cache, "FR")  # evicted: miss again
+        stats = cache.stats()
         assert (stats.hits, stats.misses) == (2, 4)
         assert stats.evictions == 2
 
@@ -117,7 +117,7 @@ class TestInvalidation:
     """Every mutator entry point must make cached answers unservable."""
 
     def test_insert_invalidates(self):
-        schema, tree, _records = build_tree(use_cache=True)
+        schema, tree, _records = build_tree()
         mds = country_mds(schema, ["DE"])
         assert tree.range_query(mds) == 35.0
         tree.insert(toy_record(schema, "DE", "Bonn", "red", 7.0))
@@ -125,7 +125,7 @@ class TestInvalidation:
         assert tree.result_cache.stats().invalidations == 1
 
     def test_delete_invalidates(self):
-        schema, tree, records = build_tree(use_cache=True)
+        schema, tree, records = build_tree()
         mds = country_mds(schema, ["DE"])
         assert tree.range_query(mds) == 35.0
         tree.delete(records[0])  # Munich red, 10.0
@@ -133,7 +133,7 @@ class TestInvalidation:
         assert tree.result_cache.stats().invalidations == 1
 
     def test_group_by_never_stale(self):
-        schema, tree, _records = build_tree(use_cache=True)
+        schema, tree, _records = build_tree()
         before = tree.group_by(0, 1)  # per country
         tree.insert(toy_record(schema, "FR", "Paris", "red", 100.0))
         after = tree.group_by(0, 1)
@@ -166,7 +166,7 @@ class TestInvalidation:
         assert warehouse.query(where=where) == 43.0
 
     def test_version_is_monotone_across_mutators(self):
-        schema, tree, records = build_tree(use_cache=True)
+        schema, tree, records = build_tree()
         seen = [tree.tree_version]
         tree.insert(toy_record(schema, "FR", "Nice", "red", 1.0))
         seen.append(tree.tree_version)
@@ -215,7 +215,7 @@ class TestDigest:
 
 class TestGroupByCopies:
     def test_cached_aggregators_cannot_be_poisoned(self):
-        schema, tree, _records = build_tree(use_cache=True)
+        schema, tree, _records = build_tree()
         first = tree.group_by_aggregators(0, 1)
         baseline = {value: agg.result() for value, agg in first.items()}
         victim = next(iter(first.values()))
@@ -246,8 +246,12 @@ ops_strategy = st.lists(
 )
 
 
-def run_sequence(tree, schema, operations):
-    """Apply an op sequence; returns the answers it produced."""
+def run_sequence(tree, schema, operations, clear_cache=False):
+    """Apply an op sequence; returns the answers it produced.
+
+    With ``clear_cache`` every ask finds the result cache empty, so each
+    answer is computed: the reference the cache must be invisible to.
+    """
     live = [toy_record(schema, *row) for row in TOY_ROWS]
     answers = []
     for operation in operations:
@@ -263,32 +267,36 @@ def run_sequence(tree, schema, operations):
             if live:
                 record = live.pop(operation[1] % len(live))
                 tree.delete(record)
-        elif kind == "range":
-            _, countries, op = operation
-            mds = country_mds(schema, sorted(countries))
-            answers.append(tree.range_query(mds, op=op))
         else:
-            answers.append(tree.group_by(0, operation[1]))
+            if clear_cache:
+                tree.result_cache.clear()
+            if kind == "range":
+                _, countries, op = operation
+                mds = country_mds(schema, sorted(countries))
+                answers.append(tree.range_query(mds, op=op))
+            else:
+                answers.append(tree.group_by(0, operation[1]))
     return answers
 
 
 class TestEquivalence:
     @given(operations=ops_strategy)
     def test_cache_on_off_bit_identical(self, operations):
-        """Same answers, tree and tracker counters, cache on vs off."""
+        """Same answers, tree and tracker counters, served from the cache
+        or computed on every ask."""
 
-        def run(use_cache):
-            schema, tree, _ = build_tree(use_cache=use_cache)
+        def run(clear_cache):
+            schema, tree, _ = build_tree()
             tree.tracker.reset(clear_buffer=True)
-            return tree, run_sequence(tree, schema, operations)
+            return tree, run_sequence(tree, schema, operations, clear_cache)
 
-        assert_same_run(run, True, False)
+        assert_same_run(run, False, True)
 
     @given(operations=ops_strategy)
     def test_repeated_queries_hit_without_mutation(self, operations):
         """Re-asking the same queries with no mutation in between is all
         hits, and the repeated pass charges the same counters again."""
-        schema, tree, _ = build_tree(use_cache=True)
+        schema, tree, _ = build_tree()
         queries = [op for op in operations if op[0] in ("range", "groupby")]
         if not queries:
             return

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import DCTreeConfig
 from repro.core import mds as mds_mod
 from repro.core import split as split_mod
 from repro.core.mds import MDS
@@ -159,22 +158,16 @@ class TestAdaptationAttempts:
 
 
 class TestPlanNodeSplit:
-    def _plan(self, mdss, node_levels, hierarchies, config=None):
-        node_mds = split_mod.compute_group_mds(
-            [lift(m, node_levels, hierarchies) for m in mdss],
-            node_levels,
-            hierarchies,
+    def _plan(self, mdss, node_levels, hierarchies):
+        node_mds = MDS.cover_of(
+            [lift(m, node_levels, hierarchies) for m in mdss], hierarchies
         )
 
         def adapt(levels):
             return [lift(m, levels, hierarchies) for m in mdss]
 
         return split_mod.plan_node_split(
-            node_mds,
-            len(mdss),
-            adapt,
-            config if config is not None else DCTreeConfig(),
-            hierarchies,
+            node_mds, len(mdss), adapt, hierarchies
         )
 
     def test_separable_entries_get_a_plan(self, city_mdss):
@@ -223,11 +216,3 @@ class TestPlanNodeSplit:
         plan = self._plan(mdss, (1, 0), hierarchies)
         assert plan.cpu_units > 0
 
-
-class TestComputeGroupMds:
-    def test_union_at_levels(self, city_mdss):
-        _schema, hierarchies, _records, mdss = city_mdss
-        group = split_mod.compute_group_mds(mdss[:4], (1, 0), hierarchies)
-        assert group.levels == (1, 0)
-        assert group.cardinality(0) == 1  # all DE
-        assert group.cardinality(1) == 2  # red, blue

@@ -46,9 +46,7 @@ class DCTreeMachine(RuleBasedStateMachine):
         self.schema = build_toy_schema()
         self.tree = DCTree(
             self.schema,
-            config=DCTreeConfig(
-                dir_capacity=4, leaf_capacity=4, use_result_cache=True,
-            ),
+            config=DCTreeConfig(dir_capacity=4, leaf_capacity=4),
         )
         self.model = []
         self.query_seed = 0
