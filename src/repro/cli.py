@@ -13,9 +13,6 @@ inspect    print schema, size, tree statistics and checkpoint bytes per
 recover    replay checkpoint + WAL after a crash and report what survived
 bench      shortcut for ``python -m repro.bench ...``
 
-``query``/``groupby``/``sql`` also take ``--explain`` to append the same
-profile the ``explain`` command prints.
-
 Read commands accept either a plain warehouse file or a
 durable session *directory* (``checkpoint.json`` + ``wal.log``); the
 latter is recovered — checkpoint, WAL replay, validation — before the
@@ -33,9 +30,9 @@ import sys
 
 from .core.bulkload import bulk_load
 from .core.stats import collect_stats
-from .errors import ReproError, StorageError
+from .errors import ReproError
 from .obs.metrics import describe_result_cache
-from .persist.durable import DurableWarehouse
+from .persist.durable import DurableWarehouse, recover_directory
 from .persist.format import CHECKPOINT_MAGIC, FRAME_PREFIX, SECTIONS, scan_frames
 from .persist.io import load_warehouse, save_warehouse
 from .persist.recovery import recover_warehouse
@@ -111,10 +108,6 @@ def _build_parser():
         "--where", action="append", default=[], metavar="DIM.LEVEL=A,B",
         help="constraint, repeatable (e.g. Customer.Region=EUROPE,ASIA)",
     )
-    query.add_argument(
-        "--explain", action="store_true",
-        help="also print the query's per-level cost profile (dc-tree)",
-    )
     query.set_defaults(handler=_cmd_query)
 
     groupby = commands.add_parser(
@@ -127,10 +120,6 @@ def _build_parser():
                          choices=("sum", "count", "avg", "min", "max"))
     groupby.add_argument(
         "--where", action="append", default=[], metavar="DIM.LEVEL=A,B"
-    )
-    groupby.add_argument(
-        "--explain", action="store_true",
-        help="also print the query's per-level cost profile (dc-tree)",
     )
     groupby.set_defaults(handler=_cmd_groupby)
 
@@ -152,10 +141,6 @@ def _build_parser():
         "query",
         help="e.g. \"SELECT SUM(ExtendedPrice) WHERE "
              "Customer.Region = 'EUROPE' GROUP BY Time.Year\"",
-    )
-    sql.add_argument(
-        "--explain", action="store_true",
-        help="also print the query's per-level cost profile (dc-tree)",
     )
     sql.set_defaults(handler=_cmd_sql)
 
@@ -275,20 +260,7 @@ def _open_warehouse(path):
     """Open a warehouse for reading: plain warehouse file or durable
     session directory.  Returns ``(warehouse, report_or_None)``."""
     if os.path.isdir(path):
-        warehouse, report = recover_warehouse(
-            DurableWarehouse.checkpoint_path(path),
-            DurableWarehouse.wal_path(path),
-        )
-        if warehouse is None:
-            raise StorageError(
-                "cannot recover %s: %s" % (path, report.checkpoint_error)
-            )
-        if not report.validated:
-            raise StorageError(
-                "recovered warehouse failed validation: %s"
-                % report.validation_error
-            )
-        return warehouse, report
+        return recover_directory(path)
     return load_warehouse(path), None
 
 
@@ -302,64 +274,41 @@ def _print_result(value):
 
 def _cmd_query(args):
     warehouse, _ = _open_warehouse(args.warehouse)
-    result = warehouse.query(args.op, where=_parse_where(args.where),
-                             explain=args.explain)
-    if args.explain:
-        result, profile = result
-        _print_result(result)
-        print(profile.render())
-    else:
-        _print_result(result)
+    _print_result(warehouse.query(args.op, where=_parse_where(args.where)))
     return 0
+
+
+def _group_by(warehouse, args):
+    dim, _, level = args.by.partition(".")
+    if not (dim and level):
+        raise SystemExit("bad group-by %r (expected DIM.LEVEL)" % args.by)
+    return warehouse.group_by(
+        dim, level, op=args.op, where=_parse_where(args.where)
+    )
 
 
 def _cmd_groupby(args):
     warehouse, _ = _open_warehouse(args.warehouse)
-    dim, _, level = args.by.partition(".")
-    if not (dim and level):
-        raise SystemExit("bad group-by %r (expected DIM.LEVEL)" % args.by)
-    groups = warehouse.group_by(
-        dim, level, op=args.op, where=_parse_where(args.where),
-        explain=args.explain,
-    )
-    if args.explain:
-        groups, profile = groups
-        _print_result(groups)
-        print(profile.render())
-    else:
-        _print_result(groups)
+    _print_result(_group_by(warehouse, args))
     return 0
 
 
 def _cmd_sql(args):
     warehouse, _ = _open_warehouse(args.warehouse)
-    result = execute_sql(warehouse, args.query, explain=args.explain)
-    if args.explain:
-        result, profile = result
-        _print_result(result)
-        print(profile.render())
-    else:
-        _print_result(result)
+    _print_result(execute_sql(warehouse, args.query))
     return 0
 
 
 def _cmd_explain(args):
     warehouse, _ = _open_warehouse(args.warehouse)
-    if args.sql:
-        result = execute_sql(warehouse, args.sql, explain=True)
-    elif args.by:
-        dim, _, level = args.by.partition(".")
-        if not (dim and level):
-            raise SystemExit("bad --by %r (expected DIM.LEVEL)" % args.by)
-        result = warehouse.group_by(
-            dim, level, op=args.op, where=_parse_where(args.where),
-            explain=True,
-        )
-    else:
-        result = warehouse.query(
-            args.op, where=_parse_where(args.where), explain=True
-        )
-    value, profile = result
+    with warehouse.explain() as profiles:
+        if args.sql:
+            value = execute_sql(warehouse, args.sql)
+        elif args.by:
+            value = _group_by(warehouse, args)
+        else:
+            value = warehouse.query(args.op, where=_parse_where(args.where))
+    [profile] = profiles
     if args.json:
         import json
 

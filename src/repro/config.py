@@ -123,12 +123,6 @@ class XTreeConfig:
         self.dir_capacity = dir_capacity
         self.leaf_capacity = leaf_capacity
 
-    def min_dir_fanout(self):
-        return min_group_size(self.dir_capacity)
-
-    def min_leaf_fanout(self):
-        return min_group_size(self.leaf_capacity)
-
 
 def _check_capacities(dir_capacity, leaf_capacity):
     if dir_capacity < 4:

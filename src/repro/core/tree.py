@@ -20,6 +20,7 @@ Public operations:
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 from ..config import DCTreeConfig
@@ -29,7 +30,7 @@ from ..cube.aggregation import (
     check_aggregate,
 )
 from ..errors import QueryError, RecordNotFoundError, TreeError
-from ..obs import ExplainResult, MetricsRegistry, ProfileSession, QueryProfile
+from ..obs import MetricsRegistry, ProfileSession, QueryProfile
 from ..storage.tracker import StorageTracker
 from . import mds as mds_mod
 from . import split as split_mod
@@ -121,6 +122,9 @@ class DCTree(TreeFootprint):
         self._metrics = (
             MetricsRegistry() if self.config.observability else None
         )
+        # The open explain() scope's profile list, and the session the
+        # traversal of the query being profiled feeds.
+        self._explained = None
         self._profile = None
 
     # ------------------------------------------------------------------
@@ -672,28 +676,47 @@ class DCTree(TreeFootprint):
             profile.charge_cpu(depth)
         return outcome
 
-    def _answer(self, kind, op, measure_index, key, compute, explain,
-                copy=None):
-        """Answer a query through the result cache, profiled on request.
+    @contextlib.contextmanager
+    def explain(self):
+        """Profile every query answered inside the scope (EXPLAIN).
+
+        Yields a list; each :meth:`range_query` or :meth:`group_by`
+        answered while the scope is open appends its
+        :class:`~repro.obs.QueryProfile`, whose per-level totals
+        reconcile exactly with the query's tracker delta.  Charges and
+        answers are bit-identical to unprofiled queries (see
+        :meth:`_answer`).  Scopes do not nest.
+        """
+        if self._explained is not None:
+            raise TreeError("explain scopes cannot be nested")
+        self._explained = profiles = []
+        try:
+            yield profiles
+        finally:
+            self._explained = None
+
+    def _answer(self, kind, op, measure_index, key, compute, copy=None):
+        """Answer a query through the result cache, profiled in a scope.
 
         A cache hit replays the charges recorded with the answer; a miss
         runs ``compute`` under an access trace and stores the answer with
         them.  ``copy`` clones an answer the caller may mutate (group
         aggregators) on its way into and out of the cache.
 
-        With ``explain`` the answer comes back as an
-        :class:`~repro.obs.ExplainResult` whose per-level profile
-        reconciles exactly with the call's tracker delta.  Charging stays
-        bit-identical to the plain call: a hit is recomputed instead of
-        replayed — the stored trace was recorded at this very tree
-        version, so recomputing makes exactly the charges the replay
-        would have (the cache's counter-invisibility invariant), while
-        giving the profiler a real traversal to attribute.
+        Inside an :meth:`explain` scope the answer's per-level profile,
+        which reconciles exactly with the call's tracker delta, joins
+        the scope's list.  Charging stays bit-identical to the plain
+        call: a hit is recomputed instead of replayed — the stored trace
+        was recorded at this very tree version, so recomputing makes
+        exactly the charges the replay would have (the cache's
+        counter-invisibility invariant), while giving the profiler a
+        real traversal to attribute.
         """
         cache = self._result_cache
         version = self._tree_version
+        explained = self._explained
         profile = None
-        if explain:
+        if explained is not None:
             profile = QueryProfile(kind, op, measure_index, version)
             if cache.peek(key, version) is not None:
                 profile.cache_outcome = "hit"
@@ -725,13 +748,13 @@ class DCTree(TreeFootprint):
                 session.finish()
                 profile.after = self.tracker.snapshot()
                 profile.wall_seconds = time.perf_counter() - started
-        if profile is None:
-            return value
-        self._count("dctree_explains_total",
-                    "Profiled (EXPLAIN) queries by kind.", kind=kind)
-        return ExplainResult(value, profile)
+        if profile is not None:
+            explained.append(profile)
+            self._count("dctree_explains_total",
+                        "Profiled (EXPLAIN) queries by kind.", kind=kind)
+        return value
 
-    def range_query(self, range_mds, op="sum", measure=0, explain=False):
+    def range_query(self, range_mds, op="sum", measure=0):
         """Aggregate ``op`` of one measure over the cells in ``range_mds``.
 
         ``measure`` may be an index or a measure name.  Uses the
@@ -739,13 +762,8 @@ class DCTree(TreeFootprint):
         MAX additionally run branch-and-bound over the stored extrema
         (the optimization of Ho et al., the paper's reference [6]): a
         partially overlapping subtree whose stored bound cannot improve
-        the current best is pruned without being read.
-
-        With ``explain=True`` the answer comes back as an
-        :class:`~repro.obs.ExplainResult` carrying a per-level
-        :class:`~repro.obs.QueryProfile` whose page/CPU totals reconcile
-        exactly with the tracker delta of the call.  Charges are
-        bit-identical to the plain call (see :meth:`_answer`).
+        the current best is pruned without being read.  Inside an
+        :meth:`explain` scope the call is profiled.
         """
         check_aggregate(op)
         measure_index = self.schema.measure_index(measure)
@@ -754,7 +772,6 @@ class DCTree(TreeFootprint):
         return self._answer(
             "range_query", op, measure_index, key,
             lambda: self._range_query_computed(range_mds, op, measure_index),
-            explain,
         )
 
     def _range_query_computed(self, range_mds, op, measure_index):
@@ -862,7 +879,7 @@ class DCTree(TreeFootprint):
     # ------------------------------------------------------------------
 
     def group_by(self, dim_index, level, op="sum", measure=0,
-                 range_mds=None, explain=False):
+                 range_mds=None):
         """Aggregate per value at ``level`` of dimension ``dim_index``.
 
         Returns ``{attr_id: aggregate}`` for every value with at least
@@ -870,22 +887,16 @@ class DCTree(TreeFootprint):
         a subtree whose MDS maps to a *single* group and lies fully
         inside the range contributes its materialized aggregate without
         being read; everything else descends.
-
-        With ``explain=True`` returns an
-        :class:`~repro.obs.ExplainResult` over the finished group dict.
         """
         groups = self.group_by_aggregators(
-            dim_index, level, op, measure, range_mds, explain=explain
+            dim_index, level, op, measure, range_mds
         )
-        if explain:
-            groups, profile = groups
-        finished = {
+        return {
             value: aggregator.result() for value, aggregator in groups.items()
         }
-        return ExplainResult(finished, profile) if explain else finished
 
     def group_by_aggregators(self, dim_index, level, op="sum", measure=0,
-                             range_mds=None, explain=False):
+                             range_mds=None):
         """Like :meth:`group_by` but returns the live aggregators.
 
         Callers that need to merge groups further (e.g. by label — TPC-D
@@ -918,7 +929,7 @@ class DCTree(TreeFootprint):
             lambda: self._group_by_computed(
                 dim_index, level, op, measure_index, range_mds
             ),
-            explain, copy=_copy_groups,
+            copy=_copy_groups,
         )
 
     def _group_by_computed(self, dim_index, level, op, measure_index,

@@ -13,7 +13,8 @@ Two coordinated pieces, both zero-dependency:
 environment variable, which CI uses to force the whole suite through
 the instrumented paths) gives the tree a :class:`MetricsRegistry` that
 its mutators, splits and EXPLAINs, its write-ahead log, checkpoints and
-recovery count into; EXPLAIN itself works per call with the switch off.
+recovery count into; an EXPLAIN scope (``DCTree.explain()``) profiles
+queries with the switch off too.
 Wall time by layer is ``perfbench/run.py --trace 1``'s job.  The
 contract throughout: telemetry *observes* the simulated cost model and
 never feeds it — deterministic counters, query answers and
@@ -22,7 +23,7 @@ never feeds it — deterministic counters, query answers and
 
 from __future__ import annotations
 
-from .explain import ExplainResult, LevelProfile, ProfileSession, QueryProfile
+from .explain import LevelProfile, ProfileSession, QueryProfile
 from .metrics import (
     Counter,
     Gauge,
@@ -37,7 +38,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
-    "ExplainResult",
     "LevelProfile",
     "ProfileSession",
     "QueryProfile",

@@ -18,12 +18,14 @@ traversal to the depth that caused it, marking the counters as it goes,
 so nothing can be double-counted or lost (``QueryProfile.reconciles``
 asserts this and the test suite verifies it).
 
-Profiling is opt-in per call (``DCTree.range_query(..., explain=True)``,
-``python -m repro explain``) and observational only: on a result-cache
-hit the EXPLAIN path *recomputes* the traversal instead of replaying the
-stored trace — by the cache's own invariant the charges are identical
-(same tree version ⇒ same traversal), so deterministic counters stay
-bit-identical with or without ``explain``.
+Profiling is scoped: every query answered inside ``with
+tree.explain() as profiles:`` (or ``Warehouse.explain()``, or
+``python -m repro explain``) appends its profile to ``profiles``.  It
+is observational only: on a result-cache hit the EXPLAIN path
+*recomputes* the traversal instead of replaying the stored trace — by
+the cache's own invariant the charges are identical (same tree version
+⇒ same traversal), so deterministic counters stay bit-identical inside
+and outside a scope.
 """
 
 from __future__ import annotations
@@ -260,21 +262,3 @@ class ProfileSession:
             self._levels[depth] for depth in sorted(self._levels)
         ]
 
-
-class ExplainResult:
-    """An answered query plus its :class:`QueryProfile`.
-
-    Iterable as ``value, profile = tree.range_query(..., explain=True)``.
-    """
-
-    __slots__ = ("value", "profile")
-
-    def __init__(self, value, profile):
-        self.value = value
-        self.profile = profile
-
-    def __iter__(self):
-        return iter((self.value, self.profile))
-
-    def __repr__(self):
-        return "ExplainResult(value=%r, %r)" % (self.value, self.profile)

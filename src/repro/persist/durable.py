@@ -156,18 +156,7 @@ class DurableWarehouse:
         directory = os.fspath(directory)
         checkpoint = cls.checkpoint_path(directory)
         wal_file = cls.wal_path(directory)
-        warehouse, report = recover_warehouse(
-            checkpoint, wal_file, config=config, faults=faults
-        )
-        if warehouse is None:
-            raise StorageError(
-                "cannot recover %s: %s" % (directory, report.checkpoint_error)
-            )
-        if not report.validated:
-            raise StorageError(
-                "recovered warehouse failed validation: %s"
-                % report.validation_error
-            )
+        warehouse, report = recover_directory(directory, config, faults)
         _require_dc_tree(warehouse)
         # Log compaction: fold the replayed WAL into a fresh checkpoint
         # before accepting new traffic.  A crash in here is itself
@@ -265,18 +254,42 @@ class DurableWarehouse:
         """Detach the sink and close the log (the WAL stays replayable).
 
         Afterwards the session's mutators and :meth:`checkpoint` raise
-        :class:`StorageError`."""
+        :class:`StorageError`, also when closing the log raised (its
+        final fsync failed): later writes would reach no log."""
         if self.warehouse is not None:
             self.warehouse.index.set_mutation_sink(None)
-        if self.wal is not None:
-            self.wal.close()
-            self.wal = None
+        wal, self.wal = self.wal, None
+        if wal is not None:
+            wal.close()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         self.close()
+
+
+def recover_directory(directory, config=None, faults=None):
+    """Recover a session directory's checkpoint + WAL, validated.
+
+    Returns ``(warehouse, report)``.  Raises :class:`StorageError`
+    when the checkpoint is unreadable or the recovered warehouse fails
+    its audit; changes no file.
+    """
+    warehouse, report = recover_warehouse(
+        DurableWarehouse.checkpoint_path(directory),
+        DurableWarehouse.wal_path(directory), config=config, faults=faults,
+    )
+    if warehouse is None:
+        raise StorageError(
+            "cannot recover %s: %s" % (directory, report.checkpoint_error)
+        )
+    if not report.validated:
+        raise StorageError(
+            "recovered warehouse failed validation: %s"
+            % report.validation_error
+        )
+    return warehouse, report
 
 
 def _require_dc_tree(warehouse):

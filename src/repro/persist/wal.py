@@ -172,11 +172,15 @@ class WriteAheadLog:
             self.metrics.counter(name, help_text, **labels).inc(amount)
 
     def close(self):
+        """Sync any unsynced tail and close the file; the handle is
+        closed even when that final sync raises."""
         if self._handle is not None:
-            if self.fsync_interval and self._since_sync:
-                self.sync()
-            self._handle.close()
-            self._handle = None
+            try:
+                if self.fsync_interval and self._since_sync:
+                    self.sync()
+            finally:
+                self._handle.close()
+                self._handle = None
 
     def __enter__(self):
         return self

@@ -231,13 +231,11 @@ def parse(text):
     return _Parser(tokens, text).parse()
 
 
-def execute(warehouse, text, explain=False):
+def execute(warehouse, text):
     """Parse and run ``text`` against ``warehouse``.
 
     Returns a scalar for plain aggregates or a ``{label: value}`` dict
     for GROUP BY queries.  ``COUNT(*)`` counts cells (measure 0's count).
-    With ``explain=True`` (dc-tree warehouses) the result comes back as
-    an :class:`~repro.obs.ExplainResult` with the query's profile.
     """
     spec = parse(text)
     measure = spec.measure if spec.measure is not None else 0
@@ -245,7 +243,5 @@ def execute(warehouse, text, explain=False):
         dimension, level = spec.group_by
         return warehouse.group_by(
             dimension, level, op=spec.op, measure=measure, where=spec.where,
-            explain=explain,
         )
-    return warehouse.query(spec.op, measure=measure, where=spec.where,
-                           explain=explain)
+    return warehouse.query(spec.op, measure=measure, where=spec.where)

@@ -169,37 +169,37 @@ class Warehouse:
     # queries
     # ------------------------------------------------------------------
 
-    def query(self, op="sum", measure=0, where=None, explain=False):
+    def query(self, op="sum", measure=0, where=None):
         """Aggregate ``op`` over the cells matching ``where``.
 
         ``where`` maps dimension names to ``(level_name, labels)``
         constraints (see :func:`repro.workload.query_from_labels`);
-        ``None`` aggregates the whole cube.  ``explain=True`` (dc-tree
-        only) returns an :class:`~repro.obs.ExplainResult` with the
-        per-level :class:`~repro.obs.QueryProfile` of the call.
+        ``None`` aggregates the whole cube.
         """
         range_query = query_from_labels(self.schema, where or {})
-        return self.execute(range_query, op=op, measure=measure,
-                            explain=explain)
+        return self.execute(range_query, op=op, measure=measure)
 
-    def execute(self, range_query, op="sum", measure=0, explain=False):
+    def execute(self, range_query, op="sum", measure=0):
         """Run a prepared :class:`RangeQuery` against the backend."""
         self._check_query(range_query)
-        if explain:
-            self._require_explain_backend()
-            return self.index.range_query(
-                range_query.mds, op=op, measure=measure, explain=True
-            )
         return self.index.range_query(
             *self._query_args(range_query), op=op, measure=measure
         )
 
-    def _require_explain_backend(self):
+    def explain(self):
+        """A scope profiling every query it answers (dc-tree only).
+
+        ``with warehouse.explain() as profiles:`` — each query or
+        group-by inside appends its per-level
+        :class:`~repro.obs.QueryProfile` (see
+        :meth:`repro.core.tree.DCTree.explain`).
+        """
         if self.backend != "dc-tree":
             raise QueryError(
                 "EXPLAIN requires the dc-tree backend (its traversal is "
                 "what the profiler attributes); got %r" % self.backend
             )
+        return self.index.explain()
 
     def count(self, where=None):
         """Number of cells matching ``where``."""
@@ -222,7 +222,7 @@ class Warehouse:
         return summary
 
     def group_by(self, dim_name, level_name, op="sum", measure=0,
-                 where=None, explain=False):
+                 where=None):
         """Roll up one dimension: ``{label: aggregate}`` per value.
 
         Groups carrying the same label are merged (TPC-D market segments
@@ -246,29 +246,14 @@ class Warehouse:
         hierarchy = dimension.hierarchy
         merged = {}
         if self.backend == "dc-tree":
-            profile = None
             groups = self.index.group_by_aggregators(
                 dim_index, level, op=op, measure=measure,
-                range_mds=range_query.mds, explain=explain,
+                range_mds=range_query.mds,
             )
-            if explain:
-                groups, profile = groups
             for value, aggregator in groups.items():
                 label = hierarchy.label(value)
                 summary = merged.setdefault(label, MeasureSummary())
                 summary.add_summary(aggregator.summary)
-            if explain:
-                from .obs import ExplainResult
-
-                return ExplainResult(
-                    {
-                        label: summary.aggregate(op)
-                        for label, summary in merged.items()
-                    },
-                    profile,
-                )
-        elif explain:
-            self._require_explain_backend()
         else:
             measure_index = self.schema.measure_index(measure)
             for record in self.records_matching(range_query):

@@ -297,26 +297,16 @@ class TestExplainSurface:
         out = capsys.readouterr().out
         assert "EXPLAIN" in out and "reconcile with tracker delta: OK" in out
 
-    def test_query_explain_flag(self, loaded_warehouse, capsys):
-        assert main([
-            "query", str(loaded_warehouse), "--op", "count", "--explain",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "300"
-        assert "EXPLAIN range_query op=count" in out
-
-    def test_groupby_explain_flag(self, loaded_warehouse, capsys):
-        assert main([
-            "groupby", str(loaded_warehouse), "Time.Year", "--explain",
-        ]) == 0
-        assert "EXPLAIN group_by" in capsys.readouterr().out
-
-    def test_sql_explain_flag(self, loaded_warehouse, capsys):
-        assert main([
-            "sql", str(loaded_warehouse), "SELECT COUNT(*)", "--explain",
-        ]) == 0
-        assert "reconcile with tracker delta: OK" \
-            in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [
+        ["query", "--op", "count"], ["groupby", "Time.Year"],
+        ["sql", "SELECT COUNT(*)"],
+    ], ids=["query", "groupby", "sql"])
+    def test_explain_flag_is_rejected(self, loaded_warehouse, argv):
+        # EXPLAIN has one CLI surface: the explain command.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv[:1] + [str(loaded_warehouse)] + argv[1:]
+                 + ["--explain"])
+        assert exit_info.value.code == 2
 
     def test_inspect_prints_metrics_snapshot(self, loaded_warehouse,
                                              capsys):

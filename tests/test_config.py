@@ -85,11 +85,6 @@ class TestXTreeConfig:
         with pytest.raises(AttributeError):
             setattr(XTreeConfig(), knob, None)
 
-    def test_min_fanouts(self):
-        config = XTreeConfig(dir_capacity=32, leaf_capacity=64)
-        assert config.min_dir_fanout() == 11
-        assert config.min_leaf_fanout() == 22
-
 
 class TestCostModelAndStorage:
     def test_cost_model_defaults_io_dominated(self):

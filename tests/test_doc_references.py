@@ -10,38 +10,56 @@ Every code span of ``README.md``, ``DESIGN.md`` and ``docs/*.md``
   ``self``.
 
 A renamed method or a deleted module then fails here instead of leaving
-a stale name in the docs.
+a stale name in the docs.  Every ``python -m repro <command> …`` line in
+a code span whose command is a real subcommand must also parse with the
+CLI's own parser (parse only, nothing runs), so a removed flag cannot
+linger in a literal example.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import importlib
 import inspect
+import io
 import pathlib
 import pkgutil
 import re
+import shlex
 
 import repro
+from repro import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
         *sorted((ROOT / "docs").glob("*.md"))]
 
 _FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
-_SPAN = re.compile(r"`([^`\n]+)`")
+# An inline span may wrap onto the next line, but not across a blank one.
+_SPAN = re.compile(r"`((?:[^`\n]|\n(?!\s*\n))+)`")
 _DOTTED = re.compile(r"\brepro(?:\.\w+)+")
 _MEMBER = re.compile(r"\b([A-Z]\w*)\.(\w+)")
+_CLI_LINE = re.compile(r"\bpython3? -m repro(?=\s|$)(.*)")
+_SHELL_OPERATORS = {"|", "||", "&&", ";", ">", ">>", "<", "2>&1", "&"}
 
 
 def _references(pattern):
     """``(reference, doc name)`` for every match in a code span."""
     found = []
     for path in DOCS:
-        text = path.read_text()
-        codes = _FENCE.findall(text) + _SPAN.findall(_FENCE.sub("", text))
-        for code in codes:
+        for code in _codes(path):
             found.extend((m.group(0), path.name) for m in pattern.finditer(code))
     return found
+
+
+def _codes(path):
+    """The fenced blocks and inline spans of one doc; a wrapped inline
+    span is joined onto one line."""
+    text = path.read_text()
+    return _FENCE.findall(text) + [
+        span.replace("\n", " ") for span in _SPAN.findall(_FENCE.sub("", text))
+    ]
 
 
 def _resolves(dotted):
@@ -102,3 +120,38 @@ def test_class_members_exist():
                    for cls in classes[ref.split(".")[0]])
     })
     assert not stale, stale
+
+
+def _cli_lines():
+    """``(argv, doc name)`` of every CLI line whose command exists."""
+    subparsers = next(
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    found = []
+    for path in DOCS:
+        for code in _codes(path):
+            for match in _CLI_LINE.finditer(code.replace("\\\n", " ")):
+                argv = []
+                for token in shlex.split(match.group(1), comments=True):
+                    if token in _SHELL_OPERATORS:
+                        break
+                    argv.append(token)
+                if argv and argv[0] in subparsers.choices:
+                    found.append((argv, path.name))
+    return found
+
+
+def test_cli_lines_parse():
+    lines = _cli_lines()
+    assert lines
+    rejected = []
+    for argv, doc in lines:
+        errors = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(errors):
+                cli._build_parser().parse_args(argv)
+        except SystemExit:
+            rejected.append((doc, " ".join(argv),
+                             errors.getvalue().strip().splitlines()[-1]))
+    assert not rejected, rejected

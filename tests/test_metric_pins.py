@@ -90,11 +90,12 @@ def test_session_telemetry_is_pinned(tmp_path):
             session.delete(record)
         for _ in range(2):
             assert warehouse.query("sum", where=WHERE_DE) == 49.0
-        value, profile = warehouse.query("sum", where=WHERE_DE, explain=True)
-        assert value == 49.0 and profile.reconciles()
-        groups, profile = warehouse.group_by("Geo", "Country", explain=True)
+        with warehouse.explain() as profiles:
+            value = warehouse.query("sum", where=WHERE_DE)
+            groups = warehouse.group_by("Geo", "Country")
+        assert value == 49.0
         assert groups == {"DE": 49.0, "FR": 61.0, "US": 180.0}
-        assert profile.reconciles()
+        assert all(profile.reconciles() for profile in profiles)
     finally:
         session.close()
     _check(warehouse_registry(warehouse).snapshot(), PINNED_SESSION)

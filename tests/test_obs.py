@@ -7,7 +7,8 @@ Four contracts:
 * the tree, the WAL, checkpoints and recovery count their events into
   the tree's registry, and nothing else (no spans, no histograms);
 * EXPLAIN per-level totals reconcile *exactly* with the StorageTracker
-  delta of the profiled query, on cold runs and cache hits alike;
+  delta of each query profiled in an ``explain()`` scope, on cold runs
+  and cache hits alike;
 * observability is strictly observational — deterministic counters,
   query answers and ``tree_version`` are bit-identical with the layer
   on or off (property-tested over seeded workloads).
@@ -24,10 +25,10 @@ from hypothesis import strategies as st
 
 from repro.config import DCTreeConfig
 from repro.core.tree import DCTree
-from repro.errors import QueryError
+from repro.errors import QueryError, TreeError
 from repro.obs import (
-    ExplainResult,
     MetricsRegistry,
+    QueryProfile,
     describe_result_cache,
     observe_dctree,
     warehouse_registry,
@@ -124,12 +125,20 @@ class TestMetricsRegistry:
 WHERE_DE = {"Geo": ("Country", ["DE"])}
 
 
+def explained(tree, ask):
+    """Run ``ask()`` in one EXPLAIN scope: ``(answer, its one profile)``."""
+    with tree.explain() as profiles:
+        value = ask()
+    [profile] = profiles
+    return value, profile
+
+
 class TestExplain:
     def test_range_query_reconciles_with_tracker_delta(self):
         schema, tree = build_tree()
         query = query_from_labels(schema, WHERE_DE)
         before = tree.tracker.snapshot()
-        value, profile = tree.range_query(query.mds, explain=True)
+        value, profile = explained(tree, lambda: tree.range_query(query.mds))
         delta = tree.tracker.snapshot() - before
         assert value == tree.range_query(query.mds)
         assert profile.reconciles()
@@ -143,10 +152,10 @@ class TestExplain:
     def test_cache_hit_charges_match_miss(self):
         schema, tree = build_tree()
         query = query_from_labels(schema, WHERE_DE)
-        _, miss_profile = tree.range_query(query.mds, explain=True)
+        _, miss_profile = explained(tree, lambda: tree.range_query(query.mds))
         assert miss_profile.cache_outcome == "miss"
         before = counter_tuple(tree)
-        value, hit_profile = tree.range_query(query.mds, explain=True)
+        _, hit_profile = explained(tree, lambda: tree.range_query(query.mds))
         assert hit_profile.cache_outcome == "hit"
         assert hit_profile.reconciles()
         # counter invisibility: the hit recomputes but charges exactly
@@ -158,9 +167,10 @@ class TestExplain:
 
     def test_group_by_explain_reconciles(self):
         schema, tree = build_tree()
-        result = tree.group_by(0, 1, explain=True)  # Geo by Country
-        assert isinstance(result, ExplainResult)
-        groups, profile = result
+        groups, profile = explained(
+            tree, lambda: tree.group_by(0, 1)  # Geo by Country
+        )
+        assert isinstance(profile, QueryProfile)
         assert profile.kind == "group_by"
         assert profile.reconciles()
         assert groups == tree.group_by(0, 1)
@@ -168,7 +178,7 @@ class TestExplain:
     def test_classifications_recorded(self):
         schema, tree = build_tree()
         query = query_from_labels(schema, WHERE_DE)
-        _, profile = tree.range_query(query.mds, explain=True)
+        _, profile = explained(tree, lambda: tree.range_query(query.mds))
         total = sum(
             level.disjoint + level.partial + level.contained
             for level in profile.levels
@@ -178,7 +188,7 @@ class TestExplain:
     def test_render_and_to_dict(self):
         schema, tree = build_tree()
         query = query_from_labels(schema, WHERE_DE)
-        _, profile = tree.range_query(query.mds, explain=True)
+        _, profile = explained(tree, lambda: tree.range_query(query.mds))
         text = profile.render()
         assert "EXPLAIN range_query op=sum" in text
         assert "reconcile with tracker delta: OK" in text
@@ -189,10 +199,10 @@ class TestExplain:
         json.dumps(payload)  # must be a JSON-ready dict
 
     def test_explain_works_without_observability(self):
-        # EXPLAIN is per-call and independent of the config switch.
+        # EXPLAIN is scoped and independent of the config switch.
         schema, tree = build_tree(observability=False)
         query = query_from_labels(schema, WHERE_DE)
-        value, profile = tree.range_query(query.mds, explain=True)
+        value, profile = explained(tree, lambda: tree.range_query(query.mds))
         assert profile.reconciles()
         assert value == tree.range_query(query.mds)
 
@@ -200,32 +210,89 @@ class TestExplain:
         warehouse = Warehouse(build_toy_schema())
         for row in TOY_ROWS:
             warehouse.insert_record(toy_record(warehouse.schema, *row))
-        result = warehouse.query("sum", where=WHERE_DE, explain=True)
-        value, profile = result
+        with warehouse.explain() as profiles:
+            value = warehouse.query("sum", where=WHERE_DE)
+            groups = warehouse.group_by("Geo", "Country")
         assert value == warehouse.query("sum", where=WHERE_DE)
-        assert profile.reconciles()
-        groups, profile = warehouse.group_by(
-            "Geo", "Country", explain=True
-        )
         assert groups == warehouse.group_by("Geo", "Country")
-        assert profile.reconciles()
+        assert [profile.kind for profile in profiles] \
+            == ["range_query", "group_by"]
+        assert all(profile.reconciles() for profile in profiles)
 
     def test_explain_requires_dc_tree_backend(self):
-        warehouse = Warehouse(build_toy_schema(), backend="scan")
-        with pytest.raises(QueryError, match="dc-tree"):
-            warehouse.query("sum", explain=True)
-        with pytest.raises(QueryError, match="dc-tree"):
-            warehouse.group_by("Geo", "Country", explain=True)
+        for backend in ("scan", "x-tree"):
+            warehouse = Warehouse(build_toy_schema(), backend=backend)
+            for row in TOY_ROWS:
+                warehouse.insert_record(toy_record(warehouse.schema, *row))
+            before = counter_tuple(warehouse.index)
+            with pytest.raises(QueryError, match="dc-tree"):
+                warehouse.explain()
+            # refused before anything is charged
+            assert counter_tuple(warehouse.index) == before
+
+    def test_scopes_do_not_nest(self):
+        _schema, tree = build_tree()
+        with tree.explain() as profiles:
+            with pytest.raises(TreeError, match="nested"):
+                with tree.explain():
+                    pass
+            tree.group_by(0, 1)
+        # the refused inner scope left the outer one collecting
+        assert len(profiles) == 1
+
+    def test_two_queries_two_profiles(self):
+        schema, tree = build_tree()
+        query = query_from_labels(schema, WHERE_DE)
+        deltas = []
+        with tree.explain() as profiles:
+            for ask in (lambda: tree.range_query(query.mds),
+                        lambda: tree.group_by(0, 1)):
+                before = tree.tracker.snapshot()
+                ask()
+                deltas.append(tree.tracker.snapshot() - before)
+        assert [profile.kind for profile in profiles] \
+            == ["range_query", "group_by"]
+        for profile, delta in zip(profiles, deltas):
+            assert profile.reconciles()
+            assert profile.total_node_accesses == delta.node_accesses
+            assert profile.total_page_ios == delta.page_ios
+            assert profile.total_cpu_units == delta.cpu_units
+
+    def test_failed_query_leaves_no_session_attached(self, monkeypatch):
+        schema, tree = build_tree()
+        query = query_from_labels(schema, WHERE_DE)
+        tree.range_query(query.mds)  # cached
+
+        def broken(*_args):
+            raise TreeError("traversal failed")
+
+        with pytest.raises(TreeError, match="traversal failed"):
+            with tree.explain():
+                # a group-by miss, so the traversal itself raises
+                monkeypatch.setattr(tree, "_group_by_computed", broken)
+                tree.group_by(0, 1)
+        monkeypatch.undo()
+        assert tree._profile is None
+        hits = tree.result_cache.hits
+        tree.range_query(query.mds)  # a plain re-ask replays the cache
+        assert tree.result_cache.hits == hits + 1
+        with tree.explain() as profiles:  # and a fresh scope opens
+            tree.range_query(query.mds)
+        assert len(profiles) == 1
 
     def test_tpcd_explain_reconciles(self, tpcd_schema):
         generator = TPCDGenerator(tpcd_schema, seed=5, scale_records=300)
         tree = DCTree(tpcd_schema, config=DCTreeConfig(observability=True))
         for record in generator.generate(300):
             tree.insert(record)
-        for selectivity in (0.01, 0.25):
-            query = QueryGenerator(tpcd_schema, selectivity, seed=7).query()
-            _, profile = tree.range_query(query.mds, explain=True)
-            assert profile.reconciles()
+        with tree.explain() as profiles:
+            for selectivity in (0.01, 0.25):
+                query = QueryGenerator(
+                    tpcd_schema, selectivity, seed=7
+                ).query()
+                tree.range_query(query.mds)
+        assert len(profiles) == 2
+        assert all(profile.reconciles() for profile in profiles)
 
 
 # ----------------------------------------------------------------------
@@ -274,17 +341,17 @@ class TestInvariance:
         assert_same_run(run, True, False)
 
     def test_explain_leaves_counters_identical(self):
-        # the same query with and without explain=True charges the same
+        # the same query inside and outside a scope charges the same
         schema_a, tree_a = build_tree()
         schema_b, tree_b = build_tree()
         query_a = query_from_labels(schema_a, WHERE_DE)
         query_b = query_from_labels(schema_b, WHERE_DE)
         for _ in range(2):  # cold then cache-hit
             plain = tree_a.range_query(query_a.mds)
-            explained, _profile = tree_b.range_query(
-                query_b.mds, explain=True
+            explained_value, _profile = explained(
+                tree_b, lambda: tree_b.range_query(query_b.mds)
             )
-            assert plain == explained
+            assert plain == explained_value
             assert counter_tuple(tree_a) == counter_tuple(tree_b)
             assert tree_a.tree_version == tree_b.tree_version
 

@@ -462,6 +462,35 @@ def test_closed_session_refuses_mutations(tmp_path, call):
     assert (len(session), tree.tree_version) == (n_records, version)
 
 
+def test_failed_close_still_closes_the_session(tmp_path):
+    """A close whose final WAL fsync raises still closes the log's file
+    (the module turns a leaked handle into a failure) and the session:
+    later writes are refused instead of being applied in memory only,
+    and a reopen holds exactly the acknowledged records."""
+    directory = str(tmp_path / "failed-close")
+    warehouse = Warehouse(build_toy_schema(), "dc-tree", config=DCTreeConfig(
+        wal_fsync_interval=8, **_CONFIG
+    ))
+    session = DurableWarehouse.create(
+        directory, warehouse,
+        faults=FaultInjector(FaultPlan(1, "crash", site="wal.fsync")),
+    )
+    rows = [(((country, city), (color,)), (sales,))
+            for country, city, color, sales in TOY_ROWS]
+    session.insert_many(rows[:3])
+    with pytest.raises(InjectedFault):
+        session.close()
+    with pytest.raises(StorageError, match="closed"):
+        session.insert_many(rows[3:6])
+    assert len(session) == 3
+    session.close()  # closing again is a no-op
+    reopened = DurableWarehouse.open(directory)
+    try:
+        assert len(reopened) == 3
+    finally:
+        reopened.close()
+
+
 @pytest.mark.parametrize("leftover", ["checkpoint", "wal"])
 def test_create_refuses_a_directory_holding_a_session(tmp_path, leftover):
     """A second ``create`` must not adopt the first session's log: its
