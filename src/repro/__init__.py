@@ -20,14 +20,12 @@ Quickstart::
     total = warehouse.query("sum", where={"Customer": ("Region", ["EUROPE"])})
 """
 
-from .aggview.view import MaterializedAggregateView
 from .config import CostModel, DCTreeConfig, StorageConfig, XTreeConfig
 from .core.bulkload import bulk_load
 from .core.debug import dump_tree
 from .core.mds import MDS
 from .core.stats import collect_stats
 from .core.tree import DCTree
-from .maintenance.batch import BatchWarehouse
 from .persist.durable import DurableWarehouse
 from .persist.io import load_warehouse, save_warehouse
 from .persist.recovery import RecoveryReport, recover_warehouse
@@ -56,8 +54,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BACKENDS",
-    "BatchWarehouse",
-    "MaterializedAggregateView",
     "CostModel",
     "CubeSchema",
     "DCTree",

@@ -1,7 +1,6 @@
 """Command-line entry point: ``python -m repro.bench <experiment ...>``.
 
-Experiments: fig11a fig11b fig12a fig12b fig12c fig12d fig13
-             motivation aggview verdict all
+Experiments: fig11a fig11b fig12a fig12b fig12c fig12d fig13 verdict all
 
 Options:
   --quick         small sizes/query counts (seconds instead of minutes)
@@ -20,14 +19,14 @@ import argparse
 import sys
 
 from ..cli import positive_int
-from . import aggview_bench, fig11, fig12, fig13, motivation, verdict
+from . import fig11, fig12, fig13, verdict
 
 _QUICK_SIZES = (1000, 2000, 4000)
 _QUICK_QUERIES = 20
 
 EXPERIMENTS = (
     "fig11a", "fig11b", "fig12a", "fig12b", "fig12c", "fig12d", "fig13",
-    "motivation", "aggview", "verdict",
+    "verdict",
 )
 
 
@@ -72,19 +71,13 @@ def main(argv=None):
 
     sweep_kwargs["progress"] = _progress
 
-    # motivation and aggview build their own data instead of the sweep's.
-    standalone_kwargs = {"seed": args.seed}
-    if args.quick:
-        standalone_kwargs["n_records"] = 2000
-        standalone_kwargs["n_queries"] = 10
-
     for experiment in experiments:
-        print(_run(experiment, sweep_kwargs, standalone_kwargs))
+        print(_run(experiment, sweep_kwargs))
         print()
     return 0
 
 
-def _run(experiment, sweep_kwargs, standalone_kwargs):
+def _run(experiment, sweep_kwargs):
     if experiment == "fig11a":
         return fig11.report_fig11a(**sweep_kwargs)
     if experiment == "fig11b":
@@ -93,13 +86,6 @@ def _run(experiment, sweep_kwargs, standalone_kwargs):
         return fig12.report_fig12(experiment[-1], **sweep_kwargs)
     if experiment == "fig13":
         return fig13.report_fig13(**sweep_kwargs)
-    if experiment == "motivation":
-        kwargs = {"seed": standalone_kwargs.get("seed", 0)}
-        if "n_records" in standalone_kwargs:  # --quick
-            kwargs["n_updates"] = standalone_kwargs["n_records"]
-        return motivation.report_motivation(**kwargs)
-    if experiment == "aggview":
-        return aggview_bench.report_aggview(**standalone_kwargs)
     if experiment == "verdict":
         return verdict.report_verdict(**sweep_kwargs)
     raise ValueError("unknown experiment %r" % experiment)

@@ -1,18 +1,21 @@
 """Performance-regression benchmark: ``python -m repro.bench regression``.
 
-Runs one fixed-seed insert / range-query / group-by / repeated-query
-workload over the TPC-D cube with the default configuration and gates
-the paper's deterministic costs (node accesses, page I/Os, CPU units)
-exactly against the committed ``BENCH_core.json``.  Every run applies
+Runs one fixed-seed insert / range-query / group-by / repeated-query /
+delete workload over the TPC-D cube with the default configuration and
+gates the paper's deterministic costs (node accesses, page I/Os, CPU
+units) exactly against the committed ``BENCH_core.json``.  Every run applies
 every gate; there are no gate knobs.
 
 One dataset is generated per run and feeds four passes:
 
 * the *serial* pass (:func:`run_workload`) inserts record by record,
-  asks the query batch and the group-by battery, then re-asks both with
-  Zipfian popularity.  Its phase counters and answer digest must equal
-  the baseline, and the state after its insert phase is the reference
-  for the next two passes;
+  asks the query batch and the group-by battery, re-asks both with
+  Zipfian popularity, then deletes a fixed sample of
+  ``1 / DELETE_FRACTION`` of the records and asks the query batch
+  again.  Its phase counters, answer digest and delete digest (the
+  structure after the deletes plus the answers asked after them) must
+  equal the baseline, and the state after its insert phase is the
+  reference for the next two passes;
 * the *batched* pass inserts the same records through chunked
   ``insert_batch`` calls.  Reads, CPU and the tree structure must match
   the serial pass, page writes must drop at least
@@ -93,8 +96,10 @@ MAX_WAL_OVERHEAD = 2.0
 WAL_PAIRS = 3
 #: Fsync batching of the WAL pass.
 WAL_FSYNC_INTERVAL = 64
+#: The delete phase removes one record in this many.
+DELETE_FRACTION = 16
 
-PHASES = ("insert", "query", "groupby", "repeat")
+PHASES = ("insert", "query", "groupby", "repeat", "delete")
 
 #: Per-phase counters that must equal the baseline.
 _CHECKED_COUNTERS = ("node_accesses", "page_ios", "cpu_units")
@@ -122,9 +127,9 @@ _VERDICTS = (
 
 #: One :func:`run_workload` pass: per-phase stats, answer digest, the
 #: tracker snapshot and structure digest right after the insert phase,
-#: and the metrics snapshot (observed passes only).
+#: the delete digest and the metrics snapshot (observed passes only).
 WorkloadPass = namedtuple(
-    "WorkloadPass", "phases digest inserted structure metrics"
+    "WorkloadPass", "phases digest inserted structure delete_digest metrics"
 )
 
 
@@ -210,14 +215,16 @@ def run_workload(schema, records, n_queries, n_repeats=0, seed=0,
     tree = DCTree(schema, config=DCTreeConfig(observability=observability))
     digest = hashlib.sha256()
 
-    def ask(op):
+    def answer(op):
         kind, payload = op
         if kind == "range":
-            digest.update(repr(tree.range_query(payload)).encode())
-        else:
-            dim, level, range_mds = payload
-            groups = tree.group_by(dim, level, range_mds=range_mds)
-            digest.update(repr(sorted(groups.items())).encode())
+            return repr(tree.range_query(payload)).encode()
+        dim, level, range_mds = payload
+        groups = tree.group_by(dim, level, range_mds=range_mds)
+        return repr(sorted(groups.items())).encode()
+
+    def ask(op):
+        digest.update(answer(op))
 
     def phase(ops, run_one):
         before = tree.tracker.snapshot()
@@ -237,6 +244,13 @@ def run_workload(schema, records, n_queries, n_repeats=0, seed=0,
     phases["groupby"] = phase(battery, ask)
     repeats = _repeat_workload(queries + battery, n_repeats, seed=seed + 3000)
     phases["repeat"] = phase(repeats, ask)
+    doomed = random.Random(seed + 4000).sample(
+        records, len(records) // DELETE_FRACTION
+    )
+    phases["delete"] = phase(doomed, tree.delete)
+    delete_digest = hashlib.sha256(structure_digest(tree).encode())
+    for op in queries:
+        delete_digest.update(answer(op))
 
     metrics = None
     if observability:
@@ -244,7 +258,7 @@ def run_workload(schema, records, n_queries, n_repeats=0, seed=0,
         observe_dctree(registry, tree)
         metrics = registry.snapshot()
     return WorkloadPass(phases, digest.hexdigest(), inserted, structure,
-                        metrics)
+                        delete_digest.hexdigest(), metrics)
 
 
 def measure_batch_amortization(schema, records, serial):
@@ -357,6 +371,7 @@ def run_benchmark(profile="full", seed=0):
         "selectivities": list(SELECTIVITIES),
         "zipf_exponent": ZIPF_EXPONENT,
         "digest": serial.digest,
+        "delete_digest": serial.delete_digest,
         "phases": serial.phases,
         "batch_insert": measure_batch_amortization(schema, records, serial),
         "durability": measure_wal_overhead(schema, records, serial),
@@ -364,7 +379,10 @@ def run_benchmark(profile="full", seed=0):
     observed = run_workload(*workload, observability=True)
     inserts = observed.metrics["dctree_inserts_total"]["samples"][0]
     entry["observability"] = {
-        "digest_identical": observed.digest == serial.digest,
+        "digest_identical": (
+            (observed.digest, observed.delete_digest)
+            == (serial.digest, serial.delete_digest)
+        ),
         "counters_identical": (
             _phase_counters(observed.phases)
             == _phase_counters(serial.phases)
@@ -420,7 +438,10 @@ def _exact_fields(entry):
     """The values a run must reproduce exactly, by name (None: absent)."""
     phases = entry.get("phases", {})
     batch = entry.get("batch_insert", {})
-    fields = {"result digest": entry.get("digest")}
+    fields = {
+        "result digest": entry.get("digest"),
+        "delete digest": entry.get("delete_digest"),
+    }
     for phase in PHASES:
         for counter in _CHECKED_COUNTERS:
             fields["%s %s" % (phase, counter)] = \
@@ -433,11 +454,12 @@ def _exact_fields(entry):
 def compare_to_baseline(current, baseline):
     """Differences of ``current`` from ``baseline``; returns a problem list.
 
-    Exact in both directions: every checked counter, the answer digest
-    and the batched page writes must equal the baseline, so a counter
-    that drops fails as surely as one that grows.  A baseline field that
-    is missing is a problem too, and so is a workload-parameter mismatch,
-    which makes the rest of the comparison meaningless.
+    Exact in both directions: every checked counter, the answer and
+    delete digests and the batched page writes must equal the baseline,
+    so a counter that drops fails as surely as one that grows.  A
+    baseline field that is missing is a problem too, and so is a
+    workload-parameter mismatch, which makes the rest of the comparison
+    meaningless.
     """
     problems = [
         "workload mismatch: %s is %r, baseline has %r"
@@ -566,7 +588,7 @@ def main(argv=None):
     for change in changes:
         print("%s: %s" % (label, change))
     if not changes:
-        print("counters, digest and batched page writes equal the baseline")
+        print("counters, digests and batched page writes equal the baseline")
 
     if problems:
         return 1

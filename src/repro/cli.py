@@ -67,6 +67,11 @@ def positive_int(text):
     return value
 
 
+#: The positional of every read command: ``_open_warehouse`` recovers a
+#: durable session directory before the command runs.
+_WAREHOUSE_HELP = "warehouse file or durable session directory"
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -101,7 +106,7 @@ def _build_parser():
     query = commands.add_parser(
         "query", help="one aggregate query against a saved warehouse"
     )
-    query.add_argument("warehouse", help="warehouse file path")
+    query.add_argument("warehouse", help=_WAREHOUSE_HELP)
     query.add_argument("--op", default="sum",
                        choices=("sum", "count", "avg", "min", "max"))
     query.add_argument(
@@ -113,7 +118,7 @@ def _build_parser():
     groupby = commands.add_parser(
         "groupby", help="roll-up report against a saved warehouse"
     )
-    groupby.add_argument("warehouse", help="warehouse file path")
+    groupby.add_argument("warehouse", help=_WAREHOUSE_HELP)
     groupby.add_argument("by", metavar="DIM.LEVEL",
                          help="e.g. Customer.Region")
     groupby.add_argument("--op", default="sum",
@@ -128,15 +133,13 @@ def _build_parser():
         help="schema, sizes, tree statistics and checkpoint bytes of a "
              "warehouse",
     )
-    inspect.add_argument(
-        "warehouse", help="warehouse file or durable session directory"
-    )
+    inspect.add_argument("warehouse", help=_WAREHOUSE_HELP)
     inspect.set_defaults(handler=_cmd_inspect)
 
     sql = commands.add_parser(
         "sql", help="run a SQL-ish query against a saved warehouse"
     )
-    sql.add_argument("warehouse", help="warehouse file path")
+    sql.add_argument("warehouse", help=_WAREHOUSE_HELP)
     sql.add_argument(
         "query",
         help="e.g. \"SELECT SUM(ExtendedPrice) WHERE "
@@ -149,7 +152,7 @@ def _build_parser():
         help="profile one query: per-level page/CPU attribution, entry "
              "classifications, aggregate pruning, cache outcome",
     )
-    explain.add_argument("warehouse", help="warehouse file path")
+    explain.add_argument("warehouse", help=_WAREHOUSE_HELP)
     explain.add_argument("--op", default="sum",
                          choices=("sum", "count", "avg", "min", "max"))
     explain.add_argument(

@@ -340,16 +340,6 @@ class ConceptHierarchy:
                 self._allocator._next[level] = counter + 1
         self._descendant_cache.clear()
 
-    def path_labels(self, attr_id):
-        """Labels from the top functional attribute down to ``attr_id``."""
-        labels = []
-        node = attr_id
-        while node is not None and node != self.all_id:
-            labels.append(self._label[node])
-            node = self._parent[node]
-        labels.reverse()
-        return tuple(labels)
-
     def __repr__(self):
         return "ConceptHierarchy(%r, levels=%r, values=%d)" % (
             self.name,

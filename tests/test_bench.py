@@ -257,6 +257,7 @@ class TestRegressionHarness:
         second = regression.run_workload(schema, records, 6, seed=3)
         assert first.digest == second.digest
         assert first.structure == second.structure
+        assert first.delete_digest == second.delete_digest
         assert regression._phase_counters(first.phases) \
             == regression._phase_counters(second.phases)
         assert regression._counter_key(first.inserted) \
@@ -269,6 +270,8 @@ class TestRegressionHarness:
         )
         entry, metrics = regression.run_benchmark(profile="tiny", seed=1)
         assert set(entry["phases"]) == set(regression.PHASES)
+        assert entry["phases"]["delete"]["ops"] \
+            == 200 // regression.DELETE_FRACTION
         assert "modes" not in entry
         observability = entry["observability"]
         assert observability["digest_identical"] is True
@@ -306,10 +309,12 @@ class TestRegressionHarness:
         plain = regression.run_workload(schema, records, 4, seed=2)
         assert plain.metrics is None
         assert observed.digest == plain.digest
+        assert observed.delete_digest == plain.delete_digest
         assert regression._phase_counters(observed.phases) \
             == regression._phase_counters(plain.phases)
+        # the snapshot is taken after the delete phase
         assert observed.metrics["dctree_records"]["samples"][0]["value"] \
-            == 120
+            == 120 - 120 // regression.DELETE_FRACTION
 
     def test_repeat_speedup_compares_reasks_with_first_asks(self):
         phases = {
@@ -337,6 +342,10 @@ class TestRegressionHarness:
         changed = _fake_entry(digest="other")
         problems = regression.compare_to_baseline(changed, entry)
         assert any("result digest" in problem for problem in problems)
+        changed = _fake_entry(delete_digest="other")
+        assert regression.compare_to_baseline(changed, entry) == [
+            "delete digest changed: def -> other"
+        ]
         mismatched = _fake_entry(records=999)
         problems = regression.compare_to_baseline(mismatched, entry)
         assert any("workload mismatch" in problem for problem in problems)
@@ -347,6 +356,14 @@ class TestRegressionHarness:
         del no_repeat["phases"]["repeat"]
         problems = regression.compare_to_baseline(entry, no_repeat)
         assert problems and all("repeat" in problem for problem in problems)
+        no_delete = _fake_entry()
+        del no_delete["phases"]["delete"], no_delete["delete_digest"]
+        assert regression.compare_to_baseline(entry, no_delete) == [
+            "baseline lacks the delete digest",
+            "baseline lacks the delete node_accesses",
+            "baseline lacks the delete page_ios",
+            "baseline lacks the delete cpu_units",
+        ]
         no_batch = _fake_entry()
         del no_batch["batch_insert"]
         problems = regression.compare_to_baseline(entry, no_batch)
@@ -422,11 +439,12 @@ def _fake_entry(**overrides):
     """A BENCH entry that passes every gate of the regression harness."""
     entry = {
         "profile": "tiny", "records": 100, "queries": 5, "repeats": 4,
-        "seed": 0, "digest": "abc",
+        "seed": 0, "digest": "abc", "delete_digest": "def",
         "phases": {
             "insert": _fake_phase(100), "query": _fake_phase(50),
             "groupby": _fake_phase(20),
             "repeat": _fake_phase(10, ops_per_second=1000.0),
+            "delete": _fake_phase(30),
         },
         "batch_insert": {
             "batch_size": 64, "serial_page_writes": 100,

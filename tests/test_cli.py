@@ -101,6 +101,17 @@ def test_counts_must_be_positive(argv, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", ["query", "groupby", "sql", "explain", "inspect"]
+)
+def test_read_command_help_names_both_forms(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "warehouse file or durable session directory" in out
+
+
 def test_importing_the_entry_module_does_not_run_the_cli(monkeypatch):
     monkeypatch.delitem(sys.modules, "repro.__main__", raising=False)
     module = importlib.import_module("repro.__main__")

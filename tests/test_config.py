@@ -4,7 +4,6 @@ import inspect
 
 import pytest
 
-from repro.aggview.view import MaterializedAggregateView
 from repro.config import (
     MAX_OVERLAP_FRACTION,
     MIN_FANOUT_FRACTION,
@@ -110,7 +109,6 @@ SETTABLE_SURFACE = {
     DCTree: ("schema", "config", "storage_config"),
     XTree: ("schema", "config", "storage_config"),
     FlatTable: ("schema", "storage_config"),
-    MaterializedAggregateView: ("schema", "levels", "storage_config"),
     bulk_load: ("schema", "records", "config", "storage_config"),
     StorageTracker: ("storage_config",),
 }

@@ -13,7 +13,9 @@ A renamed method or a deleted module then fails here instead of leaving
 a stale name in the docs.  Every ``python -m repro <command> …`` line in
 a code span whose command is a real subcommand must also parse with the
 CLI's own parser (parse only, nothing runs), so a removed flag cannot
-linger in a literal example.
+linger in a literal example.  Every experiment id in a ``python -m
+repro.bench …`` or ``python -m repro bench …`` line must be one that
+``repro.bench`` runs.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import shlex
 
 import repro
 from repro import cli
+from repro.bench.__main__ import EXPERIMENTS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
@@ -41,6 +44,9 @@ _SPAN = re.compile(r"`((?:[^`\n]|\n(?!\s*\n))+)`")
 _DOTTED = re.compile(r"\brepro(?:\.\w+)+")
 _MEMBER = re.compile(r"\b([A-Z]\w*)\.(\w+)")
 _CLI_LINE = re.compile(r"\bpython3? -m repro(?=\s|$)(.*)")
+_BENCH_LINE = re.compile(r"\bpython3? -m repro(?:\.bench| bench)(?=\s|$)(.*)")
+# The bench's option values are numbers, so a word token is an id.
+_EXPERIMENT_ID = re.compile(r"[a-z]\w*")
 _SHELL_OPERATORS = {"|", "||", "&&", ";", ">", ">>", "<", "2>&1", "&"}
 
 
@@ -122,24 +128,30 @@ def test_class_members_exist():
     assert not stale, stale
 
 
+def _command_lines(pattern):
+    """``(argv, doc name)`` of every ``pattern`` line in a code span, cut
+    at the first shell operator."""
+    found = []
+    for path in DOCS:
+        for code in _codes(path):
+            for match in pattern.finditer(code.replace("\\\n", " ")):
+                argv = []
+                for token in shlex.split(match.group(1), comments=True):
+                    if token in _SHELL_OPERATORS:
+                        break
+                    argv.append(token)
+                found.append((argv, path.name))
+    return found
+
+
 def _cli_lines():
     """``(argv, doc name)`` of every CLI line whose command exists."""
     subparsers = next(
         action for action in cli._build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    found = []
-    for path in DOCS:
-        for code in _codes(path):
-            for match in _CLI_LINE.finditer(code.replace("\\\n", " ")):
-                argv = []
-                for token in shlex.split(match.group(1), comments=True):
-                    if token in _SHELL_OPERATORS:
-                        break
-                    argv.append(token)
-                if argv and argv[0] in subparsers.choices:
-                    found.append((argv, path.name))
-    return found
+    return [(argv, doc) for argv, doc in _command_lines(_CLI_LINE)
+            if argv and argv[0] in subparsers.choices]
 
 
 def test_cli_lines_parse():
@@ -155,3 +167,17 @@ def test_cli_lines_parse():
             rejected.append((doc, " ".join(argv),
                              errors.getvalue().strip().splitlines()[-1]))
     assert not rejected, rejected
+
+
+def test_bench_lines_name_experiments():
+    lines = _command_lines(_BENCH_LINE)
+    assert lines
+    known = set(EXPERIMENTS) | {"all", "regression"}
+    stale = []
+    for argv, doc in lines:
+        for token in argv:
+            if token == "regression":
+                break  # its options take paths, and it has no ids
+            if _EXPERIMENT_ID.fullmatch(token) and token not in known:
+                stale.append((doc, token))
+    assert not stale, stale

@@ -26,17 +26,6 @@ class TestHierarchy:
     def test_record_not_found_is_a_tree_error(self):
         assert issubclass(errors.RecordNotFoundError, errors.TreeError)
 
-    def test_view_errors_fit_the_hierarchy(self):
-        from repro.aggview import StaleViewError, UnanswerableQueryError
-
-        assert issubclass(StaleViewError, errors.StorageError)
-        assert issubclass(UnanswerableQueryError, errors.QueryError)
-
-    def test_offline_error_fits_the_hierarchy(self):
-        from repro.maintenance import WarehouseOfflineError
-
-        assert issubclass(WarehouseOfflineError, errors.ReproError)
-
     def test_one_except_catches_all(self):
         from repro import Warehouse
         from tests.conftest import build_toy_schema

@@ -170,12 +170,6 @@ class TestNavigation:
         assert self.h.n_values_at_level(2) == 2
         assert self.h.n_values_at_level(0) == 4
 
-    def test_path_labels(self):
-        assert self.h.path_labels(self.de[2]) == ("Europe", "Germany", "C1")
-
-    def test_path_labels_of_all_is_empty(self):
-        assert self.h.path_labels(self.h.all_id) == ()
-
     def test_contains(self):
         assert self.de[2] in self.h
         assert 0xDEAD not in self.h

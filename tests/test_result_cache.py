@@ -19,8 +19,8 @@ from repro.core.mds import MDS
 from repro.core.result_cache import ResultCache
 from repro.core.tree import DCTree
 from repro.errors import SchemaError
-from repro.maintenance.batch import BatchWarehouse
 from repro.storage.tracker import StorageTracker
+from repro.warehouse import Warehouse
 from repro.workload.queries import query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
 from tests.differential import assert_same_run, counter_tuple
@@ -152,17 +152,16 @@ class TestInvalidation:
         tree.insert(toy_record(toy_schema, "DE", "Bonn", "red", 5.0))
         assert tree.range_query(mds) == 40.0
 
-    def test_maintenance_window_invalidates(self):
-        warehouse = BatchWarehouse(build_toy_schema())
-        for row in TOY_ROWS:
-            warehouse.submit_insert(
-                ((row[0], row[1]), (row[2],)), (row[3],)
-            )
-        warehouse.run_maintenance_window()
+    def test_insert_many_invalidates(self):
+        warehouse = Warehouse(build_toy_schema())
+        warehouse.insert_many(
+            (((row[0], row[1]), (row[2],)), (row[3],)) for row in TOY_ROWS
+        )
         where = {"Geo": ("Country", ["DE"])}
         assert warehouse.query(where=where) == 35.0
-        warehouse.submit_insert((("DE", "Bonn"), ("red",)), (8.0,))
-        warehouse.run_maintenance_window()
+        assert warehouse.query(where=where) == 35.0
+        assert warehouse.index.result_cache.stats().hits == 1
+        warehouse.insert_many([((("DE", "Bonn"), ("red",)), (8.0,))])
         assert warehouse.query(where=where) == 43.0
 
     def test_version_is_monotone_across_mutators(self):

