@@ -40,7 +40,7 @@ from .query.sql import execute as execute_sql
 from .tpcd.flatfile import read_flatfile, write_flatfile
 from .tpcd.generator import TPCDGenerator
 from .tpcd.schema import make_tpcd_schema
-from .warehouse import BACKENDS, Warehouse
+from .warehouse import Warehouse
 
 
 def main(argv=None):
@@ -93,13 +93,10 @@ def _build_parser():
     load.add_argument("flatfile", help="input .tbl path")
     load.add_argument("warehouse", help="output warehouse file path")
     load.add_argument(
-        "--backend", choices=BACKENDS, default="dc-tree",
-    )
-    load.add_argument(
         "--batch-size", type=positive_int, default=None, metavar="N",
         help="load through insert_batch in chunks of N records instead "
         "of the offline bulk loader — the dynamic-update path with "
-        "amortized page writes (any backend)",
+        "amortized page writes",
     )
     load.set_defaults(handler=_cmd_load)
 
@@ -221,18 +218,13 @@ def _cmd_generate(args):
 def _cmd_load(args):
     schema, records = read_flatfile(args.flatfile)
     if args.batch_size is not None:
-        warehouse = Warehouse(schema, args.backend)
+        warehouse = Warehouse(schema)
         for start in range(0, len(records), args.batch_size):
             warehouse.insert_records(records[start:start + args.batch_size])
-        via = "%s (batched inserts of %d)" % (args.backend, args.batch_size)
-    elif args.backend == "dc-tree":
-        warehouse = Warehouse.wrap(bulk_load(schema, records))
-        via = args.backend
+        via = "dc-tree (batched inserts of %d)" % args.batch_size
     else:
-        warehouse = Warehouse(schema, args.backend)
-        for record in records:
-            warehouse.insert_record(record)
-        via = args.backend
+        warehouse = Warehouse.wrap(bulk_load(schema, records))
+        via = "dc-tree"
     save_warehouse(warehouse, args.warehouse)
     print(
         "loaded %d records into a %s and saved it to %s"
@@ -400,18 +392,16 @@ def _cmd_inspect(args):
         )
     for measure in warehouse.schema.measures:
         print("measure:  %s" % measure.name)
-    if warehouse.backend in ("dc-tree", "x-tree"):
-        stats = collect_stats(warehouse.index)
-        print("height:   %d" % stats.height)
-        print("nodes:    %d (%d supernodes)" % (stats.n_nodes,
-                                                stats.n_supernodes))
-        for level in stats.levels:
-            print(
-                "  depth %d: %4d nodes, %6.1f entries avg"
-                % (level.depth, level.n_nodes, level.avg_entries)
-            )
-    if warehouse.backend == "dc-tree":
-        print(describe_result_cache(warehouse.index))
+    stats = collect_stats(warehouse.index)
+    print("height:   %d" % stats.height)
+    print("nodes:    %d (%d supernodes)" % (stats.n_nodes,
+                                            stats.n_supernodes))
+    for level in stats.levels:
+        print(
+            "  depth %d: %4d nodes, %6.1f entries avg"
+            % (level.depth, level.n_nodes, level.avg_entries)
+        )
+    print(describe_result_cache(warehouse.index))
     from .obs import warehouse_registry
 
     print("metrics:")

@@ -37,8 +37,8 @@ def bulk_load(schema, records, config=None, storage_config=None):
     top_levels = [h.top_level for h in tree.hierarchies]
     root = loader.build(records, top_levels)
     # The root swap is a mutation like any other: adopt_root bumps the
-    # tree version (so the result cache can never serve an answer from
-    # before the load) and notifies any attached durability sink.
+    # tree version, so the result cache can never serve an answer from
+    # before the load.
     tree.adopt_root(root, len(records))
     return tree
 

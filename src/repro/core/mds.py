@@ -35,7 +35,7 @@ class MDS:
     :meth:`copy` for callers that need snapshots.
     """
 
-    __slots__ = ("_sets", "_levels", "_version", "_adapt_cache")
+    __slots__ = ("_sets", "_levels", "_adapt_cache")
 
     def __init__(self, sets, levels):
         sets = [set(s) for s in sets]
@@ -47,7 +47,6 @@ class MDS:
             )
         self._sets = sets
         self._levels = levels
-        self._version = 0
         self._adapt_cache = {}
 
     # ------------------------------------------------------------------
@@ -150,11 +149,6 @@ class MDS:
         """True when any dimension has no values (describes nothing)."""
         return any(not s for s in self._sets)
 
-    @property
-    def version(self):
-        """Monotone mutation counter; adaptation memos are keyed on it."""
-        return self._version
-
     def cache_key(self):
         """Canonical hashable digest of this MDS (result-cache key part).
 
@@ -182,8 +176,7 @@ class MDS:
     # ------------------------------------------------------------------
 
     def _touch(self):
-        """Bump the version and drop memoized adaptations (now stale)."""
-        self._version += 1
+        """Drop the memoized adaptations (now stale)."""
         if self._adapt_cache:
             self._adapt_cache.clear()
 
@@ -214,7 +207,7 @@ class MDS:
     def update_values(self, dim, values):
         """Add ``values`` to dimension ``dim`` (they must live at its level).
 
-        The version-bumping way to grow one dimension's set; callers that
+        The memo-invalidating way to grow one dimension's set; callers that
         previously mutated ``value_set(dim)`` in place must use this so the
         adaptation memo notices the change.
         """
@@ -256,10 +249,10 @@ class MDS:
         operation (it would require enumerating descendants and is handled
         separately by :func:`contains` where exactness demands it).
 
-        Results are memoized per ``(version, dim, target_level)``; a
-        cached result is a frozenset shared between callers, so it must
-        not be mutated.  Every mutator bumps the version and drops the
-        memo, keeping the cache semantically invisible.
+        Results are memoized per ``(dim, target_level)``; a cached
+        result is a frozenset shared between callers, so it must not be
+        mutated.  Every mutator drops the memo, keeping the cache
+        semantically invisible.
         """
         own_level = self._levels[dim]
         if target_level == own_level:
@@ -269,7 +262,7 @@ class MDS:
                 "cannot adapt dimension %d downwards (level %d -> %d)"
                 % (dim, own_level, target_level)
             )
-        key = (self._version, dim, target_level)
+        key = (dim, target_level)
         cached = self._adapt_cache.get(key)
         if cached is None:
             cached = frozenset(

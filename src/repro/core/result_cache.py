@@ -10,9 +10,8 @@ memoizes full ``range_query`` / ``group_by_aggregators`` answers keyed on
   order-insensitive and collision-free by construction) plus the operator
   and measure index, and
 * the tree's **monotone ``tree_version`` counter**, bumped by every
-  ``insert``, ``delete``, bulk load and maintenance operation — so a stale
-  answer can never be served, mirroring the invalidation discipline of the
-  versioned MDS adaptation memos.
+  :meth:`~repro.core.tree.DCTree.apply` call and every root swap (bulk
+  load, checkpoint load) — so a stale answer can never be served.
 
 The cache is **counter-invisible**: a hit replays the page-access trace
 and CPU units recorded when the answer was first computed (see
@@ -154,24 +153,19 @@ class ResultCache:
         Returns the :class:`CachedAnswer` (whose ``value`` may itself be
         ``None`` — e.g. AVG over an empty range) or ``None`` on a miss.
         """
-        self._sync_version(tree_version)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        tracker.replay(entry.trace, entry.cpu_units)
+        entry = self.peek(key, tree_version)
+        if entry is not None:
+            tracker.replay(entry.trace, entry.cpu_units)
         return entry
 
     def peek(self, key, tree_version):
-        """Look up ``key`` with fetch semantics but *without* the replay.
+        """Look up ``key`` as :meth:`fetch` does, *without* the replay.
 
-        Counts the hit/miss and refreshes the LRU position exactly like
-        :meth:`fetch`, but leaves the tracker untouched.  The EXPLAIN
-        path uses this: it recomputes the traversal (to profile it) and
-        the recomputation makes the very charges the replay would have —
-        so deterministic counters stay bit-identical with ``fetch``.
+        Counts the hit/miss and refreshes the LRU position, but leaves
+        the tracker untouched.  The EXPLAIN path uses this: it recomputes
+        the traversal (to profile it) and the recomputation makes the
+        very charges the replay would have — so deterministic counters
+        stay bit-identical with ``fetch``.
         """
         self._sync_version(tree_version)
         entry = self._entries.get(key)

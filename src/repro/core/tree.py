@@ -176,28 +176,28 @@ class DCTree(TreeFootprint):
 
         The sink rides next to the :attr:`tree_version` bump: every
         *acknowledged* mutation notifies it before returning, after the
-        in-memory apply succeeds.  A sink implements two methods:
-        ``record_ops(ops)``, once per non-empty :meth:`apply` with its
-        ``(kind, record)`` pairs, and ``record_rebase(n_records)``, once
-        per wholesale root swap (:meth:`adopt_root`).  The write-ahead
-        log's :class:`repro.persist.durable.WalSink` is the intended
-        sink.
+        in-memory apply succeeds.  A sink implements one method,
+        ``record_ops(ops)``, called once per non-empty :meth:`apply`
+        with its ``(kind, record)`` pairs.  The write-ahead log's
+        :class:`repro.persist.durable.WalSink` is the intended sink.
+        While one is attached, :meth:`adopt_root` is refused.
         """
         self._mutation_sink = sink
 
     def adopt_root(self, root, n_records):
         """Install a new root wholesale (bulk load, deserialization).
 
-        Bumps the version like any mutation and notifies the durability
-        sink with a *rebase*: a record-level log cannot replay a root
-        swap, so the sink must checkpoint (the WAL marks the spot and
-        recovery refuses to replay past it without that checkpoint).
+        Bumps the version like any mutation, since even a fresh tree may
+        have cached an answer.  Raises :class:`TreeError`, changing
+        nothing, while a mutation sink is attached: a record-level log
+        cannot replay a root swap.
         """
+        if self._mutation_sink is not None:
+            raise TreeError("a root swap cannot be logged; adopt the root "
+                            "before a mutation sink is attached")
         self._root = root
         self._n_records = n_records
         self._tree_version += 1
-        if self._mutation_sink is not None:
-            self._mutation_sink.record_rebase(n_records)
 
     def records(self):
         """Iterate over all records (no I/O accounting; test/debug aid)."""
@@ -1067,10 +1067,11 @@ class DCTree(TreeFootprint):
     def check_invariants(self):
         """Audit the whole tree; raise :class:`TreeError` on any violation.
 
-        Checks per node: MDS levels within bounds and dominated by the
-        parent's, exact coverage *and* minimality of the MDS, aggregate
-        consistency with the subtree, capacity respected, and supernode
-        bookkeeping.  Returns the total number of records seen.
+        Checks per node: the MDS's dimension count, its levels within
+        bounds and dominated by the parent's, exact coverage *and*
+        minimality of the MDS, aggregate consistency with the subtree,
+        capacity respected, and supernode bookkeeping.  Returns the
+        total number of records seen.
         """
         total = self._check_node(self._root, parent_levels=None)
         if total != self._n_records:
@@ -1082,6 +1083,11 @@ class DCTree(TreeFootprint):
 
     def _check_node(self, node, parent_levels):
         mds = node.mds
+        if mds.n_dimensions != len(self.hierarchies):
+            raise TreeError(
+                "MDS has %d dimensions, schema has %d"
+                % (mds.n_dimensions, len(self.hierarchies))
+            )
         for dim in range(mds.n_dimensions):
             level = mds.level(dim)
             top = self.hierarchies[dim].top_level

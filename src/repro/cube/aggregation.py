@@ -5,12 +5,8 @@ notes that the range-query algorithm uses SUM but "any other aggregation,
 e.g. AVERAGE, would have to be treated accordingly".  We materialize a small
 *vector* of algebraic summaries per measure — (sum, count, min, max) — from
 which SUM, COUNT, AVG, MIN and MAX range queries can all be answered.
-
-SUM and COUNT are fully invertible, so deletions subtract in O(1).  MIN and
-MAX are only *semi*-invertible: removing the current extremum invalidates
-the summary, and :meth:`MeasureSummary.subtract_value` reports whether it
-must be recomputed.  (``DCTree.delete`` does not subtract: it refolds every
-node on the deletion path from its remaining records or children.)
+Summaries only grow: ``DCTree.delete`` refolds every node on the deletion
+path from its remaining records or children.
 """
 
 from __future__ import annotations
@@ -71,16 +67,6 @@ class MeasureSummary:
             self.min = other.min
         if other.max > self.max:
             self.max = other.max
-
-    def subtract_value(self, value):
-        """Remove one value; return True if min/max need recomputation."""
-        self.sum -= value
-        self.count -= 1
-        if self.count == 0:
-            self.min = math.inf
-            self.max = -math.inf
-            return False
-        return value <= self.min or value >= self.max
 
     def aggregate(self, op):
         """Evaluate ``op`` over this summary.
@@ -159,14 +145,6 @@ class AggregateVector:
     def add_vector(self, other):
         for mine, theirs in zip(self.summaries, other.summaries):
             mine.add_summary(theirs)
-
-    def subtract_record(self, record):
-        """Remove one record; return True if any min/max went stale."""
-        stale = False
-        for summary, value in zip(self.summaries, record.measures):
-            if summary.subtract_value(value):
-                stale = True
-        return stale
 
     def aggregate(self, op, measure_index=0):
         """Evaluate ``op`` for the measure at ``measure_index``."""

@@ -201,33 +201,33 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 
 
-def observe_tree_structure(registry, tree, prefix="dctree"):
+def observe_tree_structure(registry, tree):
     """Per-depth node/entry/supernode gauges from the structural stats."""
     # Imported lazily: repro.core's package __init__ imports the tree,
     # which imports this package — a module-level import would cycle.
     from ..core.stats import collect_stats
 
     stats = collect_stats(tree)
-    registry.gauge(prefix + "_records",
+    registry.gauge("dctree_records",
                    "Records indexed by the tree.").set(stats.n_records)
-    registry.gauge(prefix + "_height",
+    registry.gauge("dctree_height",
                    "Tree height (root counts as 1).").set(stats.height)
-    registry.gauge(prefix + "_nodes_total",
+    registry.gauge("dctree_nodes_total",
                    "Total nodes in the tree.").set(stats.n_nodes)
-    registry.gauge(prefix + "_supernodes_total",
+    registry.gauge("dctree_supernodes_total",
                    "Total supernodes in the tree.").set(stats.n_supernodes)
     for level in stats.levels:
         depth = str(level.depth)
-        registry.gauge(prefix + "_level_nodes",
+        registry.gauge("dctree_level_nodes",
                        "Nodes at one depth (root=0).",
                        depth=depth).set(level.n_nodes)
-        registry.gauge(prefix + "_level_supernodes",
+        registry.gauge("dctree_level_supernodes",
                        "Supernodes at one depth.",
                        depth=depth).set(level.n_supernodes)
-        registry.gauge(prefix + "_level_entries_avg",
+        registry.gauge("dctree_level_entries_avg",
                        "Average entries per node at one depth (Fig. 13).",
                        depth=depth).set(level.avg_entries)
-        registry.gauge(prefix + "_level_blocks_avg",
+        registry.gauge("dctree_level_blocks_avg",
                        "Average blocks per node at one depth.",
                        depth=depth).set(level.avg_blocks)
 
@@ -242,22 +242,16 @@ def observe_dctree(registry, tree):
 
 
 def warehouse_registry(warehouse):
-    """The registry describing a warehouse right now.
+    """The registry describing a DC-tree warehouse right now.
 
-    Reuses the index's live registry when telemetry is on (so its event
+    Reuses the tree's live registry when telemetry is on (so its event
     counters appear alongside), otherwise builds a fresh one; either way
     the tracker/cache/structure gauges are refreshed before returning.
     """
     registry = warehouse.observability
     if registry is None:
         registry = MetricsRegistry()
-    index = warehouse.index
-    if warehouse.backend == "dc-tree":
-        observe_dctree(registry, index)
-    else:
-        index.tracker.publish_metrics(registry)
-        if warehouse.backend == "x-tree":
-            observe_tree_structure(registry, index, prefix="xtree")
+    observe_dctree(registry, warehouse.index)
     return registry
 
 

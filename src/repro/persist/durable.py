@@ -16,10 +16,11 @@ checkpoint + WAL, validates the result, immediately re-checkpoints the
 recovered state (log compaction) and resumes logging — acknowledged
 mutations are never lost, unacknowledged ones never half-applied.
 
-Root swaps (bulk loads) cannot be replayed record by record, so the
-sink writes a *rebase* marker and checkpoints on the spot; recovery
-refuses to replay past a marker whose checkpoint never landed — the
-swap simply was not yet acknowledged.
+A session holds a ``dc-tree`` warehouse, the only persisted backend.
+A bulk-loaded tree enters one through :meth:`create`, which
+checkpoints it whole; a live session's tree refuses a root swap
+(:meth:`~repro.core.tree.DCTree.adopt_root`), so the log holds
+``apply`` records only.
 
 The durability path shares no state with the simulated cost model: WAL
 appends and checkpoint writes are real file I/O, invisible to the
@@ -33,14 +34,14 @@ from __future__ import annotations
 import os
 
 from ..errors import StorageError
-from .io import record_to_labels, save_warehouse
+from .io import record_to_labels, require_dc_tree, save_warehouse
 from .recovery import recover_warehouse
-from .wal import OP_APPLY, OP_REBASE, WriteAheadLog
+from .wal import OP_APPLY, WriteAheadLog
 
 
 class WalSink:
     """Adapts a :class:`WriteAheadLog` to the DC-tree mutation-sink
-    protocol (``record_ops`` / ``record_rebase``).
+    protocol (``record_ops``).
 
     Records are logged as *label* paths (see
     :func:`~repro.persist.io.record_to_labels`): hierarchy IDs interned
@@ -48,10 +49,9 @@ class WalSink:
     always re-intern.
     """
 
-    def __init__(self, wal, schema, on_rebase=None):
+    def __init__(self, wal, schema):
         self.wal = wal
         self.schema = schema
-        self._on_rebase = on_rebase
 
     def record_ops(self, ops):
         """Group-commit one acknowledged ``apply`` call as one atomic
@@ -62,11 +62,6 @@ class WalSink:
             [[kind, record_to_labels(self.schema, record)]
              for kind, record in ops],
         )
-
-    def record_rebase(self, n_records):
-        self.wal.append(OP_REBASE, n_records)
-        if self._on_rebase is not None:
-            self._on_rebase()
 
 
 class DurableWarehouse:
@@ -82,7 +77,7 @@ class DurableWarehouse:
     WAL_NAME = "wal.log"
 
     def __init__(self, directory, warehouse, wal, faults=None, report=None):
-        _require_dc_tree(warehouse)
+        require_dc_tree(warehouse.backend)
         self.directory = os.fspath(directory)
         self.warehouse = warehouse
         self.wal = wal
@@ -90,10 +85,7 @@ class DurableWarehouse:
         #: RecoveryReport of the :meth:`open` that built this session
         #: (None for :meth:`create`).
         self.report = report
-        warehouse.index.set_mutation_sink(
-            WalSink(wal, warehouse.schema,
-                    on_rebase=self._checkpoint_after_rebase)
-        )
+        warehouse.index.set_mutation_sink(WalSink(wal, warehouse.schema))
         if faults is not None:
             warehouse.index.tracker.faults = faults
 
@@ -122,7 +114,7 @@ class DurableWarehouse:
         session (its log would be replayed onto the new warehouse);
         resume one with :meth:`open`.
         """
-        _require_dc_tree(warehouse)
+        require_dc_tree(warehouse.backend)
         directory = os.fspath(directory)
         for path in (cls.checkpoint_path(directory), cls.wal_path(directory)):
             if os.path.exists(path):
@@ -157,7 +149,6 @@ class DurableWarehouse:
         checkpoint = cls.checkpoint_path(directory)
         wal_file = cls.wal_path(directory)
         warehouse, report = recover_directory(directory, config, faults)
-        _require_dc_tree(warehouse)
         # Log compaction: fold the replayed WAL into a fresh checkpoint
         # before accepting new traffic.  A crash in here is itself
         # recoverable — the old checkpoint+WAL are intact until the
@@ -231,12 +222,6 @@ class DurableWarehouse:
             metrics.counter("checkpoints_total",
                             "Atomic checkpoints written by the session.").inc()
 
-    def _checkpoint_after_rebase(self):
-        # A root swap invalidates record-level replay; only a checkpoint
-        # makes it durable, so one is taken before the swap is
-        # acknowledged to the caller.
-        self.checkpoint()
-
     def _require_open(self):
         # A closed session has no log to make a mutation durable, and a
         # log that lost its header in a failed checkpoint cannot be
@@ -290,11 +275,3 @@ def recover_directory(directory, config=None, faults=None):
             % report.validation_error
         )
     return warehouse, report
-
-
-def _require_dc_tree(warehouse):
-    if warehouse.backend != "dc-tree":
-        raise StorageError(
-            "durable sessions require the dc-tree backend (its mutation "
-            "sink feeds the WAL); got %r" % warehouse.backend
-        )

@@ -13,13 +13,13 @@ mutation; a checkpoint (:func:`encode_checkpoint`,
     file := CHECKPOINT_MAGIC frame(meta) frame(schema)
             frame(hierarchies) frame(index)
 
-* ``meta``        — format version, backend name, record count (and a
-                    durable session's WAL position)
+* ``meta``        — format version, backend name (always ``dc-tree``),
+                    record count (and a durable session's WAL position)
 * ``schema``      — dimension names + level names, measure names
 * ``hierarchies`` — per dimension, every node as ``[id, parent, label]``
                     (the dictionary encoding of §3.1)
-* ``index``       — the backend-specific structure dump; every leaf's
-                    (and the scan table's) ``records`` are columns::
+* ``index``       — the DC-tree structure dump; every leaf's
+                    ``records`` are columns::
 
                         records := [id_0 .. id_{D-1}, m_0 .. m_{M-1}]
 

@@ -1,4 +1,4 @@
-"""Saving and loading warehouses (all three backends).
+"""Saving and loading DC-tree warehouses.
 
 ``save_warehouse`` writes the checkpoint format of
 :mod:`repro.persist.format` — a magic, then one length+CRC32 frame per
@@ -7,10 +7,11 @@ fsynced, and replace the target with ``os.replace``, so a crash leaves
 either the complete old file or the complete new one.  Every frame is
 checked before it is decoded, so truncation and bit-rot surface as a
 :class:`~repro.errors.StorageError` naming the section and byte offset.
-``load_warehouse`` restores a query-equivalent warehouse; for the tree
-backends the exact structure is preserved — nodes, MDSs/MBRs, supernode
-block counts, split histories and materialized aggregates — so loading
-never re-splits and costs O(n) deserialization.
+``load_warehouse`` restores the exact structure — nodes, MDSs,
+supernode block counts and materialized aggregates — so loading never
+re-splits and costs O(n) deserialization.  Only the ``dc-tree`` backend
+is persisted (:func:`require_dc_tree`): the X-tree and the scan are the
+in-memory comparators of the figures.
 
 Leaf records are stored column-wise (:func:`_records_to_columns`): per
 dimension one column of level-0 IDs, then one column per measure.  A
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 
-from ..config import DCTreeConfig, XTreeConfig
+from ..config import DCTreeConfig
 from ..core.mds import MDS
 from ..core.node import DCDataNode, DCDirNode
 from ..core.tree import DCTree
@@ -36,13 +37,34 @@ from ..cube.aggregation import AggregateVector
 from ..cube.record import DataRecord
 from ..cube.schema import CubeSchema, Dimension, Measure
 from ..errors import ReproError, StorageError
-from ..scan.table import FlatTable
 from ..warehouse import Warehouse
-from ..xtree.mbr import MBR
 from ..storage import faults as faults_mod
-from ..xtree.node import XDataNode, XDirNode
-from ..xtree.tree import XTree
 from . import format as fmt
+
+# ----------------------------------------------------------------------
+# backend and field checks
+# ----------------------------------------------------------------------
+
+
+def require_dc_tree(backend):
+    """Refuse every backend but ``dc-tree``, by name: checkpoints and
+    durable sessions hold DC-tree warehouses only."""
+    if backend != "dc-tree":
+        raise StorageError(
+            "only dc-tree warehouses are persisted (checkpoints, durable "
+            "sessions); got backend %r" % (backend,)
+        )
+
+
+def _count_field(value, what, minimum=0):
+    """``value`` when it is an integer of at least ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise StorageError(
+            "%s is %r, expected an integer of at least %d"
+            % (what, value, minimum)
+        )
+    return value
+
 
 # ----------------------------------------------------------------------
 # schema & hierarchy sections
@@ -86,7 +108,7 @@ def _restore_hierarchies(schema, rows_per_dimension):
 
 
 # ----------------------------------------------------------------------
-# shared leaf pieces
+# records: checkpoint leaf columns, WAL label paths
 # ----------------------------------------------------------------------
 
 
@@ -209,7 +231,12 @@ def _mds_to_list(mds):
     ]
 
 
-def _mds_from_list(rows):
+def _mds_from_list(rows, n_dimensions):
+    if len(rows) != n_dimensions:
+        raise StorageError(
+            "node MDS has %d dimensions, schema has %d"
+            % (len(rows), n_dimensions)
+        )
     return MDS([set(values) for values, _level in rows],
                [level for _values, level in rows])
 
@@ -238,7 +265,7 @@ def _dc_node_to_dict(node, schema):
 
 def _dc_node_from_dict(data, tree, leaf_paths):
     """The node in ``data`` and the number of records under it."""
-    mds = _mds_from_list(data["mds"])
+    mds = _mds_from_list(data["mds"], tree.schema.n_dimensions)
     aggregate = _aggregate_from_list(data["agg"])
     page_id = tree.tracker.new_page_id()
     if data["type"] == fmt.DATA_NODE:
@@ -255,7 +282,7 @@ def _dc_node_from_dict(data, tree, leaf_paths):
         n_records = sum(n for _child, n in loaded)
     else:
         raise StorageError("unknown node type %r" % (data.get("type"),))
-    node.n_blocks = data["blocks"]
+    node.n_blocks = _count_field(data["blocks"], "node blocks", 1)
     return node, n_records
 
 
@@ -285,103 +312,9 @@ def _dc_tree_from_dict(data, schema, config=None):
         data["root"], tree, _leaf_paths(schema)
     )
     # Root swap = mutation: adopt_root keeps the result cache's version
-    # discipline and notifies any attached durability sink.
+    # discipline.
     tree.adopt_root(root, n_records)
     return tree
-
-
-# ----------------------------------------------------------------------
-# X-tree
-# ----------------------------------------------------------------------
-
-
-def _x_node_to_dict(node, schema):
-    base = {
-        "blocks": node.n_blocks,
-        "mbr": [list(node.mbr.lows), list(node.mbr.highs)],
-        "history": sorted(node.split_history),
-    }
-    if node.is_leaf:
-        base["type"] = fmt.DATA_NODE
-        base["records"] = _records_to_columns(
-            [r for _p, r in node.entries], schema
-        )
-    else:
-        base["type"] = fmt.DIR_NODE
-        base["children"] = [
-            _x_node_to_dict(c, schema) for c in node.children
-        ]
-    return base
-
-
-def _x_node_from_dict(data, tree, leaf_paths):
-    """The node in ``data`` and the number of records under it."""
-    mbr = MBR(data["mbr"][0], data["mbr"][1])
-    page_id = tree.tracker.new_page_id()
-    if data["type"] == fmt.DATA_NODE:
-        records = _records_from_columns(
-            data["records"], leaf_paths, tree.schema.n_measures
-        )
-        node = XDataNode(
-            mbr, page_id, entries=[(r.flat_point(), r) for r in records],
-        )
-        n_records = len(records)
-    elif data["type"] == fmt.DIR_NODE:
-        loaded = [_x_node_from_dict(c, tree, leaf_paths)
-                  for c in data["children"]]
-        node = XDirNode(mbr, page_id,
-                        children=[child for child, _n in loaded])
-        n_records = sum(n for _child, n in loaded)
-    else:
-        raise StorageError("unknown node type %r" % (data.get("type"),))
-    node.n_blocks = data["blocks"]
-    node.split_history = frozenset(data["history"])
-    return node, n_records
-
-
-def _x_config_to_dict(config):
-    return {
-        "dir_capacity": config.dir_capacity,
-        "leaf_capacity": config.leaf_capacity,
-    }
-
-
-def _x_tree_to_dict(tree):
-    return {
-        "root": _x_node_to_dict(tree.root, tree.schema),
-        "config": _x_config_to_dict(tree.config),
-    }
-
-
-def _x_tree_from_dict(data, schema, config=None):
-    if config is None:
-        config = XTreeConfig(**data["config"])
-    tree = XTree(schema, config=config)
-    tree._root, tree._n_records = _x_node_from_dict(
-        data["root"], tree, _leaf_paths(schema)
-    )
-    tree._root_empty = tree._n_records == 0
-    return tree
-
-
-# ----------------------------------------------------------------------
-# scan
-# ----------------------------------------------------------------------
-
-
-def _scan_to_dict(table):
-    return {"records": _records_to_columns(list(table.records()),
-                                           table.schema)}
-
-
-def _scan_from_dict(data, schema):
-    table = FlatTable(schema)
-    for record in _records_from_columns(
-        data["records"], _leaf_paths(schema), schema.n_measures
-    ):
-        table.insert(record)
-    table.tracker.reset(clear_buffer=True)
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -390,13 +323,8 @@ def _scan_from_dict(data, schema):
 
 
 def warehouse_to_dict(warehouse):
-    """The warehouse as one JSON-serializable dict."""
-    if warehouse.backend == "dc-tree":
-        index = _dc_tree_to_dict(warehouse.index)
-    elif warehouse.backend == "x-tree":
-        index = _x_tree_to_dict(warehouse.index)
-    else:
-        index = _scan_to_dict(warehouse.index)
+    """The warehouse as one JSON-serializable dict (dc-tree only)."""
+    require_dc_tree(warehouse.backend)
     return {
         "meta": {
             "version": fmt.FORMAT_VERSION,
@@ -405,29 +333,27 @@ def warehouse_to_dict(warehouse):
         },
         "schema": _schema_to_dict(warehouse.schema),
         "hierarchies": _hierarchies_to_list(warehouse.schema),
-        "index": index,
+        "index": _dc_tree_to_dict(warehouse.index),
     }
 
 
 def warehouse_from_dict(data, config=None):
     """Restore a warehouse from :func:`warehouse_to_dict` output."""
-    fmt.check_version(data.get("meta", {}))
-    backend = data["meta"]["backend"]
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise StorageError("meta section is a %s, not an object"
+                           % type(meta).__name__)
+    fmt.check_version(meta)
+    require_dc_tree(meta.get("backend"))
+    _count_field(meta.get("wal_lsn", 0), "meta wal_lsn")
     schema = _schema_from_dict(data["schema"])
     _restore_hierarchies(schema, data["hierarchies"])
-    if backend == "dc-tree":
-        index = _dc_tree_from_dict(data["index"], schema, config)
-    elif backend == "x-tree":
-        index = _x_tree_from_dict(data["index"], schema, config)
-    elif backend == "scan":
-        index = _scan_from_dict(data["index"], schema)
-    else:
-        raise StorageError("unknown backend %r in warehouse file" % backend)
-    warehouse = Warehouse.wrap(index)
-    if len(warehouse.index) != data["meta"]["records"]:
+    warehouse = Warehouse.wrap(_dc_tree_from_dict(data["index"], schema,
+                                                  config))
+    if len(warehouse.index) != meta["records"]:
         raise StorageError(
             "record count mismatch: meta says %d, the restored leaves hold %d"
-            % (data["meta"]["records"], len(warehouse.index))
+            % (meta["records"], len(warehouse.index))
         )
     return warehouse
 

@@ -21,7 +21,7 @@ import math
 import os
 import time
 
-from ..core.tree import DELETE
+from ..core.tree import DELETE, INSERT
 from ..errors import RecordNotFoundError, ReproError, StorageError
 from ..workload.queries import query_from_labels
 from . import wal as wal_mod
@@ -46,7 +46,6 @@ class RecoveryReport:
         self.failed_deletes = 0
         self.torn_tail = False
         self.wal_error = None
-        self.stopped_at_rebase = False
         self.validated = False
         self.validation_error = None
         self.n_records = 0
@@ -87,8 +86,6 @@ class RecoveryReport:
              "Replayed deletes that targeted absent records."),
             ("torn_tail", int(self.torn_tail),
              "1 when a torn tail was discarded."),
-            ("stopped_at_rebase", int(self.stopped_at_rebase),
-             "1 when replay stopped at an uncheckpointed rebase."),
             ("validated", int(self.validated),
              "1 when the recovered warehouse passed validation."),
             ("n_records", self.n_records,
@@ -135,12 +132,6 @@ class RecoveryReport:
                 "wal: torn tail discarded (%s) — expected crash residue, "
                 "only unacknowledged work lost" % self.wal_error
             )
-        if self.stopped_at_rebase:
-            lines.append(
-                "wal: replay stopped at a rebase marker (bulk load whose "
-                "checkpoint never completed; that load was not yet "
-                "acknowledged)"
-            )
         if self.failed_deletes:
             lines.append(
                 "wal: %d delete(s) targeted absent records (skipped)"
@@ -167,12 +158,9 @@ def _audit(warehouse, report):
             "recovered record count %d, checkpoint+WAL implies %d"
             % (len(warehouse), expected)
         )
-    index = warehouse.index
-    if hasattr(index, "check_invariants"):
-        index.check_invariants()
+    warehouse.index.check_invariants()
     # Independent aggregate audit: the materialized totals must equal a
-    # fold over the actual records (for the scan backend both sides walk
-    # the records, which still cross-checks the count).
+    # fold over the actual records.
     count = warehouse.query("count") if len(warehouse) else 0
     if count != len(warehouse):
         raise StorageError(
@@ -193,9 +181,25 @@ def _audit(warehouse, report):
             )
 
 
+def _decode_ops(schema, op, payload):
+    """The ``(kind, record)`` pairs of one ``apply`` record, every one
+    decoded before any is applied; raises on anything else."""
+    if op != wal_mod.OP_APPLY:
+        raise StorageError("unknown WAL op %r" % (op,))
+    ops = []
+    for kind, labels in payload:
+        if kind != INSERT and kind != DELETE:
+            raise StorageError("unknown operation %r" % (kind,))
+        ops.append((kind, record_from_labels(schema, labels)))
+    return ops
+
+
 def _replay_wal(warehouse, wal_path, report, faults):
     """Scan + replay the WAL onto the loaded checkpoint (report-driven):
-    each record replays as the one ``apply`` call that logged it."""
+    each record replays as the one ``apply`` call that logged it.
+
+    A record that does not decode into valid operations ends replay
+    before it, as a checksum failure does: nothing of it is applied."""
     scan = wal_mod.read_wal(wal_path, faults=faults)
     report.torn_tail = scan.torn_tail
     report.wal_error = scan.error
@@ -203,18 +207,20 @@ def _replay_wal(warehouse, wal_path, report, faults):
     schema = warehouse.schema
     for lsn, op, payload in scan.records:
         report.wal_records_seen += 1
-        report.last_lsn = max(report.last_lsn, int(lsn))
+        if type(lsn) is not int:
+            report.wal_error = "WAL record %d has LSN %r, not an integer" % (
+                report.wal_records_seen, lsn)
+            break
+        report.last_lsn = max(report.last_lsn, lsn)
         if lsn <= report.checkpoint_lsn:
             report.skipped_stale += 1
             continue
-        if op == wal_mod.OP_REBASE:
-            report.stopped_at_rebase = True
+        try:
+            ops = _decode_ops(schema, op, payload)
+        except (ReproError, TypeError, ValueError) as error:
+            report.wal_error = "malformed WAL record at LSN %d: %s" % (
+                lsn, error)
             break
-        if op != wal_mod.OP_APPLY:
-            report.wal_error = "unknown WAL op %r at LSN %d" % (op, lsn)
-            break
-        ops = [(kind, record_from_labels(schema, labels))
-               for kind, labels in payload]
         try:
             warehouse.index.apply(ops)
         except RecordNotFoundError:
@@ -251,7 +257,7 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
         return None, report
     report.checkpoint_ok = True
     report.records_at_checkpoint = len(warehouse)
-    report.checkpoint_lsn = int(data["meta"].get("wal_lsn", 0))
+    report.checkpoint_lsn = data["meta"].get("wal_lsn", 0)
     report.last_lsn = report.checkpoint_lsn
     try:
         report.checkpoint_age_seconds = max(

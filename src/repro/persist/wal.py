@@ -18,12 +18,12 @@ On-disk format
 
 ``lsn`` is a monotone log sequence number (checkpoints remember the last
 LSN they contain, so replay skips records a newer checkpoint already
-covers).  ``op`` is ``"apply"`` (one group-committed call, atomic on
-disk: ``data`` lists its ``[kind, labels]`` operations, ``kind`` being
-``"insert"`` or ``"delete"``) or ``"rebase"`` (a root swap — bulk load
-— that a record-level log cannot replay; recovery stops there and
-demands the checkpoint that the rebase triggered).  A log of another
-header version is refused, so checkpoint a session before upgrading.
+covers).  ``op`` is always ``"apply"``: one group-committed call,
+atomic on disk, whose ``data`` lists its ``[kind, labels]`` operations,
+``kind`` being ``"insert"`` or ``"delete"``.  Recovery ends replay at a
+record of any other op, as it does at a checksum failure.  A log of
+another header version is refused, so checkpoint a session before
+upgrading.
 
 Each record is one length-prefixed, CRC-checksummed frame of the codec
 the checkpoint shares (:mod:`repro.persist.format`), so a torn tail —
@@ -52,9 +52,8 @@ from . import format as fmt
 #: File magic and format version; 8 bytes so records start aligned.
 WAL_HEADER = b"DCWAL02\n"
 
-#: The two kinds of WAL record (see the module docstring).
+#: The one kind of WAL record (see the module docstring).
 OP_APPLY = "apply"
-OP_REBASE = "rebase"
 
 
 def encode_record(lsn, op, data):
@@ -231,7 +230,7 @@ def read_wal(path, faults=None):
         for offset, payload in fmt.scan_frames(raw, len(WAL_HEADER)):
             try:
                 lsn, op, data = json.loads(payload.decode("utf-8"))
-            except ValueError as error:  # UnicodeDecodeError included
+            except (TypeError, ValueError) as error:  # bad UTF-8/JSON/shape
                 raise fmt.FrameError("unreadable payload at byte %d: %s"
                                      % (offset, error), offset)
             records.append((lsn, op, data))

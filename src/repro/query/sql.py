@@ -23,9 +23,9 @@ they contain spaces or punctuation).
 
 from __future__ import annotations
 
+from ..cube.aggregation import SUPPORTED_AGGREGATES
 from ..errors import QueryError
 
-_AGGREGATES = ("sum", "count", "avg", "min", "max")
 _KEYWORDS = {"select", "where", "and", "in", "group", "by"}
 
 _PUNCTUATION = {"(", ")", ",", ".", "="}
@@ -156,10 +156,10 @@ class _Parser:
     def parse(self):
         self._keyword("select")
         op = self._identifier().lower()
-        if op not in _AGGREGATES:
+        if op not in SUPPORTED_AGGREGATES:
             raise QueryError(
                 "unknown aggregate %r (one of %s)"
-                % (op, ", ".join(a.upper() for a in _AGGREGATES))
+                % (op, ", ".join(a.upper() for a in SUPPORTED_AGGREGATES))
             )
         self._expect("(")
         measure = self._value()

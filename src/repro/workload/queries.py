@@ -106,10 +106,6 @@ class QueryGenerator:
         may contain, e.g. ``0.05`` for the paper's 5 % experiments.
     seed:
         RNG seed for reproducible workloads.
-    min_levels:
-        Optional per-dimension lower bounds for the random level choice
-        (used e.g. to generate only queries a materialized view of that
-        granularity can answer).
     constrain_dims:
         ``None`` (default) constrains every dimension, as §5.2 of the
         paper does.  An integer ``k`` picks ``k`` random dimensions per
@@ -117,15 +113,10 @@ class QueryGenerator:
         typical interactive OLAP sessions.
     """
 
-    def __init__(self, schema, selectivity, seed=0, min_levels=None,
-                 constrain_dims=None):
+    def __init__(self, schema, selectivity, seed=0, constrain_dims=None):
         if not 0.0 < selectivity <= 1.0:
             raise QueryError(
                 "selectivity must be in (0, 1], got %r" % (selectivity,)
-            )
-        if min_levels is not None and len(min_levels) != schema.n_dimensions:
-            raise QueryError(
-                "min_levels needs one entry per dimension"
             )
         if constrain_dims is not None and not (
             1 <= constrain_dims <= schema.n_dimensions
@@ -136,7 +127,6 @@ class QueryGenerator:
             )
         self.schema = schema
         self.selectivity = selectivity
-        self.min_levels = tuple(min_levels) if min_levels else None
         self.constrain_dims = constrain_dims
         self._rng = random.Random(seed)
         self._hierarchies = tuple(d.hierarchy for d in schema.dimensions)
@@ -158,13 +148,7 @@ class QueryGenerator:
                 levels.append(hierarchy.top_level)
                 sets.append({hierarchy.all_id})
                 continue
-            lowest = self.min_levels[dim] if self.min_levels else 0
-            if lowest >= hierarchy.top_level:
-                raise QueryError(
-                    "min_levels[%d]=%d leaves no functional attribute to "
-                    "query" % (dim, lowest)
-                )
-            level = self._rng.randrange(lowest, hierarchy.top_level)
+            level = self._rng.randrange(0, hierarchy.top_level)
             candidates = hierarchy.values_at_level(level)
             if not candidates:
                 # The hierarchy has no values at this level yet (empty

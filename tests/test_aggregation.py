@@ -56,28 +56,6 @@ class TestMeasureSummary:
         assert a.aggregate("count") == 2
         assert a.aggregate("max") == 10.0
 
-    def test_subtract_interior_value_keeps_extrema(self):
-        summary = MeasureSummary()
-        for value in (1.0, 5.0, 9.0):
-            summary.add_value(value)
-        stale = summary.subtract_value(5.0)
-        assert not stale
-        assert summary.aggregate("sum") == 10.0
-        assert summary.aggregate("min") == 1.0
-
-    def test_subtract_extremum_reports_stale(self):
-        summary = MeasureSummary()
-        for value in (1.0, 5.0, 9.0):
-            summary.add_value(value)
-        assert summary.subtract_value(9.0)
-
-    def test_subtract_to_empty_resets(self):
-        summary = MeasureSummary.of_value(4.0)
-        stale = summary.subtract_value(4.0)
-        assert not stale
-        assert summary.is_empty()
-        assert summary.min == math.inf
-
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(QueryError):
             MeasureSummary().aggregate("median")
@@ -147,17 +125,6 @@ class TestAggregateVector:
         a.add_vector(b)
         assert a.aggregate("sum") == 7.0
         assert a.count == 2
-
-    def test_subtract_record(self):
-        schema = build_toy_schema()
-        vector = AggregateVector(1)
-        low = toy_record(schema, "DE", "Munich", "red", 3.0)
-        high = toy_record(schema, "DE", "Berlin", "red", 9.0)
-        vector.add_record(low)
-        vector.add_record(high)
-        stale = vector.subtract_record(high)
-        assert stale  # removed the maximum
-        assert vector.aggregate("sum") == 3.0
 
     def test_clear(self):
         schema = build_toy_schema()

@@ -37,13 +37,16 @@ class TestLoad:
     def test_bulk_load_dc_tree(self, loaded_warehouse):
         assert loaded_warehouse.exists()
 
-    def test_load_scan_backend(self, tmp_path, capsys):
+    def test_load_rejects_backend_flag(self, tmp_path, capsys):
+        # Only DC-tree warehouses are persisted, so load has no backend.
         flat = tmp_path / "cube.tbl"
-        warehouse = tmp_path / "scan.json"
+        warehouse = tmp_path / "x.json"
         main(["generate", str(flat), "--records", "40"])
-        assert main(["load", str(flat), str(warehouse),
-                     "--backend", "scan"]) == 0
-        assert "into a scan" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["load", str(flat), str(warehouse), "--backend", "x-tree"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        assert not warehouse.exists()
 
 
 class TestQuery:
@@ -118,14 +121,10 @@ def test_importing_the_entry_module_does_not_run_the_cli(monkeypatch):
     assert module.main is main
 
 
-def test_empty_where_list_is_an_error_on_the_x_tree(tmp_path, capsys):
-    flat = tmp_path / "cube.tbl"
-    warehouse = tmp_path / "x.wh"
-    assert main(["generate", str(flat), "--records", "40"]) == 0
-    assert main(["load", str(flat), str(warehouse),
-                 "--backend", "x-tree"]) == 0
-    capsys.readouterr()
-    code = main(["query", str(warehouse), "--where", "Customer.Region=,"])
+def test_empty_where_list_is_an_error(loaded_warehouse, capsys):
+    # query_from_labels refuses it before any backend runs.
+    code = main(["query", str(loaded_warehouse),
+                 "--where", "Customer.Region=,"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
 

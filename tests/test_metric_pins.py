@@ -179,7 +179,6 @@ PINNED_REOPEN = {
     "recovery_n_records": {"": 27},
     "recovery_records_at_checkpoint": {"": 26},
     "recovery_skipped_stale": {"": 0},
-    "recovery_stopped_at_rebase": {"": 0},
     "recovery_torn_tail": {"": 0},
     "recovery_validated": {"": 1},
     "recovery_wal_bytes_scanned": {"": 528},

@@ -1,13 +1,15 @@
-"""Tests for warehouse persistence (save/load all three backends)."""
+"""Tests for warehouse persistence (save/load of DC-tree warehouses)."""
 
 import json
 import math
+import os
 import re
 
 import pytest
 
 from repro import TPCDGenerator, Warehouse, make_tpcd_schema
-from repro.errors import StorageError
+from repro.core.mds import MDS
+from repro.errors import StorageError, TreeError
 from repro.persist import (
     FORMAT_VERSION,
     load_warehouse,
@@ -71,7 +73,7 @@ def _assert_rejected(path, section, detail=""):
     assert "byte" in message and detail in message, message
 
 
-@pytest.mark.parametrize("backend", ["dc-tree", "x-tree", "scan"])
+@pytest.mark.parametrize("backend", ["dc-tree"])
 class TestRoundtrip:
     def test_dict_roundtrip_preserves_queries(self, backend):
         original = build_warehouse(backend)
@@ -152,42 +154,28 @@ class TestTreeStructurePreserved:
             )
             assert rebuilt_query.schema is restored.schema
 
-    def test_x_tree_structure_identical(self):
-        schema = make_tpcd_schema()
-        warehouse = Warehouse(schema, "x-tree")
-        generator = TPCDGenerator(schema, seed=8, scale_records=600)
-        for record in generator.records(600):
-            warehouse.insert_record(record)
-        restored = warehouse_from_dict(warehouse_to_dict(warehouse))
-        restored.index.check_invariants()
-        assert restored.index.root.mbr == warehouse.index.root.mbr
-        assert (
-            restored.index.root.split_history
-            == warehouse.index.root.split_history
-        )
-
 
 class TestFormatValidation:
     def test_version_checked(self):
-        data = warehouse_to_dict(build_warehouse("scan"))
+        data = warehouse_to_dict(build_warehouse("dc-tree"))
         data["meta"]["version"] = FORMAT_VERSION + 1
         with pytest.raises(StorageError):
             warehouse_from_dict(data)
 
     def test_missing_version_rejected(self):
-        data = warehouse_to_dict(build_warehouse("scan"))
+        data = warehouse_to_dict(build_warehouse("dc-tree"))
         del data["meta"]["version"]
         with pytest.raises(StorageError):
             warehouse_from_dict(data)
 
     def test_unknown_backend_rejected(self):
-        data = warehouse_to_dict(build_warehouse("scan"))
+        data = warehouse_to_dict(build_warehouse("dc-tree"))
         data["meta"]["backend"] = "b-tree"
         with pytest.raises(StorageError):
             warehouse_from_dict(data)
 
     def test_record_count_mismatch_rejected(self):
-        data = warehouse_to_dict(build_warehouse("scan"))
+        data = warehouse_to_dict(build_warehouse("dc-tree"))
         data["meta"]["records"] += 1
         with pytest.raises(StorageError):
             warehouse_from_dict(data)
@@ -238,21 +226,6 @@ class TestConfigPersistence:
             config=DCTreeConfig(dir_capacity=128, leaf_capacity=128),
         )
         assert restored.index.config.dir_capacity == 128
-
-    def test_x_tree_config_survives(self):
-        from repro import TPCDGenerator, XTreeConfig
-
-        schema = make_tpcd_schema()
-        warehouse = Warehouse(
-            schema, "x-tree",
-            config=XTreeConfig(dir_capacity=64, leaf_capacity=128),
-        )
-        generator = TPCDGenerator(schema, seed=0, scale_records=500)
-        for record in generator.records(500):
-            warehouse.insert_record(record)
-        restored = warehouse_from_dict(warehouse_to_dict(warehouse))
-        restored.index.check_invariants()
-        assert restored.index.config.leaf_capacity == 128
 
 
 class TestDurableSave:
@@ -372,10 +345,7 @@ class TestDurableSave:
 
 def _leaf_columns(data):
     """The record columns of the first non-empty leaf in a dict dump."""
-    index = data["index"]
-    if "root" not in index:
-        return index["records"]
-    stack = [index["root"]]
+    stack = [data["index"]["root"]]
     while stack:
         node = stack.pop()
         if node["type"] == "data":
@@ -418,24 +388,21 @@ def _v3_file(data, columns):
     # held the retired split, aggregate and capacity knobs, which the
     # current DCTreeConfig would reject with a bare TypeError.
     data["meta"]["version"] = 3
-    if data["meta"]["backend"] == "dc-tree":
-        data["index"]["config"].update(
-            split_algorithm="quadratic", use_materialized_aggregates=True,
-            capacity_mode="entries",
-        )
+    data["index"]["config"].update(
+        split_algorithm="quadratic", use_materialized_aggregates=True,
+        capacity_mode="entries",
+    )
 
 
 def _v4_file(data, columns):
-    # Written under the version 4 magic below.  A v4 tree config still
-    # held the split thresholds and, for the DC-tree, the result-cache
-    # switch and capacity, which the current configs would reject with a
-    # bare TypeError.
+    # Written under the version 4 magic below.  A v4 DC-tree config still
+    # held the split thresholds, the result-cache switch and capacity,
+    # which the current config would reject with a bare TypeError.
     data["meta"]["version"] = 4
-    if data["meta"]["backend"] != "scan":
-        config = data["index"]["config"]
-        config.update(min_fanout_fraction=0.35, max_overlap_fraction=0.2)
-        if data["meta"]["backend"] == "dc-tree":
-            config.update(use_result_cache=True, result_cache_capacity=128)
+    data["index"]["config"].update(
+        min_fanout_fraction=0.35, max_overlap_fraction=0.2,
+        use_result_cache=True, result_cache_capacity=128,
+    )
 
 
 _DAMAGE = {
@@ -451,7 +418,7 @@ _DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("backend", ["dc-tree", "x-tree", "scan"])
+@pytest.mark.parametrize("backend", ["dc-tree"])
 @pytest.mark.parametrize("damage", sorted(_DAMAGE))
 def test_damaged_leaf_columns_rejected(backend, damage, tmp_path):
     """Every damaged leaf is refused by load and by recovery alike.  A
@@ -500,3 +467,78 @@ def test_dc_leaf_records_are_id_and_measure_columns():
                 r.measures[index] for r in node.records
             ]
     assert leaves > 1
+
+
+@pytest.mark.parametrize("backend", ["x-tree", "scan"])
+def test_saving_another_backend_is_refused_before_any_file(backend,
+                                                           tmp_path):
+    """Only DC-tree warehouses are persisted: saving an X-tree or scan
+    warehouse names the backend and leaves neither the file nor its
+    temporary twin."""
+    path = str(tmp_path / "wh.json")
+    with pytest.raises(StorageError, match=re.escape(repr(backend))):
+        save_warehouse(build_warehouse(backend), path)
+    assert os.listdir(str(tmp_path)) == []
+
+
+def _names_backend(backend):
+    def mutate(data):
+        data["meta"]["backend"] = backend
+    return mutate
+
+
+def _meta_is_a_list(data):
+    data["meta"] = list(data["meta"].values())
+
+
+def _wal_lsn_is_text(data):
+    data["meta"]["wal_lsn"] = "seven"
+
+
+def _blocks_is_text(data):
+    data["index"]["root"]["blocks"] = "x"
+
+
+def _root_mds_short(data):
+    data["index"]["root"]["mds"].pop()
+
+
+#: Checksummed, well-framed v5 checkpoints whose content is refused:
+#: another backend's file (refused by name) or malformed fields.
+_REFUSED = {
+    "backend x-tree": (_names_backend("x-tree"), "backend 'x-tree'"),
+    "backend scan": (_names_backend("scan"), "backend 'scan'"),
+    "meta is a list": (_meta_is_a_list, "meta section is a list"),
+    "wal_lsn is text": (_wal_lsn_is_text, "meta wal_lsn is 'seven'"),
+    "blocks is text": (_blocks_is_text, "node blocks is 'x'"),
+    "root mds short": (_root_mds_short, "MDS has 1 dimensions, schema has 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_refused_checkpoint_is_a_storage_error(case, tmp_path):
+    """Every frame's CRC holds, yet the content is refused: load raises
+    StorageError and recovery reports the checkpoint unreadable, neither
+    raises anything else nor accepts the file."""
+    mutate, detail = _REFUSED[case]
+    data = warehouse_to_dict(build_warehouse("dc-tree"))
+    mutate(data)
+    path = str(tmp_path / "wh.json")
+    _write(path, encode_checkpoint(data))
+    with pytest.raises(StorageError, match=re.escape(detail)):
+        load_warehouse(path)
+    warehouse, report = recover_warehouse(path)
+    assert warehouse is None
+    assert detail in report.checkpoint_error, report.checkpoint_error
+
+
+def test_invariants_check_the_mds_dimension_count():
+    warehouse = build_warehouse("dc-tree")
+    tree = warehouse.index
+    mds = tree.root.mds
+    tree.root.mds = MDS(
+        [mds.value_set(dim) for dim in range(mds.n_dimensions - 1)],
+        mds.levels[:-1],
+    )
+    with pytest.raises(TreeError, match="MDS has 1 dimensions, schema has 2"):
+        tree.check_invariants()

@@ -25,6 +25,7 @@ from repro import (
     FaultPlan,
     InjectedFault,
     StorageError,
+    TreeError,
     Warehouse,
     recover_warehouse,
 )
@@ -69,13 +70,6 @@ def _snapshot(warehouse):
         _key(warehouse.schema, record)
         for record in warehouse.records_matching(query)
     )
-
-
-def _attach(session, injector):
-    """Arm an injector on a live session (after ``create``)."""
-    session.faults = injector
-    session.wal.faults = injector
-    session.warehouse.index.tracker.faults = injector
 
 
 def _drop_dead(session):
@@ -591,41 +585,100 @@ def test_version_4_checkpoint_rejected(tmp_path):
         DurableWarehouse.open(directory)
 
 
-def test_replay_stops_at_uncheckpointed_rebase(tmp_path):
-    """A rebase marker whose checkpoint never landed ends replay: the
-    bulk load was never acknowledged, the pre-load state was."""
-    directory = str(tmp_path / "rebase")
+def test_durable_tree_refuses_a_root_swap(tmp_path):
+    """A root swap cannot be logged record by record, so a tree with a
+    mutation sink refuses it: the version, the records, the log and the
+    recovered state stay as they were."""
+    directory = str(tmp_path / "swap")
     warehouse = _toy_warehouse()
     schema = warehouse.schema
     records = [toy_record(schema, *row) for row in TOY_ROWS]
     session = DurableWarehouse.create(directory, warehouse)
     for record in records[:3]:
         session.insert_record(record)
-    committed = _snapshot(session.warehouse)
-    # Crash inside the checkpoint the rebase marker triggers.
-    injector = FaultInjector(FaultPlan(fail_at=1, site="checkpoint.write"))
-    _attach(session, injector)
-    loaded = bulk_load(schema, records, config=warehouse.index.config)
-    with pytest.raises(InjectedFault):
-        warehouse.index.adopt_root(loaded._root, len(records))
-    _drop_dead(session)
-    recovered, report = _recovered_snapshot(directory)
-    assert report.stopped_at_rebase
+    tree = warehouse.index
+    committed = _snapshot(warehouse)
+    version = tree.tree_version
+    with open(DurableWarehouse.wal_path(directory), "rb") as handle:
+        log = handle.read()
+    loaded = bulk_load(schema, records, config=tree.config)
+    with pytest.raises(TreeError, match="root swap"):
+        tree.adopt_root(loaded.root, len(loaded))
+    assert tree.tree_version == version
+    assert _snapshot(warehouse) == committed
+    session.close()
+    with open(DurableWarehouse.wal_path(directory), "rb") as handle:
+        assert handle.read() == log
+    recovered, _report = _recovered_snapshot(directory)
     assert recovered == committed
 
 
-def test_checkpointed_rebase_survives(tmp_path):
-    directory = str(tmp_path / "rebase-ok")
+def _good_labels(schema):
+    return record_to_labels(schema, toy_record(schema, "IT", "Rome", "red",
+                                               9.0))
+
+
+#: One checksummed WAL record each whose content does not decode into
+#: valid operations; the later cases lead with a valid operation, which
+#: must not be applied either.
+_BAD_RECORDS = {
+    "legacy rebase": lambda schema: (4, "rebase", 7),
+    "payload is a number": lambda schema: (4, OP_APPLY, 7),
+    "lsn is text": lambda schema: (
+        "4", OP_APPLY, [["insert", _good_labels(schema)]]),
+    "unknown kind": lambda schema: (4, OP_APPLY, [
+        ["insert", _good_labels(schema)],
+        ["upsert", _good_labels(schema)]]),
+    "labels are text": lambda schema: (4, OP_APPLY, [
+        ["insert", _good_labels(schema)], ["insert", "garbage"]]),
+    "path one dimension short": lambda schema: (4, OP_APPLY, [
+        ["insert", _good_labels(schema)],
+        ["insert", [_good_labels(schema)[0][:-1], [1.0]]]]),
+    "measure is text": lambda schema: (4, OP_APPLY, [
+        ["insert", _good_labels(schema)],
+        ["insert", [_good_labels(schema)[0], ["x"]]]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RECORDS))
+def test_malformed_wal_record_ends_replay_before_it(case, tmp_path, capsys):
+    """A record whose frame checks out but whose content does not decode
+    ends replay as a checksum failure does: the three acknowledged
+    inserts before it survive, nothing of it or after it is applied,
+    every reader recovers, and a reopened session resumes from there."""
+    from repro.cli import main
+
+    directory = str(tmp_path / "badrecord")
     warehouse = _toy_warehouse()
     schema = warehouse.schema
-    records = [toy_record(schema, *row) for row in TOY_ROWS]
     session = DurableWarehouse.create(directory, warehouse)
-    loaded = bulk_load(schema, records, config=warehouse.index.config)
-    warehouse.index.adopt_root(loaded._root, len(records))
-    _drop_dead(session)
+    for row in TOY_ROWS[:3]:
+        session.insert_record(toy_record(schema, *row))
+    committed = _snapshot(warehouse)
+    session.close()
+    with open(DurableWarehouse.wal_path(directory), "ab") as handle:
+        handle.write(encode_record(*_BAD_RECORDS[case](schema)))
+        handle.write(encode_record(5, OP_APPLY,
+                                   [["insert", _good_labels(schema)]]))
+
     recovered, report = _recovered_snapshot(directory)
-    assert not report.stopped_at_rebase
-    assert sum(recovered.values()) == len(TOY_ROWS)
+    assert recovered == committed
+    assert re.search(r"LSN '?4'?", report.wal_error), report.wal_error
+    assert main(["recover", directory]) == 0
+    assert main(["query", directory, "--op", "count"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3"
+
+    session = DurableWarehouse.open(directory)
+    assert _snapshot(session.warehouse) == committed
+    session.insert_record(toy_record(session.warehouse.schema,
+                                     *_RESUME_ROW))
+    session.close()
+    reopened = DurableWarehouse.open(directory)
+    try:
+        assert len(reopened) == 4
+        assert reopened.report.wal_error is None
+    finally:
+        reopened.close()
 
 
 def test_delete_replay(tmp_path):
@@ -679,7 +732,7 @@ def test_wal_is_invisible_to_the_cost_model(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# save/load round-trip property over all three backends
+# save/load round-trip property
 # ----------------------------------------------------------------------
 
 _LABELS = st.sampled_from(["DE", "FR", "US", "JP"])
@@ -691,27 +744,26 @@ _ROWS = st.lists(st.tuples(_LABELS, _CITIES, _COLORS, _SALES),
                  min_size=0, max_size=12)
 
 
-@given(rows=_ROWS, backend=st.sampled_from(["dc-tree", "x-tree", "scan"]))
-def test_save_load_roundtrip_property(rows, backend, tmp_path_factory):
+@given(rows=_ROWS)
+def test_save_load_roundtrip_property(rows, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("roundtrip")
     path = str(tmp / "warehouse.json")
     schema = build_toy_schema()
-    warehouse = Warehouse(schema, backend)
+    warehouse = Warehouse(schema, "dc-tree")
     for country, city, color, sales in rows:
         warehouse.insert(((country, city), (color,)), (sales,))
     save_warehouse(warehouse, path)
     loaded = load_warehouse(path)
 
-    assert loaded.backend == backend
+    assert loaded.backend == "dc-tree"
     assert len(loaded) == len(warehouse)
     assert _snapshot(loaded) == _snapshot(warehouse)
     assert loaded.query("sum") == pytest.approx(warehouse.query("sum"))
 
-    if backend == "dc-tree":
-        version = loaded.index.tree_version
-        before = loaded.query("sum")
-        loaded.insert((("IT", "Rome"), ("red",)), (5.0,))
-        # tree_version is monotone across save/load and mutation, and the
-        # versioned result cache must not serve the pre-insert answer.
-        assert loaded.index.tree_version > version
-        assert loaded.query("sum") == pytest.approx(before + 5.0)
+    version = loaded.index.tree_version
+    before = loaded.query("sum")
+    loaded.insert((("IT", "Rome"), ("red",)), (5.0,))
+    # tree_version is monotone across save/load and mutation, and the
+    # versioned result cache must not serve the pre-insert answer.
+    assert loaded.index.tree_version > version
+    assert loaded.query("sum") == pytest.approx(before + 5.0)

@@ -182,30 +182,6 @@ class TestConstrainDims:
             QueryGenerator(schema, 0.2, constrain_dims=5)
 
 
-class TestMinLevels:
-    def test_levels_respect_floor(self, populated_tpcd):
-        schema, _records = populated_tpcd
-        floors = (2, 1, 1, 1)
-        for query in QueryGenerator(
-            schema, 0.3, seed=7, min_levels=floors
-        ).queries(15):
-            for dim, floor in enumerate(floors):
-                assert query.mds.level(dim) >= floor
-
-    def test_wrong_arity_rejected(self, populated_tpcd):
-        schema, _records = populated_tpcd
-        with pytest.raises(QueryError):
-            QueryGenerator(schema, 0.3, min_levels=(1, 1))
-
-    def test_floor_at_top_rejected_on_use(self, populated_tpcd):
-        schema, _records = populated_tpcd
-        generator = QueryGenerator(
-            schema, 0.3, min_levels=(4, 0, 0, 0)
-        )
-        with pytest.raises(QueryError):
-            generator.query()
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_empty_label_list_rejected_on_every_backend(backend):
     """An empty value set describes no range: every backend refuses it
