@@ -64,7 +64,6 @@ from collections import namedtuple
 from ..config import DCTreeConfig
 from ..core.debug import structure_digest
 from ..core.tree import DCTree
-from ..obs.metrics import observe_dctree
 from ..persist.durable import WalSink
 from ..persist.wal import WriteAheadLog
 from ..tpcd.generator import TPCDGenerator
@@ -252,11 +251,7 @@ def run_workload(schema, records, n_queries, n_repeats=0, seed=0,
     for op in queries:
         delete_digest.update(answer(op))
 
-    metrics = None
-    if observability:
-        registry = tree.observability
-        observe_dctree(registry, tree)
-        metrics = registry.snapshot()
+    metrics = tree.observability.snapshot() if observability else None
     return WorkloadPass(phases, digest.hexdigest(), inserted, structure,
                         delete_digest.hexdigest(), metrics)
 

@@ -30,6 +30,7 @@ import sys
 
 from .core.bulkload import bulk_load
 from .core.stats import collect_stats
+from .cube.aggregation import SUPPORTED_AGGREGATES
 from .errors import ReproError
 from .obs.metrics import describe_result_cache
 from .persist.durable import DurableWarehouse, recover_directory
@@ -105,7 +106,7 @@ def _build_parser():
     )
     query.add_argument("warehouse", help=_WAREHOUSE_HELP)
     query.add_argument("--op", default="sum",
-                       choices=("sum", "count", "avg", "min", "max"))
+                       choices=SUPPORTED_AGGREGATES)
     query.add_argument(
         "--where", action="append", default=[], metavar="DIM.LEVEL=A,B",
         help="constraint, repeatable (e.g. Customer.Region=EUROPE,ASIA)",
@@ -119,7 +120,7 @@ def _build_parser():
     groupby.add_argument("by", metavar="DIM.LEVEL",
                          help="e.g. Customer.Region")
     groupby.add_argument("--op", default="sum",
-                         choices=("sum", "count", "avg", "min", "max"))
+                         choices=SUPPORTED_AGGREGATES)
     groupby.add_argument(
         "--where", action="append", default=[], metavar="DIM.LEVEL=A,B"
     )
@@ -151,7 +152,7 @@ def _build_parser():
     )
     explain.add_argument("warehouse", help=_WAREHOUSE_HELP)
     explain.add_argument("--op", default="sum",
-                         choices=("sum", "count", "avg", "min", "max"))
+                         choices=SUPPORTED_AGGREGATES)
     explain.add_argument(
         "--where", action="append", default=[], metavar="DIM.LEVEL=A,B"
     )
@@ -185,10 +186,6 @@ def _build_parser():
     recover.add_argument(
         "--output", default=None, metavar="PATH",
         help="save the recovered warehouse as a fresh checkpoint here",
-    )
-    recover.add_argument(
-        "--metrics", action="store_true",
-        help="also print the recovery audit as Prometheus text exposition",
     )
     recover.set_defaults(handler=_cmd_recover)
 
@@ -339,12 +336,6 @@ def _cmd_recover(args):
             wal = None
     warehouse, report = recover_warehouse(checkpoint, wal)
     print(report.describe())
-    if args.metrics:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        report.publish_metrics(registry)
-        print(registry.render_prometheus())
     if warehouse is None or not report.ok:
         return 1
     if args.output:
@@ -402,10 +393,10 @@ def _cmd_inspect(args):
             % (level.depth, level.n_nodes, level.avg_entries)
         )
     print(describe_result_cache(warehouse.index))
-    from .obs import warehouse_registry
-
-    print("metrics:")
-    print(warehouse_registry(warehouse).snapshot_json())
+    print("counters: %r" % (warehouse.index.tracker.snapshot(),))
+    if warehouse.observability is not None:
+        print("events:")
+        print(warehouse.observability.snapshot_json())
     return 0
 
 

@@ -56,7 +56,8 @@ class DCTreeConfig:
     observability:
         When True the tree carries a :class:`repro.obs.MetricsRegistry`
         that its inserts, deletes, batches, splits and EXPLAINs, its
-        write-ahead log, checkpoints and recovery count into.
+        write-ahead log and checkpoints count events into (state stays
+        with its owners: tracker, result cache, tree, recovery report).
         Telemetry is observational only — deterministic counters, query
         answers and ``tree_version`` are bit-identical with it on or
         off (enforced by the invariance tests and the observed pass of

@@ -54,7 +54,7 @@ class DCDataNode(_Node):
         return (
             page_mod.NODE_HEADER_BYTES
             + len(self.records)
-            * page_mod.dc_record_bytes(n_flat_attributes, n_measures)
+            * page_mod.record_bytes(n_flat_attributes, n_measures)
         )
 
     def __repr__(self):

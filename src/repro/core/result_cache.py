@@ -189,23 +189,5 @@ class ResultCache:
         """Drop every entry without touching the counters."""
         self._entries.clear()
 
-    def publish_metrics(self, registry, prefix="result_cache"):
-        """Export the counters as gauges into a metrics registry."""
-        stats = self.stats()
-        registry.gauge(prefix + "_hits",
-                       "Lookups answered from the cache.").set(stats.hits)
-        registry.gauge(prefix + "_misses",
-                       "Lookups that had to compute.").set(stats.misses)
-        registry.gauge(prefix + "_evictions",
-                       "Entries dropped by the LRU bound.").set(stats.evictions)
-        registry.gauge(prefix + "_invalidations",
-                       "Version-change flush events.").set(stats.invalidations)
-        registry.gauge(prefix + "_size",
-                       "Entries currently memoized.").set(stats.size)
-        registry.gauge(prefix + "_capacity",
-                       "LRU capacity bound.").set(stats.capacity)
-        registry.gauge(prefix + "_hit_rate",
-                       "hits / lookups (0 when idle).").set(stats.hit_rate)
-
     def __repr__(self):
         return "ResultCache(%r)" % (self.stats(),)

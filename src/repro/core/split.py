@@ -8,9 +8,12 @@ Splitting a DC-tree node proceeds in two stages:
    and then one concept-hierarchy level deeper ("the relevant level ...
    may be decreased by one"; mandatory when the node's value set in that
    dimension is a singleton) — runs the hierarchy split, and accepts the
-   first partitioning that is balanced and has acceptably low overlap in
-   the split dimension.  If no dimension yields one, the node becomes
-   (or grows as) a supernode — the caller's job.
+   first partitioning that has acceptably low overlap in the split
+   dimension.  Every partitioning is balanced: the hierarchy split gives
+   both groups at least ``min_group_size(n)`` of the n ≥ 5 entries of an
+   overfull node, so only overlap ever rejects one.  If no dimension
+   yields one, the node becomes (or grows as) a supernode — the caller's
+   job.
 
 2. :func:`hierarchy_split` (Fig. 6) is a quadratic-split variant that
    exploits the partial ordering: seeds are the pair with the largest
@@ -55,8 +58,9 @@ def plan_node_split(node_mds, n_entries, adapt_entries, hierarchies):
     entry whose relevant level sits *above* the split target) requires
     reading the entry's subtree, which only the tree can do and charge for.
 
-    ``None`` means no dimension admitted a balanced, low-overlap split and
-    the node must become a supernode (Fig. 5, last line).
+    ``None`` means no dimension admitted a low-overlap split and the node
+    must become a supernode (Fig. 5, last line).  Balance needs no check
+    here: :func:`hierarchy_split` guarantees it.
     """
     min_group = min_group_size(n_entries)
     cpu_units = 0
@@ -68,8 +72,6 @@ def plan_node_split(node_mds, n_entries, adapt_entries, hierarchies):
                 adapted, dim, hierarchies, min_group
             )
             cpu_units += work
-            if min(len(groups[0]), len(groups[1])) < min_group:
-                continue
             if not _overlap_acceptable(groups, adapted, dim):
                 continue
             return SplitPlan(groups, target_levels, dim, cpu_units)
@@ -216,7 +218,12 @@ def hierarchy_split(mdss, split_dim, hierarchies, min_group=2):
     ``((group_a, group_b), cpu_units)`` where the groups are lists of
     indices into ``mdss``.  Like Guttman's quadratic split (which Fig. 6
     is explicitly based on), remaining entries are assigned wholesale to
-    a group that needs all of them to reach ``min_group``.
+    a group that needs all of them to reach ``min_group``.  So when
+    ``2 <= min_group <= len(mdss) / 2`` — as ``min_group_size(n)`` is for
+    every n ≥ 4 — both groups end with at least ``min_group`` entries:
+    a group's size plus the remaining count falls by at most one a
+    round, from ``len(mdss) - 1``, and the group takes every remaining
+    entry in the round that count reaches ``min_group``.
 
     Each round picks the first remaining entry whose enlargements of the
     two groups differ most.  An entry's enlargement of a group is the

@@ -161,7 +161,7 @@ class DCTree(TreeFootprint):
         ``DCTreeConfig.observability`` is off)."""
         return self._metrics
 
-    def _count(self, name, help_text, amount=1, **labels):
+    def _count(self, name, amount=1, **labels):
         """Add ``amount`` to one telemetry counter, when telemetry is on.
 
         Every event counter of the tree goes through here, after the
@@ -169,7 +169,7 @@ class DCTree(TreeFootprint):
         counters are identical with observability on or off.
         """
         if self._metrics is not None:
-            self._metrics.counter(name, help_text, **labels).inc(amount)
+            self._metrics.count(name, amount, **labels)
 
     def set_mutation_sink(self, sink):
         """Attach a durability sink; pass ``None`` to detach.
@@ -281,21 +281,16 @@ class DCTree(TreeFootprint):
             self._mutation_sink.record_ops(ops)
         if batch is None:
             if ops[0][0] == INSERT:
-                self._count("dctree_inserts_total", "Records inserted.")
+                self._count("dctree_inserts_total")
             else:
-                self._count("dctree_deletes_total", "Records deleted.")
+                self._count("dctree_deletes_total")
             return 1
         n_deletes = sum(kind == DELETE for kind, _record in ops)
-        self._count("dctree_batch_inserts_total",
-                    "Multi-operation apply calls (batches).")
-        self._count("dctree_batch_records_total",
-                    "Records inserted through batches.",
-                    len(ops) - n_deletes)
+        self._count("dctree_batch_inserts_total")
+        self._count("dctree_batch_records_total", len(ops) - n_deletes)
         if n_deletes:
-            self._count("dctree_batch_deletes_total",
-                        "Records deleted through batches.", n_deletes)
-        self._count("dctree_batch_pages_written_total",
-                    "Pages written by batch flushes.", pages_written)
+            self._count("dctree_batch_deletes_total", n_deletes)
+        self._count("dctree_batch_pages_written_total", pages_written)
         return len(ops)
 
     def _place(self, record):
@@ -505,17 +500,12 @@ class DCTree(TreeFootprint):
         )
         if plan is None:
             node.n_blocks += 1
-            self._count(
-                "dctree_supernode_growths_total",
-                "Overfull nodes that grew a block instead of splitting.",
-                kind=kind,
-            )
+            self._count("dctree_supernode_growths_total", kind=kind)
             return None
         self.tracker.cpu(plan.cpu_units)
         pair = self._materialize_split(node, plan)
         self._free_node(node.page_id, node.n_blocks)
-        self._count("dctree_splits_total", "Successful node splits.",
-                    kind=kind)
+        self._count("dctree_splits_total", kind=kind)
         return pair
 
     def _make_record_adapter(self, records):
@@ -750,8 +740,7 @@ class DCTree(TreeFootprint):
                 profile.wall_seconds = time.perf_counter() - started
         if profile is not None:
             explained.append(profile)
-            self._count("dctree_explains_total",
-                        "Profiled (EXPLAIN) queries by kind.", kind=kind)
+            self._count("dctree_explains_total", kind=kind)
         return value
 
     def range_query(self, range_mds, op="sum", measure=0):

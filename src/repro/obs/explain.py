@@ -30,21 +30,9 @@ and outside a scope.
 
 from __future__ import annotations
 
-_OUTCOME_NAMES = None
-
-
-def _outcome_names():
-    """{mds outcome constant: name}; imported lazily (cycle avoidance)."""
-    global _OUTCOME_NAMES
-    if _OUTCOME_NAMES is None:
-        from ..core import mds as mds_mod
-
-        _OUTCOME_NAMES = {
-            mds_mod.DISJOINT: "disjoint",
-            mds_mod.PARTIAL: "partial",
-            mds_mod.CONTAINED: "contained",
-        }
-    return _OUTCOME_NAMES
+#: LevelProfile tally names, indexed by the :mod:`repro.core.mds`
+#: outcomes DISJOINT (0), PARTIAL (1) and CONTAINED (2).
+_OUTCOME_NAMES = ("disjoint", "partial", "contained")
 
 
 class LevelProfile:
@@ -235,11 +223,9 @@ class ProfileSession:
 
     def classified(self, depth, outcome):
         """Record one entry classification at ``depth``."""
-        setattr(
-            self._level(depth),
-            _outcome_names()[outcome],
-            getattr(self._level(depth), _outcome_names()[outcome]) + 1,
-        )
+        level = self._level(depth)
+        name = _OUTCOME_NAMES[outcome]
+        setattr(level, name, getattr(level, name) + 1)
 
     def aggregate_hit(self, depth):
         """A contained entry answered from its materialized aggregate."""

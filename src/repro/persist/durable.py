@@ -219,8 +219,7 @@ class DurableWarehouse:
         self.wal.truncate()
         metrics = self.warehouse.index.observability
         if metrics is not None:
-            metrics.counter("checkpoints_total",
-                            "Atomic checkpoints written by the session.").inc()
+            metrics.count("checkpoints_total")
 
     def _require_open(self):
         # A closed session has no log to make a mutation durable, and a

@@ -58,49 +58,6 @@ class RecoveryReport:
         """Did recovery produce a validated warehouse?"""
         return self.checkpoint_ok and self.validated
 
-    def publish_metrics(self, registry, prefix="recovery"):
-        """Export the audit as gauges into a metrics registry.
-
-        The satellite contract of the observability layer: the recovery
-        audit is queryable through the same registry as every other
-        stat, not only through this report's bespoke fields.
-        """
-        gauges = (
-            ("records_at_checkpoint", self.records_at_checkpoint,
-             "Records in the checkpoint the replay started from."),
-            ("checkpoint_lsn", self.checkpoint_lsn,
-             "Last WAL LSN the checkpoint already covered."),
-            ("wal_records_seen", self.wal_records_seen,
-             "WAL records scanned during replay."),
-            ("wal_bytes_scanned", self.wal_bytes_scanned,
-             "WAL bytes scanned (through the last trustworthy record)."),
-            ("applied_inserts", self.applied_inserts,
-             "Inserts replayed onto the checkpoint (batched included)."),
-            ("applied_batches", self.applied_batches,
-             "Group-committed multi-operation records replayed."),
-            ("applied_deletes", self.applied_deletes,
-             "Deletes replayed onto the checkpoint."),
-            ("skipped_stale", self.skipped_stale,
-             "Stale records skipped (LSN covered by the checkpoint)."),
-            ("failed_deletes", self.failed_deletes,
-             "Replayed deletes that targeted absent records."),
-            ("torn_tail", int(self.torn_tail),
-             "1 when a torn tail was discarded."),
-            ("validated", int(self.validated),
-             "1 when the recovered warehouse passed validation."),
-            ("n_records", self.n_records,
-             "Records in the recovered warehouse."),
-            ("last_lsn", self.last_lsn,
-             "Highest LSN known after recovery."),
-        )
-        for name, value, help_text in gauges:
-            registry.gauge("%s_%s" % (prefix, name), help_text).set(value)
-        if self.checkpoint_age_seconds is not None:
-            registry.gauge(
-                prefix + "_checkpoint_age_seconds",
-                "Age of the checkpoint file at recovery time.",
-            ).set(self.checkpoint_age_seconds)
-
     def describe(self):
         """Human-readable multi-line summary (the CLI's output)."""
         lines = ["recovery: %s" % ("OK" if self.ok else "FAILED")]
@@ -183,15 +140,37 @@ def _audit(warehouse, report):
 
 def _decode_ops(schema, op, payload):
     """The ``(kind, record)`` pairs of one ``apply`` record, every one
-    decoded before any is applied; raises on anything else."""
+    decoded before any is applied; raises on anything else.
+
+    The whole record is checked before any label is interned, so a
+    refused record leaves no value behind in a hierarchy."""
     if op != wal_mod.OP_APPLY:
         raise StorageError("unknown WAL op %r" % (op,))
-    ops = []
-    for kind, labels in payload:
-        if kind != INSERT and kind != DELETE:
-            raise StorageError("unknown operation %r" % (kind,))
-        ops.append((kind, record_from_labels(schema, labels)))
-    return ops
+    for entry in payload:
+        _check_op(schema, entry)
+    return [(kind, record_from_labels(schema, labels))
+            for kind, labels in payload]
+
+
+def _check_op(schema, entry):
+    """Raise unless ``entry`` is one ``(kind, (paths, measures))`` op
+    that ``schema`` can build a record from."""
+    kind, (paths, measures) = entry
+    if kind != INSERT and kind != DELETE:
+        raise StorageError("unknown operation %r" % (kind,))
+    if len(paths) != schema.n_dimensions:
+        raise StorageError("expected %d dimension paths, got %d"
+                           % (schema.n_dimensions, len(paths)))
+    for dimension, path in zip(schema.dimensions, paths):
+        if len(path) != dimension.n_attributes:
+            raise StorageError("dimension %r expects %d labels, got %r"
+                               % (dimension.name, dimension.n_attributes,
+                                  path))
+        hash(tuple(path))  # TypeError: a label that cannot be a dict key
+    numbers = [float(value) for value in measures]  # TypeError, ValueError
+    if len(numbers) != schema.n_measures:
+        raise StorageError("expected %d measures, got %r"
+                           % (schema.n_measures, measures))
 
 
 def _replay_wal(warehouse, wal_path, report, faults):
@@ -275,8 +254,4 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
     except ReproError as error:
         report.validation_error = str(error)
     report.n_records = len(warehouse)
-    # Published last, so the gauges describe the finished recovery.
-    metrics = warehouse.observability
-    if metrics is not None:
-        report.publish_metrics(metrics)
     return warehouse, report

@@ -129,14 +129,12 @@ class WriteAheadLog:
         record = encode_record(lsn, op, data)
         faults_mod.write_through(self.faults, self._handle, "wal.append",
                                  record)
-        self._count("wal_bytes_written_total", "Bytes appended to the WAL.",
-                    len(record))
+        self._count("wal_bytes_written_total", len(record))
         self._lsn = lsn
         self._since_sync += 1
         if self.fsync_interval and self._since_sync >= self.fsync_interval:
             self.sync()
-        self._count("wal_appends_total", "WAL records appended by op.",
-                    op=op)
+        self._count("wal_appends_total", op=op)
         return lsn
 
     def sync(self):
@@ -144,7 +142,7 @@ class WriteAheadLog:
         faults_mod.op_through(self.faults, "wal.fsync")
         os.fsync(self._handle.fileno())
         self._since_sync = 0
-        self._count("wal_fsyncs_total", "Explicit WAL fsyncs.")
+        self._count("wal_fsyncs_total")
 
     def truncate(self):
         """Drop every record and rewrite the header — called after a
@@ -164,11 +162,11 @@ class WriteAheadLog:
                                  WAL_HEADER)
         self.intact = True
         self._since_sync = 0
-        self._count("wal_truncates_total", "Post-checkpoint WAL truncations.")
+        self._count("wal_truncates_total")
 
-    def _count(self, name, help_text, amount=1, **labels):
+    def _count(self, name, amount=1, **labels):
         if self.metrics is not None:
-            self.metrics.counter(name, help_text, **labels).inc(amount)
+            self.metrics.count(name, amount, **labels)
 
     def close(self):
         """Sync any unsynced tail and close the file; the handle is

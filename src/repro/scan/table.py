@@ -25,7 +25,7 @@ class FlatTable:
         self.hierarchies = tuple(d.hierarchy for d in schema.dimensions)
         self.tracker = StorageTracker(storage_config)
         self._records = []
-        self._record_bytes = page_mod.dc_record_bytes(
+        self._record_bytes = page_mod.record_bytes(
             schema.n_flat_attributes, schema.n_measures
         )
         self._records_per_page = max(1, PAGE_SIZE // self._record_bytes)

@@ -15,12 +15,11 @@ from .page import (
     POINTER_BYTES,
     SUMMARY_BYTES,
     dc_directory_entry_bytes,
-    dc_record_bytes,
     mbr_bytes,
     mds_bytes,
     pages_for,
+    record_bytes,
     x_directory_entry_bytes,
-    x_record_bytes,
 )
 from .tracker import AccessStats, StorageTracker
 
@@ -38,10 +37,9 @@ __all__ = [
     "SUMMARY_BYTES",
     "StorageTracker",
     "dc_directory_entry_bytes",
-    "dc_record_bytes",
     "mbr_bytes",
     "mds_bytes",
     "pages_for",
+    "record_bytes",
     "x_directory_entry_bytes",
-    "x_record_bytes",
 ]

@@ -41,8 +41,8 @@ def dc_directory_entry_bytes(mds, n_measures):
     return mds_bytes(mds) + n_measures * SUMMARY_BYTES + POINTER_BYTES
 
 
-def dc_record_bytes(n_flat_attributes, n_measures):
-    """Size of one data record inside a DC-tree data node."""
+def record_bytes(n_flat_attributes, n_measures):
+    """Size of one data record: every backend's leaves store it alike."""
     return n_flat_attributes * ID_BYTES + n_measures * MEASURE_BYTES
 
 
@@ -55,11 +55,6 @@ def x_directory_entry_bytes(n_flat_attributes):
     """Size of one X-tree directory entry: MBR + pointer + split history."""
     history_bytes = (n_flat_attributes + 7) // 8
     return mbr_bytes(n_flat_attributes) + POINTER_BYTES + history_bytes
-
-
-def x_record_bytes(n_flat_attributes, n_measures):
-    """Size of one data record inside an X-tree data node."""
-    return n_flat_attributes * ID_BYTES + n_measures * MEASURE_BYTES
 
 
 def pages_for(n_bytes, page_size):

@@ -149,33 +149,6 @@ class StorageTracker:
 
     # -- reading ----------------------------------------------------------
 
-    def publish_metrics(self, registry, prefix="storage"):
-        """Export the counters as gauges into a metrics registry.
-
-        Gauges, not counters: :meth:`reset` can move them backwards
-        (between bench phases), which Prometheus counters forbid.
-        """
-        stats = self.snapshot()
-        registry.gauge(prefix + "_node_accesses",
-                       "Logical node visits.").set(stats.node_accesses)
-        registry.gauge(prefix + "_buffer_hits",
-                       "Page requests served by the buffer pool."
-                       ).set(stats.buffer_hits)
-        registry.gauge(prefix + "_buffer_misses",
-                       "Page requests that faulted (random read I/Os)."
-                       ).set(stats.buffer_misses)
-        registry.gauge(prefix + "_page_writes",
-                       "Write-through page writes.").set(stats.page_writes)
-        registry.gauge(prefix + "_page_ios",
-                       "Total page I/Os: misses + writes."
-                       ).set(stats.page_ios)
-        registry.gauge(prefix + "_cpu_units",
-                       "CPU work units (attribute-value set operations)."
-                       ).set(stats.cpu_units)
-        registry.gauge(prefix + "_simulated_seconds",
-                       "Counters priced through the cost model."
-                       ).set(stats.simulated_seconds())
-
     def snapshot(self):
         """Current counters as an immutable :class:`AccessStats`."""
         return AccessStats(

@@ -46,7 +46,7 @@ class XDataNode(_XNode):
         return (
             page_mod.NODE_HEADER_BYTES
             + len(self.entries)
-            * page_mod.x_record_bytes(n_flat_attributes, n_measures)
+            * page_mod.record_bytes(n_flat_attributes, n_measures)
         )
 
     def __repr__(self):

@@ -280,7 +280,7 @@ class TestRegressionHarness:
         # the observed pass counted every insert of the serial workload
         assert observability["inserts"] == 200
         assert metrics["dctree_inserts_total"]["samples"][0]["value"] == 200
-        assert "dctree_records" in metrics
+        assert "dctree_splits_total" in metrics
         batch = entry["batch_insert"]
         assert batch["reads_identical"] and batch["cpu_not_worse"]
         assert batch["structure_identical"]
@@ -313,8 +313,8 @@ class TestRegressionHarness:
         assert regression._phase_counters(observed.phases) \
             == regression._phase_counters(plain.phases)
         # the snapshot is taken after the delete phase
-        assert observed.metrics["dctree_records"]["samples"][0]["value"] \
-            == 120 - 120 // regression.DELETE_FRACTION
+        assert observed.metrics["dctree_deletes_total"]["samples"][0][
+            "value"] == 120 // regression.DELETE_FRACTION
 
     def test_repeat_speedup_compares_reasks_with_first_asks(self):
         phases = {

@@ -203,23 +203,24 @@ class TestSql:
         assert "error" in capsys.readouterr().err
 
 
+def _durable_dir(tmp_path):
+    from repro import DurableWarehouse, Warehouse
+    from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
+
+    directory = str(tmp_path / "session")
+    schema = build_toy_schema()
+    session = DurableWarehouse.create(
+        directory, Warehouse(schema, "dc-tree")
+    )
+    for row in TOY_ROWS:
+        session.insert_record(toy_record(schema, *row))
+    # Simulated crash: never close, never checkpoint.
+    session.wal._handle.close()
+    session.wal._handle = None
+    return directory
+
+
 class TestDurability:
-    def _durable_dir(self, tmp_path):
-        from repro import DurableWarehouse, Warehouse
-        from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
-
-        directory = str(tmp_path / "session")
-        schema = build_toy_schema()
-        session = DurableWarehouse.create(
-            directory, Warehouse(schema, "dc-tree")
-        )
-        for row in TOY_ROWS:
-            session.insert_record(toy_record(schema, *row))
-        # Simulated crash: never close, never checkpoint.
-        session.wal._handle.close()
-        session.wal._handle = None
-        return directory
-
     def test_missing_warehouse_friendly_error(self, tmp_path, capsys):
         code = main(["query", str(tmp_path / "absent.json")])
         assert code == 1
@@ -234,14 +235,14 @@ class TestDurability:
         assert "error:" in capsys.readouterr().err
 
     def test_recover_reports_and_exits_zero(self, tmp_path, capsys):
-        directory = self._durable_dir(tmp_path)
+        directory = _durable_dir(tmp_path)
         assert main(["recover", directory]) == 0
         out = capsys.readouterr().out
         assert "recovery: OK" in out
         assert "7 insert(s)" in out
 
     def test_recover_output_checkpoint(self, tmp_path, capsys):
-        directory = self._durable_dir(tmp_path)
+        directory = _durable_dir(tmp_path)
         output = str(tmp_path / "recovered.json")
         assert main(["recover", directory, "--output", output]) == 0
         capsys.readouterr()
@@ -253,12 +254,12 @@ class TestDurability:
         assert "FAILED" in capsys.readouterr().out
 
     def test_query_accepts_durable_directory(self, tmp_path, capsys):
-        directory = self._durable_dir(tmp_path)
+        directory = _durable_dir(tmp_path)
         assert main(["query", directory, "--op", "count"]) == 0
         assert capsys.readouterr().out.strip() == "7"
 
     def test_inspect_prints_recovery_report(self, tmp_path, capsys):
-        directory = self._durable_dir(tmp_path)
+        directory = _durable_dir(tmp_path)
         assert main(["inspect", directory]) == 0
         out = capsys.readouterr().out
         assert "recovery: OK" in out and "backend:  dc-tree" in out
@@ -267,13 +268,13 @@ class TestDurability:
         assert "section index" in out
         assert "B, - B/record" in out
 
-    def test_recover_metrics_flag(self, tmp_path, capsys):
-        directory = self._durable_dir(tmp_path)
-        assert main(["recover", directory, "--metrics"]) == 0
-        out = capsys.readouterr().out
-        assert "recovery_applied_inserts 7" in out
-        assert "recovery_validated 1" in out
-        assert "# TYPE recovery_wal_bytes_scanned gauge" in out
+    def test_recover_rejects_metrics_flag(self, tmp_path, capsys):
+        # The audit is ``report.describe()``; there is no gauge dump.
+        directory = _durable_dir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["recover", directory, "--metrics"])
+        assert exit_info.value.code == 2
+        assert "--metrics" in capsys.readouterr().err
 
 
 class TestExplainSurface:
@@ -318,10 +319,25 @@ class TestExplainSurface:
                  + ["--explain"])
         assert exit_info.value.code == 2
 
-    def test_inspect_prints_metrics_snapshot(self, loaded_warehouse,
-                                             capsys):
-        assert main(["inspect", str(loaded_warehouse)]) == 0
+    def test_inspect_prints_metrics_snapshot(self, tmp_path, capsys,
+                                             monkeypatch):
+        """The tracker's counters always; the event snapshot only when
+        the recovered tree carries a registry."""
+        import json
+
+        directory = _durable_dir(tmp_path)
+        monkeypatch.setenv("REPRO_OBSERVABILITY", "0")
+        assert main(["inspect", directory]) == 0
         out = capsys.readouterr().out
-        assert "metrics:" in out
-        assert "dctree_records" in out
-        assert "storage_node_accesses" in out
+        assert "\ncounters: AccessStats(nodes=" in out
+        assert "events:" not in out
+
+        monkeypatch.setenv("REPRO_OBSERVABILITY", "1")
+        assert main(["inspect", directory]) == 0
+        out = capsys.readouterr().out
+        assert "\ncounters: AccessStats(nodes=" in out
+        events = json.loads(out.split("\nevents:\n", 1)[1])
+        # Recovery replayed the seven logged inserts.
+        assert events["dctree_inserts_total"]["samples"] == [
+            {"labels": {}, "value": 7}
+        ]

@@ -2,10 +2,10 @@
 
 Four contracts:
 
-* the metrics registry snapshots and renders valid Prometheus text
-  exposition (including its escaping rules);
-* the tree, the WAL, checkpoints and recovery count their events into
-  the tree's registry, and nothing else (no spans, no histograms);
+* the metrics registry counts events by name and labels and snapshots
+  them as JSON;
+* the tree, the WAL and checkpoints count their events into the tree's
+  registry, and nothing else (no spans, no gauges, no histograms);
 * EXPLAIN per-level totals reconcile *exactly* with the StorageTracker
   delta of each query profiled in an ``explain()`` scope, on cold runs
   and cache hits alike;
@@ -26,13 +26,7 @@ from hypothesis import strategies as st
 from repro.config import DCTreeConfig
 from repro.core.tree import DCTree
 from repro.errors import QueryError, TreeError
-from repro.obs import (
-    MetricsRegistry,
-    QueryProfile,
-    describe_result_cache,
-    observe_dctree,
-    warehouse_registry,
-)
+from repro.obs import MetricsRegistry, QueryProfile, describe_result_cache
 from repro.persist.durable import DurableWarehouse
 from repro.tpcd.generator import TPCDGenerator
 from repro.warehouse import Warehouse
@@ -60,32 +54,31 @@ def build_tree(observability=True, rows=TOY_ROWS):
 
 
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram_basics(self):
+    def test_counter_basics(self):
         registry = MetricsRegistry()
-        registry.counter("ops_total").inc()
-        registry.counter("ops_total").inc(4)
-        registry.gauge("depth").set(3)
-        snap = registry.snapshot()
-        assert snap["ops_total"]["samples"][0]["value"] == 5
-        assert snap["depth"]["samples"][0]["value"] == 3
-        # Counters and gauges are the only kinds; histograms are gone.
+        assert registry.get("ops_total") is None
+        registry.count("ops_total")
+        registry.count("ops_total", 4)
+        assert registry.get("ops_total") == 5
+        assert registry.snapshot() == {
+            "ops_total": {"samples": [{"labels": {}, "value": 5}]},
+        }
+        # Counters are the only kind: no gauges, no histograms.
+        assert not hasattr(registry, "gauge")
         assert not hasattr(registry, "histogram")
 
     def test_counters_never_decrease(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            registry.counter("ops_total").inc(-1)
-
-    def test_kind_is_sticky(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.gauge("x")
+            registry.count("ops_total", -1)
+        assert registry.get("ops_total") is None
 
     def test_labels_fan_out_children(self):
         registry = MetricsRegistry()
-        registry.counter("wal_appends_total", op="insert").inc(2)
-        registry.counter("wal_appends_total", op="delete").inc()
+        registry.count("wal_appends_total", 2, op="insert")
+        registry.count("wal_appends_total", op="delete")
+        assert registry.get("wal_appends_total", op="insert") == 2
+        assert registry.get("wal_appends_total") is None
         snap = registry.snapshot()["wal_appends_total"]
         by_op = {
             sample["labels"]["op"]: sample["value"]
@@ -97,24 +90,12 @@ class TestMetricsRegistry:
         # ``name=`` must land in **labels, not collide with the
         # positional metric name.
         registry = MetricsRegistry()
-        registry.counter("spans_total", name="insert").inc()
-        assert registry.get("spans_total", name="insert") is not None
-
-    def test_prometheus_escaping(self):
-        registry = MetricsRegistry()
-        registry.counter(
-            "weird_total", "help with \\ backslash\nand newline",
-            path='va"l\\ue\nx',
-        ).inc()
-        text = registry.render_prometheus()
-        assert ("# HELP weird_total help with \\\\ backslash\\n"
-                "and newline") in text
-        assert 'path="va\\"l\\\\ue\\nx"' in text
-        assert "# TYPE weird_total counter" in text
+        registry.count("spans_total", name="insert")
+        assert registry.get("spans_total", name="insert") == 1
 
     def test_snapshot_json_is_valid(self):
         registry = MetricsRegistry()
-        registry.gauge("g", "a gauge").set(1.5)
+        registry.count("bytes_total", 1.5, path='va"l\\ue')
         assert json.loads(registry.snapshot_json()) == registry.snapshot()
 
 
@@ -357,41 +338,15 @@ class TestInvariance:
 
 
 # ----------------------------------------------------------------------
-# bridges, durability telemetry, back-compat
+# tree and durability telemetry
 # ----------------------------------------------------------------------
 
 
 class TestBridgesAndDurability:
-    def test_observe_dctree_publishes_gauges(self):
-        schema, tree = build_tree()
-        registry = MetricsRegistry()
-        observe_dctree(registry, tree)
-        snap = registry.snapshot()
-        assert snap["dctree_records"]["samples"][0]["value"] == len(TOY_ROWS)
-        assert snap["dctree_tree_version"]["samples"][0]["value"] \
-            == tree.tree_version
-        assert "storage_node_accesses" in snap
-        assert "result_cache_size" in snap
-
-    def test_warehouse_registry_reuses_live_registry(self):
-        warehouse = Warehouse(
-            build_toy_schema(), config=DCTreeConfig(observability=True)
-        )
-        for row in TOY_ROWS:
-            warehouse.insert_record(toy_record(warehouse.schema, *row))
-        registry = warehouse_registry(warehouse)
-        assert registry is warehouse.observability
-        snap = registry.snapshot()
-        # the inserts counted themselves here
-        assert snap["dctree_inserts_total"]["samples"][0]["value"] \
-            == len(TOY_ROWS)
-        assert "dctree_records" in snap
-
     def test_tree_spans_and_counters(self):
         schema, tree = build_tree()
         registry = tree.observability
-        inserts = registry.get("dctree_inserts_total")
-        assert inserts.snapshot_value() == len(TOY_ROWS)
+        assert registry.get("dctree_inserts_total") == len(TOY_ROWS)
         # 7 rows at leaf capacity 4 split at least one leaf
         assert registry.get("dctree_splits_total", kind="leaf") is not None
         # counters only: no span families are recorded any more
@@ -414,9 +369,8 @@ class TestBridgesAndDurability:
         finally:
             session.close()
         registry = warehouse.observability
-        appends = registry.get("wal_appends_total", op="apply")
-        assert appends.snapshot_value() == 5
-        assert registry.get("checkpoints_total").snapshot_value() == 1
+        assert registry.get("wal_appends_total", op="apply") == 5
+        assert registry.get("checkpoints_total") == 1
 
         # recover (2 uncheckpointed inserts replay) with telemetry on
         recovered = DurableWarehouse.open(
@@ -427,39 +381,14 @@ class TestBridgesAndDurability:
             assert report.applied_inserts == 2
             assert report.wal_bytes_scanned > 0
             assert report.checkpoint_age_seconds is not None
-            registry = recovered.warehouse.observability
-            applied = registry.get("recovery_applied_inserts")
-            assert applied.snapshot_value() == 2
-            scanned = registry.get("recovery_wal_bytes_scanned")
-            assert scanned.snapshot_value() == report.wal_bytes_scanned
-            # The gauges describe the finished recovery, audit included.
+            # The report describes the finished recovery, audit included.
             assert report.validated and report.n_records == 5
-            validated = registry.get("recovery_validated")
-            assert validated.snapshot_value() == 1
-            n_records = registry.get("recovery_n_records")
-            assert n_records.snapshot_value() == 5
-        finally:
-            recovered.close()
-
-    def test_recovery_report_publish_metrics_standalone(self, tmp_path):
-        directory = tmp_path / "dw"
-        warehouse = Warehouse(build_toy_schema())
-        session = DurableWarehouse.create(directory, warehouse)
-        try:
-            for row in TOY_ROWS[:2]:
-                session.insert_record(toy_record(warehouse.schema, *row))
-        finally:
-            session.close()
-        recovered = DurableWarehouse.open(directory)
-        try:
-            registry = MetricsRegistry()
-            recovered.report.publish_metrics(registry)
-            snap = registry.snapshot()
-            assert snap["recovery_applied_inserts"]["samples"][0]["value"] \
-                == 2
-            assert snap["recovery_validated"]["samples"][0]["value"] == 1
-            assert snap["recovery_wal_bytes_scanned"]["samples"][0]["value"] \
-                > 0
+            # Replay runs through ``apply``, so the replayed inserts
+            # count as tree events; the audit figures stay in the report.
+            registry = recovered.warehouse.observability
+            assert registry.get("dctree_inserts_total") == 2
+            assert not any(name.startswith("recovery_")
+                           for name in registry.snapshot())
         finally:
             recovered.close()
 

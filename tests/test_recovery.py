@@ -681,6 +681,76 @@ def test_malformed_wal_record_ends_replay_before_it(case, tmp_path, capsys):
         reopened.close()
 
 
+#: Refused WAL records whose first operation's labels used to reach the
+#: Geo hierarchy before the record was refused.
+_REFUSED_AFTER_INTERNING = {
+    "second op is text": [
+        ["insert", [[["IT", "Rome"], ["red"]], [5.0]]],
+        ["insert", "garbage"]],
+    "second path one label short": [
+        ["insert", [[["IT", "Rome"], []], [5.0]]]],
+    "label is not a dict key": [
+        ["insert", [[["IT", "Rome"], [["red"]]], [5.0]]]],
+    "second op kind unknown": [
+        ["insert", [[["IT", "Rome"], ["red"]], [5.0]]],
+        ["upsert", [[["IT", "Rome"], ["red"]], [5.0]]]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_AFTER_INTERNING))
+def test_refused_wal_record_interns_no_label(case, tmp_path):
+    """Nothing of a refused record reaches a hierarchy: the three DE
+    inserts before it recover, and Geo lists no IT."""
+    directory = str(tmp_path / "refused")
+    warehouse = _toy_warehouse()
+    session = DurableWarehouse.create(directory, warehouse)
+    for row in TOY_ROWS[:3]:
+        session.insert_record(toy_record(warehouse.schema, *row))
+    committed = _snapshot(warehouse)
+    session.close()
+    with open(DurableWarehouse.wal_path(directory), "ab") as handle:
+        handle.write(encode_record(4, OP_APPLY,
+                                   _REFUSED_AFTER_INTERNING[case]))
+
+    reopened = DurableWarehouse.open(directory)
+    try:
+        assert _snapshot(reopened.warehouse) == committed
+        assert re.search(r"LSN 4\b", reopened.report.wal_error)
+        geo = reopened.warehouse.schema.dimensions[0].hierarchy
+        assert sorted(geo.label(country)
+                      for country in geo.values_at_level(1)) == ["DE"]
+    finally:
+        reopened.close()
+
+
+def test_replay_skips_a_lone_missing_delete(tmp_path):
+    """A one-op record deleting an absent record changes nothing and is
+    counted; replay goes on with the records after it."""
+    directory = str(tmp_path / "missing-delete")
+    warehouse = _toy_warehouse()
+    schema = warehouse.schema
+    session = DurableWarehouse.create(directory, warehouse)
+    for row in TOY_ROWS[:3]:
+        session.insert_record(toy_record(schema, *row))
+    session.close()
+    absent = record_to_labels(schema, toy_record(schema, *TOY_ROWS[5]))
+    with open(DurableWarehouse.wal_path(directory), "ab") as handle:
+        handle.write(encode_record(4, OP_APPLY, [["delete", absent]]))
+        handle.write(encode_record(5, OP_APPLY,
+                                   [["insert", _good_labels(schema)]]))
+
+    reopened = DurableWarehouse.open(directory)
+    try:
+        report = reopened.report
+        assert len(reopened) == 4
+        assert report.validated and report.wal_error is None
+        assert report.failed_deletes == 1
+        assert "1 delete(s) targeted absent records (skipped)" \
+            in report.describe()
+    finally:
+        reopened.close()
+
+
 def test_delete_replay(tmp_path):
     directory = str(tmp_path / "deletes")
     warehouse = _toy_warehouse()

@@ -1,12 +1,16 @@
 """Unit tests for the hierarchy split (Figures 5 and 6)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.config import min_group_size
 from repro.core import mds as mds_mod
 from repro.core import split as split_mod
 from repro.core.mds import MDS
 from repro.errors import MdsError
 from tests.conftest import build_toy_schema, toy_record
+from tests.hypothesis_settings import PROFILE_SETTINGS
 
 
 def hset(schema):
@@ -104,6 +108,43 @@ class TestHierarchySplit:
             mdss[:2], 0, hierarchies
         )
         assert len(group_a) == 1 and len(group_b) == 1
+
+
+#: Cells the balance property draws from: 3 countries, 6 cities, 3 colors.
+CELLS = [
+    (country, city, color)
+    for country, cities in (("DE", ("Munich", "Berlin")),
+                            ("FR", ("Paris", "Lyon")),
+                            ("US", ("NYC", "Boston")))
+    for city in cities
+    for color in ("red", "blue", "green")
+]
+
+
+class TestSplitBalance:
+    @PROFILE_SETTINGS
+    @given(
+        cells=st.lists(st.sampled_from(CELLS), min_size=4, max_size=40),
+        levels=st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]),
+        split_dim=st.integers(0, 1),
+    )
+    def test_groups_reach_min_group_size(self, cells, levels, split_dim):
+        """For n >= 4 entries at common levels, duplicates included, both
+        groups hold at least ``min_group_size(n)`` entries — so
+        ``plan_node_split`` never has to reject a plan for balance."""
+        schema = build_toy_schema()
+        hierarchies = hset(schema)
+        mdss = [
+            lift(MDS.for_record(toy_record(schema, *cell, 1.0), (0, 0),
+                                hierarchies), levels, hierarchies)
+            for cell in cells
+        ]
+        min_group = min_group_size(len(mdss))
+        (group_a, group_b), _cost = split_mod.hierarchy_split(
+            mdss, split_dim, hierarchies, min_group
+        )
+        assert sorted(group_a + group_b) == list(range(len(mdss)))
+        assert min(len(group_a), len(group_b)) >= min_group
 
 
 class TestSplitPreconditions:

@@ -173,8 +173,7 @@ class TestPageSizes:
         assert two - one == page_mod.SUMMARY_BYTES
 
     def test_record_bytes(self):
-        assert page_mod.dc_record_bytes(13, 1) == 13 * 4 + 8
-        assert page_mod.x_record_bytes(13, 1) == 13 * 4 + 8
+        assert page_mod.record_bytes(13, 1) == 13 * 4 + 8
 
     def test_mbr_bytes(self):
         assert page_mod.mbr_bytes(13) == 2 * 13 * 4
