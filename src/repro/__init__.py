@@ -22,7 +22,6 @@ Quickstart::
 
 from .config import CostModel, DCTreeConfig, StorageConfig, XTreeConfig
 from .core.bulkload import bulk_load
-from .core.debug import dump_tree
 from .core.mds import MDS
 from .core.stats import collect_stats
 from .core.tree import DCTree
@@ -86,7 +85,6 @@ __all__ = [
     "XTreeConfig",
     "bulk_load",
     "collect_stats",
-    "dump_tree",
     "load_warehouse",
     "make_tpcd_schema",
     "query_from_labels",

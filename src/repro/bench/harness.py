@@ -87,12 +87,6 @@ class SweepResult:
         self.seed = seed
         self.checkpoints = []
 
-    def checkpoint(self, n_records):
-        for point in self.checkpoints:
-            if point.n_records == n_records:
-                return point
-        raise KeyError("no checkpoint at %d records" % n_records)
-
 
 def run_combined_sweep(
     sizes=PAPER_SIZES,

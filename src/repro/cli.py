@@ -10,8 +10,8 @@ sql        run a SQL-ish query (SELECT agg(measure) WHERE ... GROUP BY ...)
 explain    profile one query: per-level cost attribution (EXPLAIN)
 inspect    print schema, size, tree statistics and checkpoint bytes per
            section of a saved warehouse
-recover    replay checkpoint + WAL after a crash and report what survived
-bench      shortcut for ``python -m repro.bench ...``
+recover    replay a durable session's checkpoint + WAL after a crash and
+           report what survived
 
 Read commands accept either a plain warehouse file or a
 durable session *directory* (``checkpoint.json`` + ``wal.log``); the
@@ -175,28 +175,12 @@ def _build_parser():
         help="replay checkpoint + WAL after a crash and report what "
              "survived",
     )
-    recover.add_argument(
-        "warehouse",
-        help="durable session directory, or a checkpoint file path",
-    )
-    recover.add_argument(
-        "--wal", default=None, metavar="PATH",
-        help="WAL path (default: wal.log next to the checkpoint)",
-    )
+    recover.add_argument("warehouse", help="durable session directory")
     recover.add_argument(
         "--output", default=None, metavar="PATH",
         help="save the recovered warehouse as a fresh checkpoint here",
     )
     recover.set_defaults(handler=_cmd_recover)
-
-    bench = commands.add_parser(
-        "bench",
-        help="regenerate the paper's experiments "
-             "(delegates to `python -m repro.bench`)",
-    )
-    bench.add_argument("bench_args", nargs=argparse.REMAINDER,
-                       help="arguments for repro.bench (e.g. fig12b --quick)")
-    bench.set_defaults(handler=_cmd_bench)
 
     return parser
 
@@ -316,25 +300,11 @@ def _cmd_explain(args):
     return 0
 
 
-def _cmd_bench(args):
-    from .bench.__main__ import main as bench_main
-
-    return bench_main(args.bench_args or ["all", "--quick"])
-
-
 def _cmd_recover(args):
-    path = args.warehouse
-    if os.path.isdir(path):
-        checkpoint = DurableWarehouse.checkpoint_path(path)
-        wal = args.wal or DurableWarehouse.wal_path(path)
-    else:
-        checkpoint = path
-        wal = args.wal or os.path.join(
-            os.path.dirname(path) or ".", DurableWarehouse.WAL_NAME
-        )
-        if not os.path.exists(wal):
-            wal = None
-    warehouse, report = recover_warehouse(checkpoint, wal)
+    warehouse, report = recover_warehouse(
+        DurableWarehouse.checkpoint_path(args.warehouse),
+        DurableWarehouse.wal_path(args.warehouse),
+    )
     print(report.describe())
     if warehouse is None or not report.ok:
         return 1

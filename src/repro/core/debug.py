@@ -1,9 +1,4 @@
-"""Human-readable tree dumps and structure digests (debug/test aids).
-
-``dump_tree`` renders a DC-tree or X-tree as an indented outline with one
-line per node: kind, entry count, supernode blocks, and a compact
-description of the node's MDS (with labels resolved through the concept
-hierarchies) or MBR.  Handy in tests, notebooks and bug reports.
+"""Structure digests (debug/test aids).
 
 ``structure_digest`` condenses an index's *complete* structure — node
 shapes, MDS/MBR extents, aggregates and in-order leaf records — into one
@@ -71,81 +66,3 @@ def _record_bytes(record):
         return b"R|" + repr((point(), tuple(record.measures))).encode()
     return b"R|" + repr(record).encode()
 
-
-def dump_tree(tree, max_depth=None, max_values=4, stream=None):
-    """Render ``tree`` as text; returns the string (and writes ``stream``).
-
-    Parameters
-    ----------
-    tree:
-        A :class:`~repro.core.tree.DCTree` or
-        :class:`~repro.xtree.tree.XTree`.
-    max_depth:
-        Deepest level to render (``None`` = everything; 0 = root only).
-    max_values:
-        Per-dimension cap on rendered MDS values before eliding.
-    """
-    lines = []
-    hierarchies = getattr(tree, "hierarchies", None)
-    _dump_node(tree.root, 0, max_depth, max_values, hierarchies, lines)
-    text = "\n".join(lines)
-    if stream is not None:
-        stream.write(text + "\n")
-    return text
-
-
-def _dump_node(node, depth, max_depth, max_values, hierarchies, lines):
-    indent = "  " * depth
-    kind = "leaf" if node.is_leaf else "dir"
-    super_tag = " SUPER[%d blocks]" % node.n_blocks if node.is_supernode else ""
-    if hasattr(node, "mds"):
-        description = _describe_mds(node.mds, hierarchies, max_values)
-        extra = " sum=%.6g" % node.aggregate.aggregate("sum")
-    else:
-        description = _describe_mbr(node.mbr)
-        extra = ""
-    lines.append(
-        "%s%s(%d)%s %s%s"
-        % (indent, kind, node.entry_count, super_tag, description, extra)
-    )
-    if node.is_leaf:
-        return
-    if max_depth is not None and depth >= max_depth:
-        lines.append("%s  ... (%d children)" % (indent, len(node.children)))
-        return
-    for child in node.children:
-        _dump_node(child, depth + 1, max_depth, max_values, hierarchies,
-                   lines)
-
-
-def _describe_mds(mds, hierarchies, max_values):
-    parts = []
-    for dim in range(mds.n_dimensions):
-        level = mds.level(dim)
-        hierarchy = hierarchies[dim] if hierarchies else None
-        values = sorted(mds.value_set(dim))
-        if hierarchy is not None:
-            if level >= hierarchy.top_level:
-                parts.append("*")
-                continue
-            labels = sorted(hierarchy.label(v) for v in values)
-        else:
-            labels = [str(v) for v in values]
-        shown = labels[:max_values]
-        if len(labels) > max_values:
-            shown.append("...%d" % len(labels))
-        level_name = (
-            hierarchy.level_name(level) if hierarchy else "L%d" % level
-        )
-        parts.append("%s{%s}" % (level_name, ",".join(shown)))
-    return "[" + " | ".join(parts) + "]"
-
-
-def _describe_mbr(mbr):
-    sides = []
-    for low, high in zip(mbr.lows, mbr.highs):
-        if low == high:
-            sides.append(str(low))
-        else:
-            sides.append("%d..%d" % (low, high))
-    return "[" + " | ".join(sides) + "]"

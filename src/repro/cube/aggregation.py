@@ -196,17 +196,9 @@ class StreamingAggregator:
         self._summary.add_summary(summary)
 
     @property
-    def count(self):
-        return self._summary.count
-
-    @property
     def summary(self):
         """The underlying :class:`MeasureSummary` (for merging groups)."""
         return self._summary
-
-    @property
-    def op(self):
-        return self._op
 
     def result(self):
         """Final value of the aggregation."""

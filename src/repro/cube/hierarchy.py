@@ -119,26 +119,6 @@ class ConceptHierarchy:
             level -= 1
         return tuple(path)
 
-    def lookup_path(self, values):
-        """Like :meth:`insert_path` but never creates nodes.
-
-        Returns ``None`` when the path does not exist.
-        """
-        if len(values) != self.n_attributes:
-            raise HierarchyError(
-                "dimension %r expects %d attribute values, got %d"
-                % (self.name, self.n_attributes, len(values))
-            )
-        path = []
-        parent = self.all_id
-        for value in values:
-            child = self._child_by_label.get((parent, value))
-            if child is None:
-                return None
-            path.append(child)
-            parent = child
-        return tuple(path)
-
     def _new_node(self, level, label, parent):
         attr_id = self._allocator.allocate(level)
         self._link(attr_id, level, label, parent)

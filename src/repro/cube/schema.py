@@ -190,16 +190,6 @@ class CubeSchema:
             )
         return DataRecord(tuple(tuple(p) for p in id_paths), measures)
 
-    def describe(self, record):
-        """Human-readable rendering of ``record`` under this schema."""
-        parts = []
-        for dim, path in zip(self.dimensions, record.paths):
-            labels = "/".join(dim.hierarchy.label(v) for v in path)
-            parts.append("%s=%s" % (dim.name, labels))
-        for measure, value in zip(self.measures, record.measures):
-            parts.append("%s=%g" % (measure.name, value))
-        return ", ".join(parts)
-
     def __repr__(self):
         return "CubeSchema(dims=%r, measures=%r)" % (
             [d.name for d in self.dimensions],

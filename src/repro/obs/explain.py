@@ -61,13 +61,11 @@ class LevelProfile:
 class QueryProfile:
     """Everything EXPLAIN knows about one executed query."""
 
-    def __init__(self, kind, op, measure_index, tree_version,
-                 description=None):
+    def __init__(self, kind, op, measure_index, tree_version):
         self.kind = kind
         self.op = op
         self.measure_index = measure_index
         self.tree_version = tree_version
-        self.description = description
         self.cache_outcome = None
         self.levels = []
         self.before = None
@@ -105,7 +103,7 @@ class QueryProfile:
         delta = self.delta
         return (
             self.total_node_accesses == delta.node_accesses
-            and self.total_page_ios == delta.page_ios + 0
+            and self.total_page_ios == delta.page_ios
             and self.total_cpu_units == delta.cpu_units
         )
 
@@ -117,7 +115,6 @@ class QueryProfile:
             "kind": self.kind,
             "op": self.op,
             "measure": self.measure_index,
-            "description": self.description,
             "tree_version": self.tree_version,
             "cache": self.cache_outcome,
             "levels": [level.to_dict() for level in self.levels],
@@ -137,14 +134,11 @@ class QueryProfile:
     def render(self):
         """Human-readable EXPLAIN output (the CLI's format)."""
         delta = self.delta
-        lines = []
-        header = "EXPLAIN %s op=%s measure=%d (tree v%d)" % (
-            self.kind, self.op, self.measure_index, self.tree_version
-        )
-        if self.description:
-            header += " — %s" % self.description
-        lines.append(header)
-        lines.append("result cache: %s" % self.cache_outcome)
+        lines = [
+            "EXPLAIN %s op=%s measure=%d (tree v%d)"
+            % (self.kind, self.op, self.measure_index, self.tree_version),
+            "result cache: %s" % self.cache_outcome,
+        ]
         if self.levels:
             lines.append(
                 "depth  nodes  pages  page-ios   cpu-units  disjoint  "

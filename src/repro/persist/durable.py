@@ -246,12 +246,6 @@ class DurableWarehouse:
         if wal is not None:
             wal.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
 
 def recover_directory(directory, config=None, faults=None):
     """Recover a session directory's checkpoint + WAL, validated.

@@ -18,8 +18,6 @@ nothing about the durability layer perturbs the simulated cost model.
 from __future__ import annotations
 
 import math
-import os
-import time
 
 from ..core.tree import DELETE, INSERT
 from ..errors import RecordNotFoundError, ReproError, StorageError
@@ -51,7 +49,6 @@ class RecoveryReport:
         self.n_records = 0
         self.last_lsn = 0
         self.wal_bytes_scanned = 0
-        self.checkpoint_age_seconds = None
 
     @property
     def ok(self):
@@ -238,12 +235,6 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
     report.records_at_checkpoint = len(warehouse)
     report.checkpoint_lsn = data["meta"].get("wal_lsn", 0)
     report.last_lsn = report.checkpoint_lsn
-    try:
-        report.checkpoint_age_seconds = max(
-            0.0, time.time() - os.path.getmtime(checkpoint_path)
-        )
-    except OSError:
-        report.checkpoint_age_seconds = None
 
     if wal_path is not None:
         _replay_wal(warehouse, wal_path, report, faults)

@@ -29,10 +29,6 @@ class BufferPool:
         self.misses = 0
 
     @property
-    def capacity(self):
-        return self._capacity
-
-    @property
     def resident_pages(self):
         """Number of pages currently cached."""
         return len(self._pages)

@@ -1,4 +1,4 @@
-"""Flat insert files (§5.1 of the paper).
+r"""Flat insert files (§5.1 of the paper).
 
 "The intended data cube is created by SQL select operations on the TPC-D
 database.  The output of these operations is stored in a flatfile which
@@ -17,26 +17,41 @@ concept hierarchies are *dynamic*, §3.1, so this loses nothing):
     EUROPE|GERMANY|BUILDING|Customer#000001|...|4200.0
 
 Values are ordered per dimension from the highest functional attribute
-down to the leaf, matching :meth:`CubeSchema.record`.
+down to the leaf, matching :meth:`CubeSchema.record`.  After the header,
+every non-blank line is a record.  Names and labels are escaped exactly:
+``\``, ``|``, carriage return and newline become ``\u005c``, ``\u007c``,
+``\u000d`` and ``\u000a``, and a leading ``#`` becomes ``\u0023``, so no
+record line is mistaken for a header line or split by a label.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
+
 from ..cube.schema import CubeSchema, Dimension, Measure
-from ..errors import SchemaError, StorageError
+from ..errors import StorageError
 
 #: Magic first line (with format version).
 _MAGIC = "#dcube 1"
 _DELIMITER = "|"
-_ESCAPED = "\\u007c"
+_ESCAPES = str.maketrans({
+    char: "\\u%04x" % ord(char) for char in "\\|\r\n"
+})
+_ESCAPED_CHAR = re.compile(r"\\u([0-9a-f]{4})")
 
 
 def _escape(label):
-    return str(label).replace(_DELIMITER, _ESCAPED)
+    text = str(label).translate(_ESCAPES)
+    if text.startswith("#"):
+        return "\\u0023" + text[1:]
+    return text
 
 
 def _unescape(field):
-    return field.replace(_ESCAPED, _DELIMITER)
+    if "\\" not in field:
+        return field
+    return _ESCAPED_CHAR.sub(lambda match: chr(int(match.group(1), 16)), field)
 
 
 def write_flatfile(path, schema, records):
@@ -69,52 +84,52 @@ def write_flatfile(path, schema, records):
 
 def read_schema(path):
     """Read only the schema header of a flat file."""
+    with open(path) as handle:
+        schema, _pending = _read_header(handle, path)
+    return schema
+
+
+def _read_header(handle, path):
+    """Consume the header from ``handle``; returns the schema and the
+    first line after the header (``""`` at end of file)."""
+    first = handle.readline().rstrip("\n")
+    if first != _MAGIC:
+        raise StorageError(
+            "%s is not a dcube flat file (bad magic %r)" % (path, first)
+        )
     dimensions = []
     measures = []
-    with open(path) as handle:
-        first = handle.readline().rstrip("\n")
-        if first != _MAGIC:
-            raise StorageError(
-                "%s is not a dcube flat file (bad magic %r)" % (path, first)
-            )
-        for line in handle:
-            line = line.rstrip("\n")
-            if line.startswith("#dimension "):
-                fields = [
-                    _unescape(f)
-                    for f in line[len("#dimension "):].split(_DELIMITER)
-                ]
-                if len(fields) < 2:
-                    raise StorageError("malformed dimension header: %r" % line)
-                dimensions.append(Dimension(fields[0], tuple(fields[1:])))
-            elif line.startswith("#measure "):
-                measures.append(Measure(_unescape(line[len("#measure "):])))
-            else:
-                break
+    while True:
+        line = handle.readline()
+        keyword, _, rest = line.rstrip("\n").partition(" ")
+        if keyword == "#dimension":
+            fields = [_unescape(f) for f in rest.split(_DELIMITER)]
+            if len(fields) < 2:
+                raise StorageError("malformed dimension header: %r" % line)
+            dimensions.append(Dimension(fields[0], tuple(fields[1:])))
+        elif keyword == "#measure":
+            measures.append(Measure(_unescape(rest)))
+        else:
+            break
     if not dimensions or not measures:
         raise StorageError("flat file %s has an incomplete header" % path)
-    return CubeSchema(dimensions, measures)
+    return CubeSchema(dimensions, measures), line
 
 
-def read_flatfile(path, schema=None):
+def read_flatfile(path):
     """Read records from ``path``; returns ``(schema, records)``.
 
-    When ``schema`` is given, the file's header must structurally match
-    it and the records are inserted into *its* hierarchies (useful to
-    feed several indexes over one shared schema); otherwise a fresh
-    schema is built from the header.
+    The schema is built fresh from the file's header.
     """
-    file_schema = read_schema(path)
-    if schema is None:
-        schema = file_schema
-    else:
-        _check_compatible(schema, file_schema)
-    n_fields = schema.n_flat_attributes + schema.n_measures
     records = []
     with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
+        schema, pending = _read_header(handle, path)
+        n_fields = schema.n_flat_attributes + schema.n_measures
+        first_number = 2 + schema.n_dimensions + schema.n_measures
+        lines = itertools.chain([pending], handle)
+        for line_number, line in enumerate(lines, start=first_number):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+            if not line:
                 continue
             fields = line.split(_DELIMITER)
             if len(fields) != n_fields:
@@ -141,22 +156,3 @@ def read_flatfile(path, schema=None):
                 ) from None
             records.append(schema.record(dimension_values, measures))
     return schema, records
-
-
-def _check_compatible(schema, file_schema):
-    if schema.n_dimensions != file_schema.n_dimensions:
-        raise SchemaError(
-            "flat file has %d dimensions, schema has %d"
-            % (file_schema.n_dimensions, schema.n_dimensions)
-        )
-    for mine, theirs in zip(schema.dimensions, file_schema.dimensions):
-        if mine.level_names != theirs.level_names:
-            raise SchemaError(
-                "dimension %r level mismatch: %r vs %r"
-                % (mine.name, mine.level_names, theirs.level_names)
-            )
-    if schema.n_measures != file_schema.n_measures:
-        raise SchemaError(
-            "flat file has %d measures, schema has %d"
-            % (file_schema.n_measures, schema.n_measures)
-        )

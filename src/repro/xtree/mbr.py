@@ -70,9 +70,6 @@ class MBR:
 
     # -- geometry ----------------------------------------------------------
 
-    def width(self, d):
-        return self.highs[d] - self.lows[d]
-
     def margin(self):
         """Sum of the side lengths (the R*-tree's split-axis criterion)."""
         return sum(self.highs[d] - self.lows[d] for d in range(len(self.lows)))

@@ -164,7 +164,7 @@ class TestStreamingAggregator:
         aggregator.add_record(toy_record(schema, "DE", "Munich", "red", 3.0))
         aggregator.add_record(toy_record(schema, "FR", "Paris", "red", 4.0))
         assert aggregator.result() == 7.0
-        assert aggregator.count == 2
+        assert aggregator.summary.count == 2
 
     def test_accumulates_vectors(self):
         schema = build_toy_schema()

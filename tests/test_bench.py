@@ -1,5 +1,6 @@
 """Tests for the benchmark harness (tiny scales, shape assertions)."""
 
+import re
 import statistics
 
 import pytest
@@ -22,11 +23,6 @@ def tiny_sweep():
 class TestCombinedSweep:
     def test_checkpoints_match_sizes(self, tiny_sweep):
         assert [p.n_records for p in tiny_sweep.checkpoints] == [300, 600]
-
-    def test_checkpoint_lookup(self, tiny_sweep):
-        assert tiny_sweep.checkpoint(600).n_records == 600
-        with pytest.raises(KeyError):
-            tiny_sweep.checkpoint(999)
 
     def test_insert_times_cumulative(self, tiny_sweep):
         for backend in tiny_sweep.backends:
@@ -121,6 +117,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 13" in out
 
+    def test_main_figure_reports_and_verdict(self, capsys):
+        from repro.bench.__main__ import main
+
+        harness._SWEEP_CACHE.clear()
+        code = main(["fig11a", "fig11b", "fig12a", "fig12d", "verdict",
+                     "--sizes", "300,600", "--queries", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        for title in ("Figure 11(a)", "Figure 11(b)", "Figure 12(a)",
+                      "Figure 12(d)", "Reproduction scorecard"):
+            assert title in out
+        assert re.fullmatch(r"\d+/11 shape claims hold",
+                            out.rstrip().splitlines()[-1])
+
 
 @pytest.mark.parametrize("argv", [
     ["fig11a", "--queries", "0", "--sizes", "200"],
@@ -130,13 +140,11 @@ class TestCli:
 ])
 def test_main_rejects_bad_sizes_and_query_counts(argv, capsys):
     from repro.bench.__main__ import main
-    from repro.cli import main as repro_main
 
-    for entry, args in ((main, argv), (repro_main, ["bench"] + argv)):
-        with pytest.raises(SystemExit) as exit_info:
-            entry(args)
-        assert exit_info.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 class TestChart:

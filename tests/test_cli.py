@@ -1,11 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import importlib
+import math
 import sys
 
 import pytest
 
 from repro.cli import main
+from repro.persist.io import load_warehouse
 
 
 @pytest.fixture
@@ -47,6 +49,24 @@ class TestLoad:
         assert exit_info.value.code == 2
         assert "--backend" in capsys.readouterr().err
         assert not warehouse.exists()
+
+    def test_batched_load_matches_bulk_load(self, tmp_path, capsys):
+        flat = tmp_path / "cube.tbl"
+        bulk = tmp_path / "bulk.json"
+        batched = tmp_path / "batched.json"
+        assert main(["generate", str(flat), "--records", "200"]) == 0
+        assert main(["load", str(flat), str(bulk)]) == 0
+        assert main(["load", str(flat), str(batched),
+                     "--batch-size", "7"]) == 0
+        assert "batched inserts of 7" in capsys.readouterr().out
+        warehouses = [load_warehouse(bulk), load_warehouse(batched)]
+        for warehouse in warehouses:
+            warehouse.index.check_invariants()
+        counts = [w.query("count") for w in warehouses]
+        sums = [w.query("sum") for w in warehouses]
+        assert counts[0] == counts[1] == 200
+        # Different tree shapes add the measures in different orders.
+        assert math.isclose(sums[0], sums[1])
 
 
 class TestQuery:
@@ -275,6 +295,13 @@ class TestDurability:
             main(["recover", directory, "--metrics"])
         assert exit_info.value.code == 2
         assert "--metrics" in capsys.readouterr().err
+
+    def test_recover_takes_only_a_directory(self, tmp_path, capsys):
+        directory = _durable_dir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["recover", directory, "--wal", "other.log"])
+        assert exit_info.value.code == 2
+        assert "--wal" in capsys.readouterr().err
 
 
 class TestExplainSurface:

@@ -11,11 +11,12 @@ Every code span of ``README.md``, ``DESIGN.md`` and ``docs/*.md``
 
 A renamed method or a deleted module then fails here instead of leaving
 a stale name in the docs.  Every ``python -m repro <command> …`` line in
-a code span whose command is a real subcommand must also parse with the
-CLI's own parser (parse only, nothing runs), so a removed flag cannot
-linger in a literal example.  Every experiment id in a ``python -m
-repro.bench …`` or ``python -m repro bench …`` line must be one that
-``repro.bench`` runs.
+a code span must also parse with the CLI's own parser (parse only,
+nothing runs), so neither a removed flag nor an unknown command word can
+linger in a literal example; a slash-joined list of commands such as
+``generate/load`` passes only when every element is a subcommand.
+Every experiment id in a ``python -m repro.bench …`` line must be one
+that ``repro.bench`` runs.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import pathlib
 import pkgutil
 import re
 import shlex
+
+import pytest
 
 import repro
 from repro import cli
@@ -44,7 +47,7 @@ _SPAN = re.compile(r"`((?:[^`\n]|\n(?!\s*\n))+)`")
 _DOTTED = re.compile(r"\brepro(?:\.\w+)+")
 _MEMBER = re.compile(r"\b([A-Z]\w*)\.(\w+)")
 _CLI_LINE = re.compile(r"\bpython3? -m repro(?=\s|$)(.*)")
-_BENCH_LINE = re.compile(r"\bpython3? -m repro(?:\.bench| bench)(?=\s|$)(.*)")
+_BENCH_LINE = re.compile(r"\bpython3? -m repro\.bench(?=\s|$)(.*)")
 # The bench's option values are numbers, so a word token is an id.
 _EXPERIMENT_ID = re.compile(r"[a-z]\w*")
 _SHELL_OPERATORS = {"|", "||", "&&", ";", ">", ">>", "<", "2>&1", "&"}
@@ -128,45 +131,64 @@ def test_class_members_exist():
     assert not stale, stale
 
 
+def _argv(command):
+    """The arguments of one command line, cut at the first shell
+    operator."""
+    argv = []
+    for token in shlex.split(command, comments=True):
+        if token in _SHELL_OPERATORS:
+            break
+        argv.append(token)
+    return argv
+
+
 def _command_lines(pattern):
-    """``(argv, doc name)`` of every ``pattern`` line in a code span, cut
-    at the first shell operator."""
+    """``(argv, doc name)`` of every ``pattern`` line in a code span."""
     found = []
     for path in DOCS:
         for code in _codes(path):
             for match in pattern.finditer(code.replace("\\\n", " ")):
-                argv = []
-                for token in shlex.split(match.group(1), comments=True):
-                    if token in _SHELL_OPERATORS:
-                        break
-                    argv.append(token)
-                found.append((argv, path.name))
+                found.append((_argv(match.group(1)), path.name))
     return found
 
 
-def _cli_lines():
-    """``(argv, doc name)`` of every CLI line whose command exists."""
-    subparsers = next(
-        action for action in cli._build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    return [(argv, doc) for argv, doc in _command_lines(_CLI_LINE)
-            if argv and argv[0] in subparsers.choices]
+def _cli_error(argv):
+    """Why the CLI refuses ``argv`` (parse only), or ``None``."""
+    if argv and "/" in argv[0]:
+        subparsers = next(
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        unknown = [word for word in argv[0].split("/")
+                   if word not in subparsers.choices]
+        return "unknown commands %s" % unknown if unknown else None
+    errors = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(errors):
+            cli._build_parser().parse_args(argv)
+    except SystemExit:
+        return errors.getvalue().strip().splitlines()[-1]
+    return None
 
 
 def test_cli_lines_parse():
-    lines = _cli_lines()
+    lines = _command_lines(_CLI_LINE)
     assert lines
     rejected = []
     for argv, doc in lines:
-        errors = io.StringIO()
-        try:
-            with contextlib.redirect_stderr(errors):
-                cli._build_parser().parse_args(argv)
-        except SystemExit:
-            rejected.append((doc, " ".join(argv),
-                             errors.getvalue().strip().splitlines()[-1]))
+        error = _cli_error(argv)
+        if error:
+            rejected.append((doc, " ".join(argv), error))
     assert not rejected, rejected
+
+
+@pytest.mark.parametrize("line", [
+    "python -m repro inpsect wh.json",
+    "python -m repro bench all",
+    "python -m repro generate/lod/query",
+])
+def test_cli_line_check_rejects_unknown_commands(line):
+    assert _cli_error(_argv(_CLI_LINE.search(line).group(1)))
 
 
 def test_bench_lines_name_experiments():

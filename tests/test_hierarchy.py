@@ -75,17 +75,6 @@ class TestInsertPath:
         with pytest.raises(HierarchyError):
             customer.insert_path(("Europe", "Germany"))
 
-    def test_lookup_path_finds_inserted(self, customer):
-        inserted = customer.insert_path(("Europe", "Germany", "C1"))
-        assert customer.lookup_path(("Europe", "Germany", "C1")) == inserted
-
-    def test_lookup_path_missing_returns_none(self, customer):
-        assert customer.lookup_path(("Europe", "Germany", "C1")) is None
-
-    def test_lookup_never_creates(self, customer):
-        customer.lookup_path(("Europe", "Germany", "C1"))
-        assert len(customer) == 1
-
 
 class TestNavigation:
     @pytest.fixture(autouse=True)
@@ -305,7 +294,7 @@ class TestAncestorTables:
 
     def test_ancestors_of_spans_to_all(self):
         hierarchy = geo_hierarchy([("EU", "DE", "city1")])
-        leaf = hierarchy.lookup_path(("EU", "DE", "city1"))[-1]
+        leaf = hierarchy.insert_path(("EU", "DE", "city1"))[-1]
         ancestors = hierarchy.ancestors_of(leaf)
         assert ancestors[0] == leaf
         assert ancestors[-1] == hierarchy.all_id

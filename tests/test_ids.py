@@ -67,19 +67,6 @@ class TestDecoding:
         assert ids.make_id(1, 0) > ids.make_id(0, ids.MAX_COUNTER)
 
 
-class TestIsValidId:
-    def test_valid(self):
-        assert ids.is_valid_id(0)
-        assert ids.is_valid_id(0xFFFFFFFF)
-
-    def test_out_of_range(self):
-        assert not ids.is_valid_id(-1)
-        assert not ids.is_valid_id(0x1_0000_0000)
-
-    def test_non_int(self):
-        assert not ids.is_valid_id("3")
-
-
 class TestIdAllocator:
     def test_sequential_counters(self):
         allocator = ids.IdAllocator()

@@ -8,10 +8,9 @@ checkpoint.  Each half pins two things.  The event counters come from
 the tree's registry (tree, WAL and checkpoint families).  The state
 figures come from the objects that own them: the tracker's
 ``AccessStats``, the result cache's ``stats()``, ``collect_stats`` and
-``tree_version``, and on reopen the session's ``RecoveryReport``.  The
-report's ``checkpoint_age_seconds`` reads the wall clock and is left
-out.  A change to where telemetry is counted must leave every pinned
-value unmoved.
+``tree_version``, and on reopen the session's ``RecoveryReport``.  A
+change to where telemetry is counted must leave every pinned value
+unmoved.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from repro.persist.format import (
     FRAME_PREFIX,
     SECTIONS,
     encode_checkpoint,
+    encode_frame,
     scan_frames,
 )
 from repro.persist.io import (
@@ -305,6 +306,36 @@ def test_foreign_wal_header_is_refused_not_truncated(tmp_path, header):
         recover_warehouse(DurableWarehouse.checkpoint_path(directory), path)
     with open(path, "rb") as handle:
         assert handle.read() == before
+
+
+@pytest.mark.parametrize(
+    "payload", [b"\xff\xfe", b"not json", b"[1, 2]", b"5"],
+    ids=["bad-utf8", "bad-json", "short-list", "not-a-list"],
+)
+def test_unreadable_wal_payload_is_a_torn_tail(tmp_path, payload):
+    """A checksummed frame whose payload is not a ``[lsn, op, data]``
+    record ends the scan like a torn frame: the records before it
+    survive and the session reopens with them, validated."""
+    directory = str(tmp_path / "bad-payload")
+    warehouse = _toy_warehouse()
+    session = DurableWarehouse.create(directory, warehouse)
+    for row in TOY_ROWS[:3]:
+        session.insert_record(toy_record(warehouse.schema, *row))
+    session.close()
+    path = DurableWarehouse.wal_path(directory)
+    offset = os.path.getsize(path)
+    with open(path, "ab") as handle:
+        handle.write(encode_frame(payload))
+    scan = read_wal(path)
+    assert len(scan.records) == 3
+    assert scan.torn_tail
+    assert scan.error.startswith("unreadable payload at byte %d" % offset)
+    reopened = DurableWarehouse.open(directory)
+    try:
+        assert reopened.report.validated
+        assert len(reopened) == 3
+    finally:
+        reopened.close()
 
 
 @pytest.mark.parametrize("call, site", [

@@ -143,10 +143,3 @@ class TestRecordConstruction:
         schema = build_toy_schema()
         with pytest.raises(SchemaError):
             schema.record_from_ids(((1,), (2,)), (1.0,))
-
-    def test_describe_renders_labels(self):
-        schema = build_toy_schema()
-        record = toy_record(schema, "DE", "Munich", "red", 10.0)
-        text = schema.describe(record)
-        assert "DE/Munich" in text
-        assert "Sales=10" in text
